@@ -141,8 +141,10 @@ def simulate(model_file, state, steps, as_json, display, schedule):
               help="Write the transition digraph in DOT form.")
 @click.option("--summary-dot", "summary_out", type=click.Path(), default=None,
               help="Write the attractor summary in DOT form.")
-@click.option("--workers", default=1, show_default=True,
-              help="Worker threads for the state enumeration.")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True,
+              help="Accepted for compatibility; starts no threads and does "
+                   "not change the output.")
 @click.option("--limit", default=1 << 24, show_default=True,
               help="Maximum state-space size.")
 @click.option("--schedule", default=None,

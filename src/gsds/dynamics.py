@@ -5,13 +5,13 @@ state has exactly one successor); its analysis yields fixed points,
 limit cycles, per-state transients, and basins of attraction.  State
 indexing is mixed-radix with gene 1 most significant, each state set
 ordered by canonical value, so indices, reports, and DOT output are
-deterministic.  The successor array may be computed by several workers
-over contiguous index blocks; the merge order is fixed, so results are
-identical for any worker count.
+deterministic.  The successor array comes from the truth-table kernel in
+:mod:`gsds.network`, which tabulates each local polynomial on its support
+subcube and gathers through those tables; no state is evaluated term by
+term.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import StateSpaceLimitError
 from .network import global_map
@@ -63,37 +63,21 @@ class PhasePortrait:
         ]
 
 
-def _successor_array(model, fmap, workers):
-    states = list(model.iter_states())
-    indices = {s: i for i, s in enumerate(states)}
-
-    def block(lo, hi):
-        return [indices[fmap(states[i])] for i in range(lo, hi)]
-
-    n = len(states)
-    if workers <= 1 or n < 2 * workers:
-        return states, block(0, n)
-    bounds = [(k * n) // workers for k in range(workers + 1)]
-    ranges = [(bounds[k], bounds[k + 1]) for k in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda r: block(*r), ranges))
-    return states, list(itertools.chain.from_iterable(parts))
-
-
 def phase_portrait(model, limit=DEFAULT_STATE_LIMIT, workers=1):
     """Analyze the full state space of the model's global map.
 
     Attractors are reported in ascending order of their minimal state
-    index, each cycle rotated to start at that index.
+    index, each cycle rotated to start at that index.  ``workers`` is
+    accepted for compatibility and does not change the result; the
+    kernel runs on the calling thread.
     """
     size = model.state_count()
     if size > limit:
         raise StateSpaceLimitError(
             f"state space has {size} states, limit is {limit}"
         )
-    fmap = global_map(model)
-    states, successor = _successor_array(model, fmap, workers)
-    n = len(states)
+    successor = global_map(model).successor_array()
+    n = len(successor)
 
     # Iterative successor-pointer traversal with per-state coloring:
     # 0 = unseen, 1 = on the current path, 2 = finalized.
@@ -239,7 +223,8 @@ def transitions_dot(portrait, name="transitions"):
     """DOT digraph of the full state transition graph; attractor states
     are drawn as double circles."""
     m = portrait.model
-    labels = [m.format_state(m.state_at(i)) for i in range(portrait.state_count)]
+    levels = [[m.format_level(v) for v in values] for values in m.state_sets]
+    labels = ["(" + ",".join(t) + ")" for t in itertools.product(*levels)]
     lines = [f"digraph {name} {{", "  node [shape=circle];"]
     in_cycle = sorted(i for cycle in portrait.attractors for i in cycle)
     for i in in_cycle:

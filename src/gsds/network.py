@@ -25,6 +25,8 @@ Model files are JSON:
 
 import itertools
 import json
+import math
+import operator
 
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, balanced_decode, balanced_encode
@@ -125,6 +127,8 @@ class GsdsModel:
         for name, s in zip(genes, state_sets):
             if not s:
                 raise ValueError(f"gene {name!r} has an empty state set")
+            if len(set(s)) != len(s):
+                raise ValueError(f"gene {name!r} has duplicate levels in its state set")
         if schedule is not None:
             schedule = tuple(schedule)
             for i in schedule:
@@ -221,6 +225,85 @@ def apply_local(model, i, state):
     return state[:i] + (value,) + state[i + 1 :]
 
 
+# -- truth-table kernel ------------------------------------------------
+#
+# Bulk work runs over the mixed-radix index of a product of per-gene
+# level lists, gene 1 most significant.  Each gene gets an offset list:
+# its level position times its stride, at every index, so a state's
+# index is the sum of its genes' offsets.  A local polynomial is
+# evaluated once per point of its support subcube (the product of its
+# support genes' levels), keyed by the sum of the support offsets; an
+# update is then a gather through that table.  All per-state work is
+# list repetition and map() over C-level callables.
+
+
+def _strides(levels):
+    return [math.prod(map(len, levels[j + 1 :])) for j in range(len(levels))]
+
+
+def _offset_lists(levels):
+    """Per-gene offset lists of the product of ``levels``, and strides."""
+    strides = _strides(levels)
+    total = math.prod(map(len, levels))
+    offsets = []
+    for values, stride in zip(levels, strides):
+        block = []
+        for p in range(len(values)):
+            block += [p * stride] * stride
+        offsets.append(block * (total // len(block)))
+    return offsets, strides
+
+
+def _subcube_table(poly, levels, strides):
+    """The polynomial's support genes (0-based) and its values on their
+    subcube, keyed by the sum of the support genes' offsets."""
+    support = sorted(v - 1 for v in poly.support())
+    point = [0] * poly.n_vars  # reduced form reads support coordinates only
+    table = {}
+    for combo in itertools.product(*(enumerate(levels[j]) for j in support)):
+        key = 0
+        for j, (p, v) in zip(support, combo):
+            point[j] = v
+            key += p * strides[j]
+        table[key] = poly.eval(point)
+    return support, table
+
+
+def _offset_sum(genes, offsets, total):
+    """Sum of the given genes' offset lists, one entry per state."""
+    genes = list(genes)
+    if not genes:
+        return itertools.repeat(0, total)
+    key = offsets[genes[0]]
+    for j in genes[1:]:
+        key = map(operator.add, key, offsets[j])
+    return key
+
+
+def _fold_offsets(model, levels):
+    """Run the model's map over every state of the product of ``levels``.
+
+    Returns the offset lists of the images and the strides, or None when
+    an image leaves the product (only a model failing range validation
+    does that).  A parallel map gathers every coordinate from the input
+    offsets; a schedule word folds the gathers gene by gene.
+    """
+    offsets, strides = _offset_lists(levels)
+    total = math.prod(map(len, levels))
+    if model.parallel:
+        word, src = range(model.n), list(offsets)
+    else:
+        word, src = model.schedule, offsets
+    for i in word:
+        support, table = _subcube_table(model.local_polys[i], levels, strides)
+        position = {v: p * strides[i] for p, v in enumerate(levels[i])}
+        if not position.keys() >= set(table.values()):
+            return None
+        gather = {k: position[v] for k, v in table.items()}
+        offsets[i] = list(map(gather.__getitem__, _offset_sum(support, src, total)))
+    return offsets, strides
+
+
 class GlobalMap:
     """The composed update map of a model, callable on states."""
 
@@ -260,7 +343,7 @@ class GlobalMap:
         elif method == "interpolate":
             from .infer import TransitionData, interpolate
 
-            pairs = [(p, self(p)) for p in iter_points(m.field, m.n)]
+            pairs = zip(iter_points(m.field, m.n), self.truth_table(ambient=True))
             data = TransitionData(m.field, m.n, pairs)
             result = tuple(interpolate(data, i) for i in range(m.n))
         else:
@@ -271,8 +354,24 @@ class GlobalMap:
     def truth_table(self, ambient=False):
         """Outputs over the model's state space (or the full field space)."""
         m = self.model
-        points = iter_points(m.field, m.n) if ambient else m.iter_states()
-        return tuple(self(p) for p in points)
+        levels = [tuple(m.field.elements())] * m.n if ambient else m.state_sets
+        folded = _fold_offsets(m, levels)
+        if folded is None:  # the map leaves the state space
+            return tuple(map(self, m.iter_states()))
+        offsets, strides = folded
+        columns = [
+            map({p * s: v for p, v in enumerate(values)}.__getitem__, o)
+            for values, s, o in zip(levels, strides, offsets)
+        ]
+        return tuple(zip(*columns)) if columns else ((),)
+
+    def successor_array(self):
+        """State index of the image of every state, in index order."""
+        m = self.model
+        folded = _fold_offsets(m, m.state_sets)
+        if folded is None:
+            raise ModelValidationError(validate_model(m))
+        return list(_offset_sum(range(m.n), folded[0], m.state_count()))
 
 
 def global_map(model, validate=True):
@@ -304,10 +403,14 @@ def validate_model(model):
 
     Dependence over any product domain implies membership in the
     reduced-form support, so only support variables outside a vertex's
-    neighborhood are probed for a witness pair.
+    neighborhood are probed for a witness pair.  A value depends only on
+    the support coordinates, so ranges are checked on each polynomial's
+    support subcube; only a subcube holding an out-of-range value is
+    expanded into the per-state violations, in state index order.
     """
     report = ValidationReport()
     domain = list(model.state_sets)
+    strides = _strides(domain)
     for i, poly in enumerate(model.local_polys):
         allowed = model.graph.neighborhood(i)
         for var in sorted(poly.support()):
@@ -316,11 +419,15 @@ def validate_model(model):
             witness = poly._probe_variable(var - 1, domain)
             if witness:
                 report.locality.append((i, var, witness))
+        support, table = _subcube_table(poly, domain, strides)
         values = set(model.state_sets[i])
-        for state in model.iter_states():
-            v = poly.eval(state)
-            if v not in values:
-                report.range.append((i, state, v))
+        if values.issuperset(table.values()):
+            continue
+        offsets, _ = _offset_lists(domain)
+        keys = _offset_sum(support, offsets, model.state_count())
+        for state, k in zip(model.iter_states(), keys):
+            if table[k] not in values:
+                report.range.append((i, state, table[k]))
     return report
 
 

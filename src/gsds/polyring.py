@@ -141,9 +141,16 @@ class Polynomial:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
+        # a^e = a^(reduced e) on every field value, so on every function
+        e = self._reduce_exp(e)
         result = Polynomial.constant(self.field, self.n_vars, 1)
-        for _ in range(e):
-            result = result * self
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, coeff):

@@ -183,6 +183,24 @@ def test_portrait_byte_identical_across_workers(workspace, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_portrait_rejects_nonpositive_workers(workspace, capsys):
+    code, _, err = run(capsys, "portrait", workspace["ex3"], "--workers", 0)
+    assert code == 1
+    assert "--workers" in err
+
+
+def test_portrait_rejects_duplicate_levels(workspace, capsys):
+    path = workspace["dir"] / "dup.json"
+    path.write_text(json.dumps({
+        "field": 2, "genes": ["a", "b"], "states": {"a": [0, 0, 1]},
+        "locals": {"a": "x1", "b": "x2"}, "schedule": None,
+    }))
+    code, out, err = run(capsys, "portrait", path)
+    assert code == 1
+    assert out == ""
+    assert "duplicate" in err
+
+
 # -- fit / discretize / check --------------------------------------------------
 
 

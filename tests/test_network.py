@@ -304,6 +304,16 @@ def test_restricted_state_sets_validated():
                   [parse_poly("x1", 1, GF3)], [0], state_sets=[()])
 
 
+def test_duplicate_levels_rejected():
+    with pytest.raises(ValueError, match="duplicate"):
+        GsdsModel(GF3, ["a"], DependencyGraph(1, set()),
+                  [parse_poly("x1", 1, GF3)], [0], state_sets=[(0, 0, 1)])
+    d = {"field": 3, "genes": ["a", "b"], "states": {"a": [0, 0, 1]},
+         "locals": {"a": "x1", "b": "x2"}, "schedule": None}
+    with pytest.raises(ValueError, match="duplicate"):
+        model_from_dict(d)
+
+
 # -- model files ----------------------------------------------------------------------
 
 

@@ -122,6 +122,26 @@ def test_normalize_fourth_power():
     assert table(p) == table(q)  # exhaustive over GF(3)
 
 
+def test_huge_exponent_parses_to_reduced_form():
+    assert parse_poly("x1^1000000", 1, GF3) == parse_poly("x1^2", 1, GF3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_power_matches_repeated_product(q):
+    field = Field(q)
+    rng = random.Random(q)
+    for _ in range(10):
+        p = Polynomial(field, 2, {
+            (rng.randrange(q), rng.randrange(q)): rng.randint(1, q - 1)
+            for _ in range(rng.randint(0, 3))
+        })
+        product = Polynomial.constant(field, 2, 1)
+        for e in range(3 * q + 2):
+            assert p**e == product
+            assert p**e == p ** p._reduce_exp(e)
+            product = product * p
+
+
 def test_normalize_zero_coefficient():
     assert parse_poly("3*x1", 1, GF3) == Polynomial.zero(GF3, 1)
 
