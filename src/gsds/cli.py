@@ -6,7 +6,6 @@ contradictory transition data, 4 compatibility failure, 1 anything
 else.  All output is deterministic for identical inputs and flags.
 """
 
-import json
 import sys
 
 import click
@@ -31,21 +30,13 @@ from .errors import (
     GsdsError,
     ModelValidationError,
 )
+from .files import FORMAT_VERSION, write_json
 from .infer import StateSeries, TransitionData, infer_network, load_series, \
     save_series, series_to_dict, solution_space
-from .network import GsdsModel, global_map, load_model, save_model, \
+from .network import global_map, load_model, save_model, \
     trajectory, validate_model
 from .polyring import parse_poly
 from .translate import discretize_series, check_translated, load_thresholds
-
-
-def _echo_json(data, path=None):
-    text = json.dumps(data, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
 
 
 def _with_overrides(model, display=None, schedule=None):
@@ -54,15 +45,7 @@ def _with_overrides(model, display=None, schedule=None):
         schedule = [model.gene_index(name) for name in names]
     if (display is None or display == model.display) and schedule is None:
         return model
-    return GsdsModel(
-        model.field,
-        model.genes,
-        model.graph,
-        model.local_polys,
-        model.schedule if schedule is None else schedule,
-        state_sets=model.state_sets,
-        display=display or model.display,
-    )
+    return model.replace(schedule, display)
 
 
 def _parse_state(model, text):
@@ -120,12 +103,12 @@ def simulate(model_file, state, steps, as_json, display, schedule):
     global_map(model)  # validates; exit 2 on failure
     states = trajectory(model, start, steps)
     if as_json:
-        _echo_json(
+        write_json(
             {
-                "format_version": 1,
+                "format_version": FORMAT_VERSION,
                 "field": model.field.order,
                 "display": model.display,
-                "states": [[model.decode_level(v) for v in s] for s in states],
+                "states": [model.decode_state(s) for s in states],
             }
         )
     else:
@@ -156,9 +139,9 @@ def portrait(model_file, json_out, dot_out, summary_out, workers, limit, display
     model = _with_overrides(load_model(model_file), display, schedule)
     p = phase_portrait(model, limit=limit, workers=workers)
     report = portrait_report(p)
-    _echo_json(report)
+    write_json(report)
     if json_out:
-        _echo_json(report, json_out)
+        write_json(report, json_out)
     if dot_out:
         with open(dot_out, "w") as fh:
             fh.write(transitions_dot(p))
@@ -186,11 +169,9 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
         if thresholds_file is None:
             raise click.UsageError("--csv requires --thresholds")
         genes, _, rows = load_samples_csv(csv_file)
-        tmap, tnames = load_thresholds(thresholds_file, genes)
-        with open(thresholds_file) as fh:
-            t_display = json.load(fh).get("display", "canonical")
+        tmap, _ = load_thresholds(thresholds_file, genes)
         states = discretize_series(tmap, rows)
-        series = StateSeries(tmap.field, states, genes, t_display)
+        series = StateSeries(tmap.field, states, genes, tmap.display)
     elif series_file:
         series = load_series(series_file)
     else:
@@ -206,7 +187,7 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
     )
     model = result.model
     report = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "field": series.field.order,
         "genes": list(model.genes),
         "preference": preference,
@@ -228,7 +209,7 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
             verdicts[model.genes[i]] = solution_space(data, i).is_solution(candidate)
         report["membership"] = verdicts
         report["member_of_all"] = all(verdicts.values())
-    _echo_json(report)
+    write_json(report)
     if output:
         save_model(model, output)
 
@@ -241,16 +222,16 @@ def fit(csv_file, output):
     genes, times, rows = load_samples_csv(csv_file)
     if len(times) < 2:
         raise click.UsageError("need at least two samples to fit")
-    report = {"format_version": 1, "genes": {}}
+    report = {"format_version": FORMAT_VERSION, "genes": {}}
     for j, name in enumerate(genes):
         curve = fit_from_samples(times, [r[j] for r in rows])
         report["genes"][name] = {
             "breakpoints": list(curve.breakpoints),
             "segments": [[a, b] for a, b in curve.segments],
         }
-    _echo_json(report)
+    write_json(report)
     if output:
-        _echo_json(report, output)
+        write_json(report, output)
 
 
 @cli.command()
@@ -264,11 +245,9 @@ def discretize(csv_file, thresholds_file, collapse, output):
     """Discretize a concentration CSV into a state series."""
     genes, _, rows = load_samples_csv(csv_file)
     tmap, _ = load_thresholds(thresholds_file, genes)
-    with open(thresholds_file) as fh:
-        display = json.load(fh).get("display", "canonical")
     states = discretize_series(tmap, rows, collapse=collapse)
-    series = StateSeries(tmap.field, states, genes, display)
-    _echo_json(series_to_dict(series))
+    series = StateSeries(tmap.field, states, genes, tmap.display)
+    write_json(series_to_dict(series))
     if output:
         save_series(series, output)
 
@@ -285,17 +264,17 @@ def check(csv_file, thresholds_file, model_file):
     tmap, _ = load_thresholds(thresholds_file, genes)
     fmap = global_map(model)
     result = check_translated(fmap, list(zip(rows, rows[1:])), tmap)
-    _echo_json(
+    write_json(
         {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "compatible": result.compatible,
             "checked": result.checked,
             "counterexamples": [
                 {
                     "pair": idx,
-                    "state": [model.decode_level(v) for v in state],
-                    "expected": [model.decode_level(v) for v in expected],
-                    "actual": [model.decode_level(v) for v in actual],
+                    "state": model.decode_state(state),
+                    "expected": model.decode_state(expected),
+                    "actual": model.decode_state(actual),
                 }
                 for idx, state, expected, actual in result.counterexamples
             ],
@@ -327,7 +306,7 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
     start = [float(v) for v in c0.replace("(", "").replace(")", "").split(",")]
     result = hybrid_simulate(model, rates, tmap, start, t_end)
     report = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "t_end": result.t_end,
         "genes": list(model.genes),
         "trajectories": {
@@ -343,19 +322,19 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
                 "gene": model.genes[e.gene],
                 "threshold": e.threshold,
                 "kind": e.kind,
-                "old_state": [model.decode_level(v) for v in e.old_state],
-                "new_state": [model.decode_level(v) for v in e.new_state],
+                "old_state": model.decode_state(e.old_state),
+                "new_state": model.decode_state(e.new_state),
             }
             for e in result.events
         ],
         "phases": [
-            [t0, t1, [model.decode_level(v) for v in s]]
+            [t0, t1, model.decode_state(s)]
             for t0, t1, s in result.phases
         ],
     }
-    _echo_json(report)
+    write_json(report)
     if output:
-        _echo_json(report, output)
+        write_json(report, output)
     if csv_out:
         times = result.trajectories[0].breakpoints
         rows = [

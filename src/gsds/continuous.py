@@ -23,9 +23,9 @@ time point.
 """
 
 import csv
-import json
 
 from .errors import ContinuityError, ZenoError
+from .files import FORMAT_VERSION, document, load
 from .network import global_map
 from .translate import discretize
 
@@ -273,16 +273,14 @@ def rates_to_dict(policy, model):
             model.format_level(level): slope for level, slope in sorted(table.items())
         }
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "floor_at_zero": policy.floor_at_zero,
         "rates": levels,
     }
 
 
 def rates_from_dict(d, model):
-    version = d.get("format_version", 1)
-    if version != 1:
-        raise ValueError(f"unsupported rates format_version {version}")
+    document(d, "rates")
     rates = []
     for name in model.genes:
         table = d["rates"].get(name)
@@ -291,12 +289,14 @@ def rates_from_dict(d, model):
         rates.append(
             {model.encode_level(int(k)): float(v) for k, v in table.items()}
         )
-    return RatePolicy(rates, floor_at_zero=d.get("floor_at_zero", True))
+    floor = d.get("floor_at_zero", True)
+    if not isinstance(floor, bool):
+        raise ValueError(f"floor_at_zero must be true or false, not {floor!r}")
+    return RatePolicy(rates, floor_at_zero=floor)
 
 
 def load_rates(path, model):
-    with open(path) as fh:
-        return rates_from_dict(json.load(fh), model)
+    return load(path, "rates", rates_from_dict, model)
 
 
 def save_events_csv(path, events, genes, format_level=str):

@@ -14,9 +14,9 @@ term.
 import itertools
 
 from .errors import StateSpaceLimitError
-from .network import global_map
+from .files import FORMAT_VERSION
+from .network import GlobalMap, global_map
 
-FORMAT_VERSION = 1
 DEFAULT_STATE_LIMIT = 1 << 24
 DEFAULT_PERM_VERTEX_LIMIT = 8
 
@@ -132,30 +132,18 @@ def cycles(model, **kwargs):
     return phase_portrait(model, **kwargs).cycles()
 
 
-def _fold(model, word, state):
-    for i in word:
-        value = model.local_polys[i].eval(state)
-        state = state[:i] + (value,) + state[i + 1 :]
-    return state
-
-
-def _check_word(model, word):
-    word = tuple(word)
-    for i in word:
-        if not 0 <= i < model.n:
-            raise ValueError(f"schedule entry {i} is not a gene index")
-    return word
+def _word_table(model, word):
+    """Truth table of the map composed along ``word``, from the kernel;
+    the rebuilt model rejects an entry that is not a gene index."""
+    return GlobalMap(model.replace(schedule=tuple(word))).truth_table()
 
 
 def compare_schedules(model, word_a, word_b):
     """First state (in index order) where the two composed maps differ,
     or None when they agree everywhere."""
-    word_a = _check_word(model, word_a)
-    word_b = _check_word(model, word_b)
-    for state in model.iter_states():
-        if _fold(model, word_a, state) != _fold(model, word_b, state):
-            return state
-    return None
+    tables = zip(model.iter_states(), _word_table(model, word_a),
+                 _word_table(model, word_b))
+    return next((state for state, a, b in tables if a != b), None)
 
 
 def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_LIMIT):
@@ -172,19 +160,12 @@ def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_
                 f"{model.n}! permutations exceed the vertex limit "
                 f"{vertex_limit}"
             )
-        word_list = list(itertools.permutations(range(model.n)))
-    else:
-        word_list = [_check_word(model, w) for w in words]
-    states = list(model.iter_states())
-    classes = {}
-    order = []
-    for word in word_list:
-        table = tuple(_fold(model, word, s) for s in states)
-        if table not in classes:
-            classes[table] = []
-            order.append(table)
-        classes[table].append(word)
-    return [classes[t] for t in order]
+        words = itertools.permutations(range(model.n))
+    classes = {}  # insertion order is the order of first appearance
+    for word in words:
+        word = tuple(word)
+        classes.setdefault(_word_table(model, word), []).append(word)
+    return list(classes.values())
 
 
 # -- reports -------------------------------------------------------------
@@ -206,9 +187,7 @@ def portrait_report(portrait):
             {
                 "id": aid,
                 "length": len(cycle),
-                "states": [
-                    [m.decode_level(v) for v in m.state_at(i)] for i in cycle
-                ],
+                "states": [m.decode_state(m.state_at(i)) for i in cycle],
                 "basin_size": sizes[aid],
             }
             for aid, cycle in enumerate(portrait.attractors)

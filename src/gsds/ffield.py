@@ -26,7 +26,7 @@ MAX_PRIME = 257
 
 
 def _is_prime(n):
-    if n < 2:
+    if not isinstance(n, int) or n < 2:
         return False
     d = 2
     while d * d <= n:
@@ -70,7 +70,7 @@ class Field:
                 raise ValueError(f"prime fields supported up to {MAX_PRIME}, got {order}")
             kind = "prime"
         else:
-            raise ValueError(f"field order must be prime (<= {MAX_PRIME}) or 4, got {order}")
+            raise ValueError(f"field order must be prime (<= {MAX_PRIME}) or 4, got {order!r}")
         self.order = order
         self.kind = kind
 
@@ -251,21 +251,31 @@ def balanced_decode(field, value):
     return value - field.order if value > half else value
 
 
-def format_value(field, value, balanced=False):
-    if balanced:
-        return str(balanced_decode(field, value))
-    return str(field.check(value))
+def check_display(field, display):
+    """A display mode, returned unchanged: "canonical", or "balanced" for
+    an odd prime field."""
+    if display not in ("canonical", "balanced"):
+        raise ValueError(f"unknown display mode {display!r}")
+    if display == "balanced":
+        _require_balanced(field)
+    return display
 
 
-def parse_value(field, text, balanced=False):
-    v = int(text)
-    if balanced:
-        return balanced_encode(field, v)
-    return field.check(v)
+def encode_level(field, display, x):
+    """The canonical value of a level written in the display encoding."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"levels are integers, got {x!r}")
+    return balanced_encode(field, x) if display == "balanced" else field.check(x)
+
+
+def decode_level(field, display, v):
+    """A canonical value written in the display encoding."""
+    return balanced_decode(field, v) if display == "balanced" else v
 
 
 def format_state(field, state, balanced=False):
-    return "(" + ",".join(format_value(field, v, balanced) for v in state) + ")"
+    display = "balanced" if balanced else "canonical"
+    return "(" + ",".join(str(decode_level(field, display, v)) for v in state) + ")"
 
 
 def gf4_table_errata():

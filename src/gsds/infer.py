@@ -21,14 +21,13 @@ Series files are JSON:
 """
 
 import itertools
-import json
 
 from .errors import ContradictoryDataError
-from .ffield import Field, balanced_decode, balanced_encode
+from .ffield import Field, check_display, decode_level, encode_level
+from .files import FORMAT_VERSION, document, load, write_json
 from .network import DependencyGraph, GsdsModel
 from .polyring import Polynomial, indicator_poly, iter_points
 
-FORMAT_VERSION = 1
 SPARSEST_MAX_VARS = 12
 CONSTRAINED_MAX_UNKNOWNS = 1 << 14
 
@@ -291,45 +290,33 @@ class StateSeries:
         self.field = field
         self.states = [tuple(field.check(v) for v in s) for s in states]
         self.genes = list(genes) if genes else None
-        self.display = display
+        self.display = check_display(field, display)
 
 
 def series_to_dict(series):
-    decode = (
-        (lambda v: balanced_decode(series.field, v))
-        if series.display == "balanced"
-        else (lambda v: v)
-    )
-    d = {"format_version": FORMAT_VERSION, "field": series.field.order}
+    field, display = series.field, series.display
+    d = {"format_version": FORMAT_VERSION, "field": field.order}
     if series.genes:
         d["genes"] = series.genes
-    if series.display != "canonical":
-        d["display"] = series.display
-    d["states"] = [[decode(v) for v in s] for s in series.states]
+    if display != "canonical":
+        d["display"] = display
+    d["states"] = [[decode_level(field, display, v) for v in s] for s in series.states]
     return d
 
 
 def series_from_dict(d):
-    version = d.get("format_version", 1)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported series format_version {version}")
+    document(d, "series")
     field = Field(d["field"])
-    display = d.get("display", "canonical")
-    encode = (
-        (lambda v: balanced_encode(field, v))
-        if display == "balanced"
-        else (lambda v: field.check(v))
-    )
-    states = [tuple(encode(v) for v in s) for s in d["states"]]
+    display = check_display(field, d.get("display", "canonical"))
+    states = [tuple(encode_level(field, display, v) for v in s) for s in d["states"]]
+    if not isinstance(d.get("genes", []), list):
+        raise ValueError("genes must be a list of names")
     return StateSeries(field, states, d.get("genes"), display)
 
 
 def save_series(series, path):
-    with open(path, "w") as fh:
-        json.dump(series_to_dict(series), fh, indent=2)
-        fh.write("\n")
+    write_json(series_to_dict(series), path)
 
 
 def load_series(path):
-    with open(path) as fh:
-        return series_from_dict(json.load(fh))
+    return load(path, "series", series_from_dict)

@@ -24,15 +24,13 @@ Model files are JSON:
 """
 
 import itertools
-import json
 import math
 import operator
 
 from .errors import FieldMismatchError, ModelValidationError
-from .ffield import Field, balanced_decode, balanced_encode
+from .ffield import Field, check_display, decode_level, encode_level, format_state
+from .files import FORMAT_VERSION, document, load, write_json
 from .polyring import Polynomial, iter_points, parse_poly
-
-FORMAT_VERSION = 1
 
 
 class DependencyGraph:
@@ -72,9 +70,11 @@ class DependencyGraph:
 
 
 class ValidationReport:
-    """Violations found by validate_model; empty lists mean valid."""
+    """Violations found by validate_model; empty lists mean valid.  Genes
+    are named by ``genes`` when given, else by index."""
 
-    def __init__(self):
+    def __init__(self, genes=None):
+        self.genes = genes
         self.locality = []  # (gene, variable, witness state pair)
         self.range = []  # (gene, input state, value)
         self.schedule = []  # (position, entry)
@@ -83,8 +83,8 @@ class ValidationReport:
     def valid(self):
         return not (self.locality or self.range or self.schedule)
 
-    def lines(self, genes=None):
-        name = lambda i: genes[i] if genes else f"#{i}"
+    def lines(self):
+        name = lambda i: self.genes[i] if self.genes else f"#{i}"
         out = []
         for gene, var, (s1, s2) in self.locality:
             out.append(
@@ -134,10 +134,7 @@ class GsdsModel:
             for i in schedule:
                 if not 0 <= i < n:
                     raise ValueError(f"schedule entry {i} is not a gene index")
-        if display not in ("canonical", "balanced"):
-            raise ValueError(f"unknown display mode {display!r}")
-        if display == "balanced":
-            balanced_encode(field, 0)  # raises for fields without the encoding
+        check_display(field, display)
         self.field = field
         self.genes = tuple(genes)
         self.graph = graph
@@ -159,6 +156,14 @@ class GsdsModel:
             return self.genes.index(name)
         except ValueError:
             raise KeyError(f"unknown gene {name!r}") from None
+
+    def replace(self, schedule=None, display=None):
+        """This model with its schedule word or display mode replaced."""
+        return GsdsModel(
+            self.field, self.genes, self.graph, self.local_polys,
+            self.schedule if schedule is None else schedule,
+            state_sets=self.state_sets, display=display or self.display,
+        )
 
     # -- state space ---------------------------------------------------
 
@@ -196,26 +201,19 @@ class GsdsModel:
             raise ValueError(f"state {state} is outside the model's state space")
         return tuple(state)
 
-    # -- display -------------------------------------------------------
+    # -- display: levels in the display encoding, through the ffield codec
 
     def format_level(self, value):
-        if self.display == "balanced":
-            return str(balanced_decode(self.field, value))
-        return str(value)
+        return str(decode_level(self.field, self.display, value))
 
     def encode_level(self, value):
-        """External level (balanced or canonical per display) to canonical."""
-        if self.display == "balanced":
-            return balanced_encode(self.field, value)
-        return self.field.check(value)
+        return encode_level(self.field, self.display, value)
 
-    def decode_level(self, value):
-        if self.display == "balanced":
-            return balanced_decode(self.field, value)
-        return value
+    def decode_state(self, state):
+        return [decode_level(self.field, self.display, v) for v in state]
 
     def format_state(self, state):
-        return "(" + ",".join(self.format_level(v) for v in state) + ")"
+        return format_state(self.field, state, self.display == "balanced")
 
 
 def apply_local(model, i, state):
@@ -408,7 +406,7 @@ def validate_model(model):
     support subcube; only a subcube holding an out-of-range value is
     expanded into the per-state violations, in state index order.
     """
-    report = ValidationReport()
+    report = ValidationReport(model.genes)
     domain = list(model.state_sets)
     strides = _strides(domain)
     for i, poly in enumerate(model.local_polys):
@@ -486,7 +484,7 @@ def model_to_dict(model):
     }
     default = tuple(model.field.elements())
     states = {
-        g: [model.decode_level(v) for v in values]
+        g: model.decode_state(values)
         for g, values in zip(model.genes, model.state_sets)
         if values != default
     }
@@ -505,25 +503,22 @@ def model_to_dict(model):
 
 
 def model_from_dict(d):
-    version = d.get("format_version", 1)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version}")
+    document(d, "model")
     field = Field(d["field"])
-    genes = list(d["genes"])
+    genes, schedule = d["genes"], d.get("schedule")
+    if not isinstance(genes, list) or not isinstance(schedule, (list, type(None))):
+        raise ValueError("genes must be a list of names, schedule a list or null")
     n = len(genes)
     index = {g: i for i, g in enumerate(genes)}
-    display = d.get("display", "canonical")
-
-    def decode(v):
-        return balanced_encode(field, v) if display == "balanced" else field.check(v)
-
+    display = check_display(field, d.get("display", "canonical"))
     state_sets = None
     if d.get("states"):
         state_sets = []
         for g in genes:
             raw = d["states"].get(g)
             state_sets.append(
-                tuple(field.elements()) if raw is None else tuple(decode(v) for v in raw)
+                tuple(field.elements()) if raw is None
+                else tuple(encode_level(field, display, v) for v in raw)
             )
     edges = set()
     for a, b in d.get("edges", []):
@@ -536,9 +531,8 @@ def model_from_dict(d):
         if text is None:
             raise ValueError(f"missing local polynomial for gene {g!r}")
         locals_.append(parse_poly(text, n, field))
-    schedule = d.get("schedule")
     if schedule is not None:
-        report = ValidationReport()
+        report = ValidationReport(genes)
         resolved = []
         for pos, name in enumerate(schedule):
             if name in index:
@@ -560,11 +554,8 @@ def model_from_dict(d):
 
 
 def save_model(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return load(path, "model", model_from_dict)

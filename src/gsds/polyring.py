@@ -221,38 +221,9 @@ class Polynomial:
                     out.add(j + 1)
         return frozenset(out)
 
-    def support_on(self, domain):
-        """1-based indices of variables the function depends on over a
-        restricted product domain (one value list per variable), found by
-        exhaustive two-point probing."""
-        witnesses = self.dependence_witnesses(domain)
-        return frozenset(witnesses)
-
-    def dependence_witnesses(self, domain=None):
-        """Map from dependent variable index to a witness pair of points.
-
-        A witness pair differs only in that variable and produces two
-        different values.  With ``domain=None`` the full field is probed.
-        Only variables in the reduced-form support can influence values,
-        so probing is restricted to those.
-        """
-        if domain is None:
-            domain = [tuple(self.field.elements())] * self.n_vars
-        if len(domain) != self.n_vars:
-            raise FieldMismatchError(
-                f"domain has {len(domain)} variable ranges, need {self.n_vars}"
-            )
-        for j, values in enumerate(domain):
-            if not values:
-                raise ValueError(f"empty domain for variable x{j + 1}")
-        witnesses = {}
-        for var in sorted(self.support()):
-            found = self._probe_variable(var - 1, domain)
-            if found:
-                witnesses[var] = found
-        return witnesses
-
     def _probe_variable(self, j, domain):
+        """Two points of ``domain`` that differ only in x_(j+1) and give
+        different values, or None when there are none."""
         others = [domain[k] for k in range(self.n_vars) if k != j]
         for rest in itertools.product(*others):
             first_point = first_val = None
@@ -297,7 +268,15 @@ def support_vars(poly, domain=None):
     """
     if domain is None:
         return poly.support()
-    return poly.support_on(domain)
+    if len(domain) != poly.n_vars:
+        raise FieldMismatchError(
+            f"domain has {len(domain)} variable ranges, need {poly.n_vars}"
+        )
+    for j, values in enumerate(domain):
+        if not values:
+            raise ValueError(f"empty domain for variable x{j + 1}")
+    # only variables in the reduced-form support can influence values
+    return frozenset(v for v in poly.support() if poly._probe_variable(v - 1, domain))
 
 
 def indicator_poly(field, point):

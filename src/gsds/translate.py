@@ -33,12 +33,11 @@ Threshold files are JSON:
 
 import bisect
 import itertools
-import json
 
 from .errors import FieldMismatchError
-from .ffield import Field, balanced_decode, balanced_encode
+from .ffield import Field, check_display, decode_level, encode_level
+from .files import FORMAT_VERSION, document, load, write_json
 
-FORMAT_VERSION = 1
 DEFAULT_EPS = 1e-9
 SEARCH_MAX_CANDIDATES = 1 << 20
 
@@ -79,12 +78,15 @@ class GeneThresholds:
 
 
 class ThresholdMap:
-    """Per-gene threshold discretization onto field elements."""
+    """Per-gene threshold discretization onto field elements; ``display``
+    is the encoding its levels were written in, which a series
+    discretized through the map inherits."""
 
-    def __init__(self, field, genes, eps=DEFAULT_EPS):
+    def __init__(self, field, genes, eps=DEFAULT_EPS, display="canonical"):
         self.field = field
         self.genes = tuple(genes)
-        self.eps = eps
+        self.eps = float(eps)
+        self.display = check_display(field, display)
         for g in self.genes:
             for level in g.band_levels + g.equal_levels:
                 field.check(level)
@@ -222,66 +224,56 @@ def search_compatible_thresholds(samples, f, candidate_grid="midpoints",
 
 
 def thresholds_to_dict(tmap, gene_names, display="canonical"):
-    decode = (
-        (lambda v: balanced_decode(tmap.field, v))
-        if display == "balanced"
-        else (lambda v: v)
-    )
+    field, display = tmap.field, check_display(tmap.field, display)
     genes = {}
     for name, g in zip(gene_names, tmap.genes):
         genes[name] = {
             "levels": [
                 {
                     "threshold": t,
-                    "below_level": decode(g.band_levels[k]),
-                    "equal_level": decode(g.equal_levels[k]),
+                    "below_level": decode_level(field, display, g.band_levels[k]),
+                    "equal_level": decode_level(field, display, g.equal_levels[k]),
                 }
                 for k, t in enumerate(g.thresholds)
             ],
-            "top_level": decode(g.band_levels[-1]),
+            "top_level": decode_level(field, display, g.band_levels[-1]),
         }
-    d = {"format_version": FORMAT_VERSION, "field": tmap.field.order}
+    d = {"format_version": FORMAT_VERSION, "field": field.order}
     if display != "canonical":
         d["display"] = display
+    if tmap.eps != DEFAULT_EPS:
+        d["eps"] = tmap.eps
     d["genes"] = genes
     return d
 
 
 def thresholds_from_dict(d, gene_names=None):
-    version = d.get("format_version", 1)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported thresholds format_version {version}")
+    document(d, "thresholds")
     field = Field(d["field"])
-    display = d.get("display", "canonical")
-    encode = (
-        (lambda v: balanced_encode(field, v))
-        if display == "balanced"
-        else (lambda v: field.check(v))
-    )
+    display = check_display(field, d.get("display", "canonical"))
     names = gene_names or list(d["genes"])
     genes = []
     for name in names:
         spec = d["genes"].get(name)
         if spec is None:
             raise ValueError(f"thresholds missing for gene {name!r}")
-        thresholds = [lv["threshold"] for lv in spec["levels"]]
-        band_levels = [encode(lv["below_level"]) for lv in spec["levels"]]
-        band_levels.append(encode(spec["top_level"]))
+        levels = spec["levels"]
+        band_levels = [lv["below_level"] for lv in levels] + [spec["top_level"]]
+        band_levels = [encode_level(field, display, v) for v in band_levels]
         equal_levels = [
-            encode(lv["equal_level"]) if "equal_level" in lv else band_levels[k + 1]
-            for k, lv in enumerate(spec["levels"])
+            encode_level(field, display, lv["equal_level"])
+            if "equal_level" in lv else band_levels[k + 1]
+            for k, lv in enumerate(levels)
         ]
+        thresholds = [lv["threshold"] for lv in levels]
         genes.append(GeneThresholds(thresholds, band_levels, equal_levels))
     eps = d.get("eps", DEFAULT_EPS)
-    return ThresholdMap(field, genes, eps=eps), names
+    return ThresholdMap(field, genes, eps=eps, display=display), names
 
 
 def save_thresholds(tmap, gene_names, path, display="canonical"):
-    with open(path, "w") as fh:
-        json.dump(thresholds_to_dict(tmap, gene_names, display), fh, indent=2)
-        fh.write("\n")
+    write_json(thresholds_to_dict(tmap, gene_names, display), path)
 
 
 def load_thresholds(path, gene_names=None):
-    with open(path) as fh:
-        return thresholds_from_dict(json.load(fh), gene_names)
+    return load(path, "thresholds", thresholds_from_dict, gene_names)

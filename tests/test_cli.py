@@ -67,6 +67,15 @@ def test_validate_reports_violations_with_exit_2(workspace, capsys):
     assert "range" in err
 
 
+def test_validation_failures_name_genes(workspace, capsys):
+    # the mixed-state network's g2 maps into 2, outside its levels {0, 1}
+    for args in (["validate"], ["simulate", "--state", "000"]):
+        code, _, err = run(capsys, args[0], workspace["fsm"], *args[1:])
+        assert code == 2
+        assert "  range: f[g2](1, 0, 1) = 2, outside the gene's state set\n" in err
+        assert "#" not in err
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -227,6 +236,19 @@ def test_discretize_produces_series(workspace, capsys):
     data = json.loads(out)
     assert data["states"] == [[-1, 1, -1], [0, 1, 0], [1, 1, 1], [-1, 1, -1]]
     assert json.loads(series_out.read_text()) == data
+
+
+def test_discretize_carries_threshold_display(workspace, capsys):
+    from gsds.translate import save_thresholds
+
+    for display, first in (("balanced", [-1, 1, -1]), ("canonical", [2, 1, 2])):
+        path = workspace["dir"] / f"th_{display}.json"
+        save_thresholds(build_ex3_thresholds(), ["g1", "g2", "g3"], path, display)
+        code, out, _ = run(capsys, "discretize", workspace["csv"], "--thresholds", path)
+        assert code == 0
+        data = json.loads(out)
+        assert data.get("display", "canonical") == display
+        assert data["states"][0] == first
 
 
 def test_discretize_collapse_flag(workspace, capsys):
@@ -456,3 +478,75 @@ def test_hybrid_events_csv(workspace, capsys):
     assert lines[0] == "time,gene,threshold,kind,old_state,new_state"
     assert lines[1].startswith("1,g,1,threshold,0,1")
     assert lines[2].startswith("2,g,0,floor,1,0")
+
+
+# -- malformed input files -------------------------------------------------------
+
+RATES = {"format_version": 1, "rates": {g: {"-1": -1.0, "0": 0.0, "1": 1.0}
+                                        for g in ("g1", "g2", "g3")}}
+SERIES = {"format_version": 1, "field": 3, "display": "balanced",
+          "states": [[-1, 1, -1], [0, 1, 0], [1, 1, 1]]}
+
+
+def _replace(key, value):
+    return lambda d: {**d, key: value}
+
+
+# (case, file kind, change to a well-formed document, command)
+MALFORMED = [
+    ("model-field-string", "model", _replace("field", "3"), "validate"),
+    ("model-locals-list", "model", _replace("locals", ["x1", "x2", "x3"]), "validate"),
+    ("model-top-level-list", "model", lambda d: [], "validate"),
+    ("model-genes-string", "model", _replace("genes", "g1"), "validate"),
+    ("model-schedule-string", "model", _replace("schedule", "g1"), "simulate"),
+    ("model-missing-field", "model", lambda d: {k: v for k, v in d.items() if k != "field"},
+     "portrait"),
+    ("model-not-json", "model", None, "validate"),
+    ("series-flat-states", "series", _replace("states", [0, 1]), "infer"),
+    ("series-genes-string", "series", _replace("genes", "abc"), "infer"),
+    ("series-unknown-display", "series", _replace("display", "bogus"), "infer"),
+    ("thresholds-genes-list", "thresholds", lambda d: {**d, "genes": list(d["genes"].values())},
+     "discretize"),
+    ("thresholds-unknown-display", "thresholds", _replace("display", "bogus"), "discretize"),
+    ("thresholds-float-level", "thresholds", lambda d: {
+        **d, "genes": {**d["genes"], "g1": {**d["genes"]["g1"], "top_level": 1.0}}},
+     "infer-csv"),
+    ("rates-list", "rates", _replace("rates", [1.0, 0.0]), "hybrid"),
+    ("rates-table-list", "rates", lambda d: {**d, "rates": {**d["rates"], "g2": [1.0]}},
+     "hybrid"),
+    ("rates-floor-string", "rates", _replace("floor_at_zero", "no"), "hybrid"),
+]
+
+
+@pytest.mark.parametrize("case,kind,change,command", MALFORMED,
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_file_exits_1_with_one_line(workspace, capsys, case, kind, change,
+                                              command):
+    sources = {"model": workspace["ex3"], "thresholds": workspace["thresholds"]}
+    if kind in sources:
+        doc = json.loads(sources[kind].read_text())
+    else:
+        doc = {"series": SERIES, "rates": RATES}[kind]
+    path = workspace["dir"] / f"{case}.json"
+    path.write_text("{" if change is None else json.dumps(change(doc)))
+    files = {"model": workspace["ex3"], "thresholds": workspace["thresholds"],
+             "rates": workspace["dir"] / "rates.json"}
+    files["rates"].write_text(json.dumps(RATES))
+    files[kind] = path
+    argv = {
+        "validate": ["validate", path],
+        "simulate": ["simulate", path, "--state", "(0,0,0)"],
+        "portrait": ["portrait", path],
+        "infer": ["infer", path],
+        "infer-csv": ["infer", "--csv", workspace["csv"], "--thresholds", path],
+        "discretize": ["discretize", workspace["csv"], "--thresholds", path],
+        "hybrid": ["hybrid", files["model"], "--rates", files["rates"],
+                   "--thresholds", files["thresholds"], "--c0", "0.5,0.5,0.5",
+                   "--t-end", "1"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: malformed {kind} file ")
+    assert str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsds import (
     DependencyGraph,
@@ -215,6 +218,45 @@ def test_non_interacting_vertices_commute():
 def test_compare_schedules_rejects_bad_word():
     with pytest.raises(ValueError):
         compare_schedules(build_example1(), (0, 9), (0, 1))
+
+
+@st.composite
+def models_with_words(draw):
+    """A small model over GF(2)..GF(5) with restricted state sets that its
+    polynomials may leave, and schedule words with repeated and omitted
+    genes."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5])))
+    q = field.order
+    n = draw(st.integers(1, 4))
+    levels = st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True)
+    exps = st.tuples(*[st.integers(0, q - 1)] * n)
+    polys = [
+        Polynomial(field, n, draw(st.dictionaries(exps, st.integers(1, q - 1), max_size=3)))
+        for _ in range(n)
+    ]
+    m = GsdsModel(field, [f"g{j}" for j in range(n)], DependencyGraph(n, set()),
+                  polys, None, state_sets=[draw(levels) for _ in range(n)])
+    word = st.lists(st.integers(0, n - 1), max_size=2 * n)
+    return m, draw(st.lists(word, min_size=2, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(models_with_words())
+def test_schedule_comparison_matches_fold(case):
+    m, words = case
+    states = list(m.iter_states())
+
+    def classes(word_list):
+        out = {}
+        for w in word_list:
+            out.setdefault(tuple(_fold(m, w, s) for s in states), []).append(tuple(w))
+        return list(out.values())
+
+    assert schedule_scan(m, words) == classes(words)
+    assert schedule_scan(m) == classes(itertools.permutations(range(m.n)))
+    first = next((s for s in states
+                  if _fold(m, words[0], s) != _fold(m, words[1], s)), None)
+    assert compare_schedules(m, words[0], words[1]) == first
 
 
 # -- schedule scan ----------------------------------------------------------------

@@ -66,7 +66,7 @@ def models(draw, closed=False):
 
 def reference_validate(model):
     """Validation as an exhaustive loop over every state."""
-    report = ValidationReport()
+    report = ValidationReport(model.genes)
     domain = list(model.state_sets)
     for i, poly in enumerate(model.local_polys):
         allowed = model.graph.neighborhood(i)

@@ -93,7 +93,7 @@ def test_example2_range_violation(example2):
 
 def test_validation_report_lines(example2):
     report = validate_model(example2)
-    text = "\n".join(report.lines(example2.genes))
+    text = "\n".join(report.lines())
     assert "range" in text and "g2" in text
 
 
