@@ -6,11 +6,14 @@ absent).  ``write_json`` writes every file and JSON report,
 ``document`` is the one version check, and ``load`` reads every file.
 A document of the wrong shape surfaces as a TypeError, AttributeError
 or KeyError while it is interpreted; ``load`` turns these, bad JSON and
-bad values into one ValueError that names the file kind and path.
+bad values into one ValueError that names the file kind and path; a
+parse or encoding error keeps its type and only gains that prefix.
 """
 
 import json
 import sys
+
+from .errors import PolyParseError, UnsupportedEncodingError
 
 FORMAT_VERSION = 1
 
@@ -41,6 +44,9 @@ def load(path, kind, from_dict, *args):
         text = fh.read()
     try:
         return from_dict(json.loads(text), *args)
+    except (PolyParseError, UnsupportedEncodingError) as exc:
+        exc.args = (f"malformed {kind} file {path}: {exc}",)
+        raise
     except KeyError as exc:
         raise ValueError(f"malformed {kind} file {path}: missing key {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:

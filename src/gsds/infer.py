@@ -3,11 +3,16 @@
 A set of observed transitions is a *partially defined function*: outputs
 are known on some subset S of GF(q)^n.  Per coordinate, the interpolants
 form an affine space of dimension q^n - |S|: one particular solution
-(the indicator-sum interpolant, which vanishes off S) plus the span of
-the indicator polynomials of the unspecified points.  The sparsest
-member with respect to variable support is found by searching variable
-subsets in order of increasing size and solving the interpolation
-constraints restricted to monomials in those variables.
+(the observed table, zero off S, turned into its reduced polynomial by
+the exact transform ``polyring.table_poly``) plus the span of the
+indicator polynomials of the unspecified points, a basis of q^n - |S|
+polynomials built only when ``SolutionSpace.basis`` is first read.  The
+sparsest member with respect to variable support is found by searching
+variable subsets by size, then lexicographically.  A subset V admits an
+interpolant iff no two observed inputs agree on V with different outputs
+(over GF(q) every function on the projection is a polynomial), a test of
+one dict pass; the constraints restricted to monomials in V are solved
+only for the first subset that passes it.
 
 Series files are JSON:
 
@@ -20,13 +25,15 @@ Series files are JSON:
     }
 """
 
+import functools
 import itertools
+import operator
 
 from .errors import ContradictoryDataError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .network import DependencyGraph, GsdsModel
-from .polyring import Polynomial, indicator_poly, iter_points
+from .polyring import Polynomial, indicator_poly, iter_points, table_poly
 
 SPARSEST_MAX_VARS = 12
 CONSTRAINED_MAX_UNKNOWNS = 1 << 14
@@ -59,9 +66,6 @@ class TransitionData:
         return cls(field, len(states[0]) if states else 0,
                    list(zip(states, states[1:])))
 
-    def inputs(self):
-        return [s for s, _ in self.pairs]
-
     def coordinate_view(self, coordinate):
         return [(s, image[coordinate]) for s, image in self.pairs]
 
@@ -70,31 +74,37 @@ class TransitionData:
 
 
 def interpolate(data, coordinate):
-    """The indicator-sum interpolant for one coordinate.
+    """The canonical interpolant for one coordinate.
 
     Exact on every observed input and zero on all unspecified points,
     making it the canonical particular solution.
     """
-    result = Polynomial.zero(data.field, data.n)
-    for state, value in data.coordinate_view(coordinate):
-        if value:
-            result = result + indicator_poly(data.field, state).scale(value)
-    return result
+    return table_poly(data.field, data.n, dict(data.coordinate_view(coordinate)))
 
 
 class SolutionSpace:
     """All interpolants of one coordinate: particular + indicator span."""
 
-    def __init__(self, field, n, pairs, particular, basis):
+    def __init__(self, field, n, pairs, particular):
         self.field = field
         self.n = n
-        self.pairs = pairs  # (input state, output value)
+        self.pairs = pairs  # (input state, output value), inputs distinct
         self.particular = particular
-        self.basis = basis
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return self.field.order**self.n - len(self.pairs)
+
+    @functools.cached_property
+    def basis(self):
+        """The indicators of the unspecified points, in point order:
+        q^n - |S| polynomials, built on first access."""
+        specified = {state for state, _ in self.pairs}
+        return tuple(
+            indicator_poly(self.field, p)
+            for p in iter_points(self.field, self.n)
+            if p not in specified
+        )
 
     def is_solution(self, poly):
         """Membership test: a polynomial is a solution iff it interpolates
@@ -103,8 +113,8 @@ class SolutionSpace:
 
     def member(self, coefficients):
         """particular + sum of coefficient * basis polynomial."""
-        if len(coefficients) != len(self.basis):
-            raise ValueError(f"need {len(self.basis)} coefficients")
+        if len(coefficients) != self.dimension:
+            raise ValueError(f"need {self.dimension} coefficients")
         result = self.particular
         for c, b in zip(coefficients, self.basis):
             if c:
@@ -113,18 +123,11 @@ class SolutionSpace:
 
 
 def solution_space(data, coordinate):
-    specified = set(data.inputs())
-    basis = tuple(
-        indicator_poly(data.field, p)
-        for p in iter_points(data.field, data.n)
-        if p not in specified
-    )
     return SolutionSpace(
         data.field,
         data.n,
         tuple(data.coordinate_view(coordinate)),
         interpolate(data, coordinate),
-        basis,
     )
 
 
@@ -160,6 +163,14 @@ def _solve_linear(field, rows, rhs):
     for i, c in enumerate(pivots):
         solution[c] = rows[i][-1]
     return solution
+
+
+def _feasible(view, subset):
+    """Whether some function of the variables in ``subset`` (1-based)
+    fits ``view``: no two inputs agree on them with different outputs."""
+    project = operator.itemgetter(*(v - 1 for v in subset)) if subset else (lambda s: ())
+    seen = {}
+    return all(seen.setdefault(project(s), value) == value for s, value in view)
 
 
 def constrained_interpolate(data, coordinate, allowed_vars):
@@ -209,19 +220,21 @@ def sparsest_interpolate(data, coordinate):
     """The interpolant with the fewest support variables.
 
     Searches subsets in order of increasing size, lexicographic within a
-    size, and returns the first feasible constrained interpolant; by the
-    search order no strict subset of its support is feasible.
+    size, and returns the constrained interpolant of the first feasible
+    one; by the search order no strict subset of its support is feasible.
     """
     if data.n > SPARSEST_MAX_VARS:
         raise ValueError(
             f"sparsest search supports at most {SPARSEST_MAX_VARS} variables, "
             f"got {data.n}"
         )
+    view = data.coordinate_view(coordinate)
     for size in range(data.n + 1):
+        too_large = data.field.order**size > CONSTRAINED_MAX_UNKNOWNS
         for subset in itertools.combinations(range(1, data.n + 1), size):
-            poly = constrained_interpolate(data, coordinate, subset)
-            if poly is not None:
-                return poly
+            # past the solver limit the first subset raises its error
+            if too_large or _feasible(view, subset):
+                return constrained_interpolate(data, coordinate, subset)
     raise AssertionError("unreachable: the full variable set always interpolates")
 
 

@@ -30,7 +30,7 @@ import operator
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level, format_state
 from .files import FORMAT_VERSION, document, load, write_json
-from .polyring import Polynomial, iter_points, parse_poly
+from .polyring import Polynomial, iter_points, parse_poly, table_poly
 
 
 class DependencyGraph:
@@ -339,11 +339,11 @@ class GlobalMap:
                     coords[i] = m.local_polys[i].compose(coords)
             result = tuple(coords)
         elif method == "interpolate":
-            from .infer import TransitionData, interpolate
-
-            pairs = zip(iter_points(m.field, m.n), self.truth_table(ambient=True))
-            data = TransitionData(m.field, m.n, pairs)
-            result = tuple(interpolate(data, i) for i in range(m.n))
+            pairs = list(zip(iter_points(m.field, m.n), self.truth_table(ambient=True)))
+            result = tuple(
+                table_poly(m.field, m.n, {p: image[i] for p, image in pairs})
+                for i in range(m.n)
+            )
         else:
             raise ValueError(f"unknown method {method!r}")
         self._poly_cache[method] = result

@@ -20,6 +20,7 @@ with whitespace ignored and integer coefficients reduced into the field
 (negatives allowed).  Multiplication is always explicit.
 """
 
+import functools
 import itertools
 
 from .errors import FieldMismatchError, PolyParseError
@@ -40,13 +41,15 @@ class Polynomial:
             raise ValueError("n_vars must be non-negative")
         self.field = field
         self.n_vars = n_vars
+        top = field.order - 1
         reduced = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != n_vars:
                 raise ValueError(f"exponent tuple {exps} does not have {n_vars} entries")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            exps = tuple(self._reduce_exp(e) for e in exps)
+            if exps and max(exps) > top:
+                exps = tuple(self._reduce_exp(e) for e in exps)
             coeff = field.coerce(coeff)
             if exps in reduced:
                 coeff = field.add(reduced[exps], coeff)
@@ -279,18 +282,40 @@ def support_vars(poly, domain=None):
     return frozenset(v for v in poly.support() if poly._probe_variable(v - 1, domain))
 
 
-def indicator_poly(field, point):
-    """The polynomial that is 1 at ``point`` and 0 elsewhere on GF(q)^n.
+@functools.lru_cache(maxsize=64)
+def _inverse_vandermonde(field):
+    """Row a of the inverse Vandermonde matrix: the nonzero (e, L(a, e)),
+    coefficients of the indicator 1 - (x - a)^(q-1).  L(a, 0) = [a == 0]
+    and L(a, e) = -a^(q-1-e) for e >= 1, with 0^0 = 1 (also in GF(4))."""
+    q = field.order
+    rows = []
+    for a in range(q):
+        row = [int(a == 0)] + [field.neg(field.pow(a, q - 1 - e)) for e in range(1, q)]
+        rows.append(tuple((e, c) for e, c in enumerate(row) if c))
+    return tuple(rows)
 
-    Built as prod_j (1 - (x_j - a_j)^(q-1)).
-    """
-    n = len(point)
-    one = Polynomial.constant(field, n, 1)
-    result = one
-    for j, a in enumerate(point, start=1):
-        diff = Polynomial.variable(field, n, j) - Polynomial.constant(field, n, a)
-        result = result * (one - diff ** (field.order - 1))
-    return result
+
+def table_poly(field, n_vars, values):
+    """The reduced polynomial that is ``values[point]`` on the given
+    points of GF(q)^n and 0 elsewhere: the inverse Vandermonde matrix
+    applied along each axis of the sparse table, O(n q^(n+1)) at most."""
+    rows = _inverse_vandermonde(field)
+    add, mul = field.add, field.mul
+    table = {point: v for point, v in values.items() if v}
+    for j in range(n_vars):
+        out = {}
+        for point, v in table.items():
+            head, tail = point[:j], point[j + 1:]
+            for e, c in rows[point[j]]:
+                key = head + (e,) + tail
+                out[key] = add(out.get(key, 0), mul(c, v))
+        table = {key: v for key, v in out.items() if v}
+    return Polynomial(field, n_vars, table)
+
+
+def indicator_poly(field, point):
+    """The polynomial that is 1 at ``point`` and 0 elsewhere on GF(q)^n."""
+    return table_poly(field, len(point), {tuple(field.coerce(a) for a in point): 1})
 
 
 def parse_poly(text, n_vars, field):

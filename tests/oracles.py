@@ -2,6 +2,8 @@
 
 import itertools
 
+from gsds.polyring import Polynomial
+
 
 def oracle_interpolate_gf3(points, outputs, n):
     """Reduced interpolant of a fully specified GF(3)^n table.
@@ -45,3 +47,24 @@ def _pow_prod(point, exps):
     for x, e in zip(point, exps):
         v *= x**e
     return v
+
+
+def oracle_indicator_poly(field, point):
+    """The indicator of ``point`` as prod_j (1 - (x_j - a_j)^(q-1)),
+    built in Polynomial arithmetic - independent of the table transform
+    that the package uses."""
+    n = len(point)
+    one = Polynomial.constant(field, n, 1)
+    result = one
+    for j, a in enumerate(point, start=1):
+        diff = Polynomial.variable(field, n, j) - Polynomial.constant(field, n, a)
+        result = result * (one - diff ** (field.order - 1))
+    return result
+
+
+def oracle_table_poly(field, n, values):
+    """The indicator sum of a sparse table {point: value}."""
+    result = Polynomial.zero(field, n)
+    for point, value in values.items():
+        result = result + oracle_indicator_poly(field, point).scale(value)
+    return result

@@ -502,6 +502,9 @@ MALFORMED = [
     ("model-missing-field", "model", lambda d: {k: v for k, v in d.items() if k != "field"},
      "portrait"),
     ("model-not-json", "model", None, "validate"),
+    ("model-local-unparseable", "model",
+     lambda d: {**d, "locals": {**d["locals"], "g1": "x1 $"}}, "validate"),
+    ("model-balanced-gf2", "model", _replace("field", 2), "validate"),
     ("series-flat-states", "series", _replace("states", [0, 1]), "infer"),
     ("series-genes-string", "series", _replace("genes", "abc"), "infer"),
     ("series-unknown-display", "series", _replace("display", "bogus"), "infer"),

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gsds import (
     ContradictoryDataError,
@@ -17,11 +19,11 @@ from gsds import (
     support_vars,
     trajectory,
 )
-from gsds.infer import load_series, save_series, series_from_dict, series_to_dict
-from gsds.polyring import Polynomial, iter_points, parse_poly
+from gsds.infer import _feasible, load_series, save_series, series_from_dict, series_to_dict
+from gsds.polyring import Polynomial, indicator_poly, iter_points, parse_poly, table_poly
 
 from conftest import build_example1
-from oracles import oracle_interpolate_gf3
+from oracles import oracle_indicator_poly, oracle_interpolate_gf3, oracle_table_poly
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -69,7 +71,7 @@ def test_second_coordinate_constant_on_data():
     for state, _ in data.pairs:
         assert poly.eval(state) == 1
     # the canonical interpolant vanishes on unspecified points
-    specified = set(data.inputs())
+    specified = {state for state, _ in data.pairs}
     for point in iter_points(GF3, 3):
         if point not in specified:
             assert poly.eval(point) == 0
@@ -299,6 +301,91 @@ def test_random_partial_functions_interpolate_exactly():
             assert poly.eval(p) == outputs[p]
         space = solution_space(data, 0)
         assert space.dimension == 27 - size
+
+
+# -- table transform, feasibility and search properties ---------------------------------
+
+property_settings = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def partial_functions(draw):
+    """A random partial function on GF(q)^n, q in {2, 3, 4, 5}, n <= 3,
+    as transition data whose coordinate 0 carries the values."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5])))
+    n = draw(st.integers(1, 3))
+    points = list(iter_points(field, n))
+    inputs = draw(st.lists(st.sampled_from(points), unique=True,
+                           max_size=min(len(points), 24)))
+    values = draw(st.lists(st.sampled_from(range(field.order)),
+                           min_size=len(inputs), max_size=len(inputs)))
+    pairs = [(p, (v,) + (0,) * (n - 1)) for p, v in zip(inputs, values)]
+    return TransitionData(field, n, pairs)
+
+
+def exhaustive_sparsest(data, coordinate):
+    """The sparsest search that solves the linear system for every subset."""
+    for size in range(data.n + 1):
+        for subset in itertools.combinations(range(1, data.n + 1), size):
+            poly = constrained_interpolate(data, coordinate, subset)
+            if poly is not None:
+                return poly
+    raise AssertionError("the full variable set always interpolates")
+
+
+@property_settings
+@given(partial_functions())
+def test_table_poly_matches_indicator_sum(data):
+    values = dict(data.coordinate_view(0))
+    expected = oracle_table_poly(data.field, data.n, values)
+    assert table_poly(data.field, data.n, values) == expected
+    assert interpolate(data, 0) == expected
+
+
+@property_settings
+@given(st.sampled_from([2, 3, 4, 5]), st.data())
+def test_indicator_poly_matches_product(q, data):
+    field = Field(q)
+    n = data.draw(st.integers(1, 3))
+    point = tuple(data.draw(st.sampled_from(range(q))) for _ in range(n))
+    assert indicator_poly(field, point) == oracle_indicator_poly(field, point)
+
+
+@property_settings
+@given(partial_functions())
+def test_projection_feasibility_matches_solver(data):
+    view = data.coordinate_view(0)
+    for size in range(data.n + 1):
+        for subset in itertools.combinations(range(1, data.n + 1), size):
+            solved = constrained_interpolate(data, 0, subset)
+            assert _feasible(view, subset) == (solved is not None)
+
+
+@property_settings
+@given(partial_functions())
+def test_sparsest_matches_exhaustive_elimination(data):
+    assert sparsest_interpolate(data, 0) == exhaustive_sparsest(data, 0)
+
+
+@property_settings
+@given(partial_functions())
+def test_solution_space_dimension_counts_lazy_basis(data):
+    space = solution_space(data, 0)
+    assert space.is_solution(space.particular)
+    assert "basis" not in vars(space)  # built on first access only
+    assert space.dimension == len(space.basis)
+
+
+def test_sparsest_raises_solver_limit_before_eliminating():
+    # coordinate 0 is x1 + ... + x7 and the inputs 0 and e_j differ only in
+    # x_j, so no 6-subset is feasible and the search reaches 5^7 unknowns
+    field = Field(5)
+    inputs = [(0,) * 7] + [tuple(int(j == k) for j in range(7)) for k in range(7)]
+    data = TransitionData(field, 7, [(s, (sum(s) % 5,) + (0,) * 6) for s in inputs])
+    with pytest.raises(ValueError, match=r"^5\^7 unknowns exceed the solver limit \(16384\)$"):
+        sparsest_interpolate(data, 0)
 
 
 # -- series files -------------------------------------------------------------------------
