@@ -5,10 +5,10 @@ state has exactly one successor); its analysis yields fixed points,
 limit cycles, per-state transients, and basins of attraction.  State
 indexing is mixed-radix with gene 1 most significant, each state set
 ordered by canonical value, so indices, reports, and DOT output are
-deterministic.  The successor array comes from the truth-table kernel in
-:mod:`gsds.network`, which tabulates each local polynomial on its support
-subcube and gathers through those tables; no state is evaluated term by
-term.
+deterministic.  The successor array and the schedule comparisons come
+from the bit-sliced truth-table kernel in :mod:`gsds.network`, which
+tabulates each local polynomial on its support subcube and updates
+per-level state bitsets; no state is evaluated term by term.
 """
 
 import itertools
@@ -132,18 +132,24 @@ def cycles(model, **kwargs):
     return phase_portrait(model, **kwargs).cycles()
 
 
-def _word_table(model, word):
-    """Truth table of the map composed along ``word``, from the kernel;
-    the rebuilt model rejects an entry that is not a gene index."""
-    return GlobalMap(model.replace(schedule=tuple(word))).truth_table()
+def _word_map(model, word):
+    """The map composed along ``word``; rebuilding rejects a non-gene."""
+    return GlobalMap(model.replace(schedule=tuple(word)))
 
 
 def compare_schedules(model, word_a, word_b):
     """First state (in index order) where the two composed maps differ,
-    or None when they agree everywhere."""
-    tables = zip(model.iter_states(), _word_table(model, word_a),
-                 _word_table(model, word_b))
-    return next((state for state, a, b in tables if a != b), None)
+    or None when they agree everywhere: the lowest bit set in any XOR of
+    the two maps' image bitsets."""
+    fa, fb = _word_map(model, word_a), _word_map(model, word_b)
+    a, b = fa.image_bits(), fb.image_bits()
+    if a is None:  # a local polynomial leaves its levels: compare tables
+        pairs = zip(model.iter_states(), fa.truth_table(), fb.truth_table())
+        return next((s for s, x, y in pairs if x != y), None)
+    diff = 0
+    for x, y in zip(itertools.chain(*a), itertools.chain(*b)):
+        diff |= x ^ y
+    return model.state_at((diff & -diff).bit_length() - 1) if diff else None
 
 
 def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_LIMIT):
@@ -164,7 +170,10 @@ def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_
     classes = {}  # insertion order is the order of first appearance
     for word in words:
         word = tuple(word)
-        classes.setdefault(_word_table(model, word), []).append(word)
+        # whether image_bits is None does not depend on the word, so the
+        # keys of one scan are all of one kind
+        f = _word_map(model, word)
+        classes.setdefault(f.image_bits() or f.truth_table(), []).append(word)
     return list(classes.values())
 
 

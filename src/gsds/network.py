@@ -25,7 +25,7 @@ Model files are JSON:
 
 import itertools
 import math
-import operator
+import sys
 
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level, format_state
@@ -142,6 +142,7 @@ class GsdsModel:
         self.schedule = schedule
         self.state_sets = state_sets
         self.display = display
+        self._tables = {}  # levels -> subcube tables, see _subcube_tables
 
     @property
     def n(self):
@@ -159,11 +160,13 @@ class GsdsModel:
 
     def replace(self, schedule=None, display=None):
         """This model with its schedule word or display mode replaced."""
-        return GsdsModel(
+        other = GsdsModel(
             self.field, self.genes, self.graph, self.local_polys,
             self.schedule if schedule is None else schedule,
             state_sets=self.state_sets, display=display or self.display,
         )
+        other._tables = self._tables  # same polynomials and state sets
+        return other
 
     # -- state space ---------------------------------------------------
 
@@ -226,80 +229,148 @@ def apply_local(model, i, state):
 # -- truth-table kernel ------------------------------------------------
 #
 # Bulk work runs over the mixed-radix index of a product of per-gene
-# level lists, gene 1 most significant.  Each gene gets an offset list:
-# its level position times its stride, at every index, so a state's
-# index is the sum of its genes' offsets.  A local polynomial is
-# evaluated once per point of its support subcube (the product of its
-# support genes' levels), keyed by the sum of the support offsets; an
-# update is then a gather through that table.  All per-state work is
-# list repetition and map() over C-level callables.
+# level lists, gene 1 most significant.  A gene's values are one Python-
+# int bitset per level position: bit s is set when state s holds that
+# level.  A local polynomial is evaluated once per point of its support
+# subcube.  An update walks that subcube depth first, ANDing in one
+# support gene's bitset per level and ORing the AND at each point into
+# the bitset of the point's value: q^k points of a few big-int operations
+# each, run in C over n_states/64 machine words.  As q^k nears n_states
+# the walk turns quadratic, so a large subcube is gathered state by state
+# instead (see _gathers).  Memory is about (n*q + k) * n_states bits of
+# bitsets, plus a few bytes per state for a gather and the result list.
 
 
 def _strides(levels):
     return [math.prod(map(len, levels[j + 1 :])) for j in range(len(levels))]
 
 
-def _offset_lists(levels):
-    """Per-gene offset lists of the product of ``levels``, and strides."""
-    strides = _strides(levels)
-    total = math.prod(map(len, levels))
-    offsets = []
-    for values, stride in zip(levels, strides):
-        block = []
-        for p in range(len(values)):
-            block += [p * stride] * stride
-        offsets.append(block * (total // len(block)))
-    return offsets, strides
-
-
-def _subcube_table(poly, levels, strides):
+def _subcube_table(poly, levels):
     """The polynomial's support genes (0-based) and its values on their
-    subcube, keyed by the sum of the support genes' offsets."""
+    subcube, in product order."""
     support = sorted(v - 1 for v in poly.support())
     point = [0] * poly.n_vars  # reduced form reads support coordinates only
-    table = {}
-    for combo in itertools.product(*(enumerate(levels[j]) for j in support)):
-        key = 0
-        for j, (p, v) in zip(support, combo):
+    table = []
+    for combo in itertools.product(*(levels[j] for j in support)):
+        for j, v in zip(support, combo):
             point[j] = v
-            key += p * strides[j]
-        table[key] = poly.eval(point)
+        table.append(poly.eval(point))
     return support, table
 
 
-def _offset_sum(genes, offsets, total):
-    """Sum of the given genes' offset lists, one entry per state."""
-    genes = list(genes)
-    if not genes:
-        return itertools.repeat(0, total)
-    key = offsets[genes[0]]
-    for j in genes[1:]:
-        key = map(operator.add, key, offsets[j])
-    return key
+def _subcube_tables(model, levels):
+    """All local polynomials' subcube tables over ``levels``, kept on the
+    model so that validation and the fold tabulate once."""
+    if levels not in model._tables:
+        model._tables[levels] = [_subcube_table(p, levels) for p in model.local_polys]
+    return model._tables[levels]
 
 
-def _fold_offsets(model, levels):
-    """Run the model's map over every state of the product of ``levels``.
-
-    Returns the offset lists of the images and the strides, or None when
-    an image leaves the product (only a model failing range validation
-    does that).  A parallel map gathers every coordinate from the input
-    offsets; a schedule word folds the gathers gene by gene.
-    """
-    offsets, strides = _offset_lists(levels)
+def _fold_bits(model, levels):
+    """Each gene's level bitsets of the images of the model's map over
+    the product of ``levels``; None when any local polynomial, updated by
+    the word or not, leaves its gene's levels (only a model failing range
+    validation has one), so None does not depend on the word.  A parallel
+    map reads the input bitsets; a word updates them in order."""
+    tables = _subcube_tables(model, levels)
+    position = [{v: p for p, v in enumerate(values)} for values in levels]
+    if not all(pos.keys() >= set(t) for pos, (_, t) in zip(position, tables)):
+        return None
     total = math.prod(map(len, levels))
-    if model.parallel:
-        word, src = range(model.n), list(offsets)
-    else:
-        word, src = model.schedule, offsets
-    for i in word:
-        support, table = _subcube_table(model.local_polys[i], levels, strides)
-        position = {v: p * strides[i] for p, v in enumerate(levels[i])}
-        if not position.keys() >= set(table.values()):
-            return None
-        gather = {k: position[v] for k, v in table.items()}
-        offsets[i] = list(map(gather.__getitem__, _offset_sum(support, src, total)))
-    return offsets, strides
+    full = (1 << total) - 1
+    src = []
+    for values, stride in zip(levels, _strides(levels)):
+        first, period = (1 << stride) - 1, len(values) * stride
+        while period < total:  # shift-and-OR doubling, then cut to size
+            first |= first << period
+            period *= 2
+        first &= full
+        src.append([first << (p * stride) for p in range(len(values))])
+    bits = list(src) if model.parallel else src
+    for i in range(model.n) if model.parallel else model.schedule:
+        support, table = tables[i]
+        slots = [position[i][v] for v in table]
+        rows = [src[j] for j in support]
+        if _gathers(len(table), rows, len(levels[i]), total):
+            bits[i] = _gather(rows, slots, len(levels[i]), total)
+        else:
+            bits[i] = out = [0] * len(levels[i])
+            _walk(out, iter(slots), rows, full)
+    return bits
+
+
+def _gathers(points, rows, count, total):
+    """Whether gathering one update state by state is cheaper than walking
+    its ``points`` subcube points.  Costs are in machine-word operations,
+    measured: a walked point ANDs and ORs total/64 words plus about 350
+    of interpreter work; a gather takes about 86 per state and 170 per
+    point for each bit plane of the output position, and 9 per state for
+    each spread input bitset."""
+    planes = (count - 1).bit_length()
+    spreads = sum((len(row) - 1).bit_length() for row in rows)
+    gather = total * (86 * planes + 9 * spreads) + points * 170 * planes
+    return points * (total // 64 + 350) > gather
+
+
+def _walk(out, slots, rows, mask):
+    """OR ``mask`` AND one bitset of each row into ``out[next(slots)]``
+    at each point of the rows' product, in product order.  Depth first,
+    so only one partial AND per row is alive."""
+    if not rows:
+        out[next(slots)] |= mask
+        return
+    for b in rows[0]:
+        _walk(out, slots, rows[1:], mask & b)
+
+
+def _gather(rows, slots, count, total):
+    """The ``count`` output bitsets of an update whose subcube point at
+    each state is read from the spread row bitsets: each bit plane of the
+    output position is one byte per state, packed eight states a byte
+    and split by the planes into one bitset per position."""
+    terms = [(w * c, b) for row, w in zip(rows, _strides(rows))
+             for c, b in _planes(range(len(row)), row)]
+    keys = _spread(terms, total, len(slots) - 1)
+    out = [(1 << total) - 1]
+    for r in reversed(range((count - 1).bit_length())):
+        flags = bytes(s >> r & 1 for s in slots)
+        data = bytes(map(flags.__getitem__, keys))
+        plane = sum(int.from_bytes(data[k::8], "little") << k for k in range(8))
+        # out[x]: the states whose position starts with the bits of x
+        out = [x for m in out for x in (m & ~plane, m & plane)]
+    return out[:count]
+
+
+def _planes(values, gene):
+    """The terms (2^r, bitset of the states whose value has bit r set) of
+    sum(v * b for v, b in zip(values, gene)), for disjoint level bitsets:
+    log2 q bitsets to spread instead of q."""
+    planes = []
+    for r in range(max(values, default=0).bit_length()):
+        plane = 0
+        for v, b in zip(values, gene):
+            if v >> r & 1:
+                plane |= b
+        planes.append((1 << r, plane))
+    return planes
+
+
+def _spread(terms, total, top):
+    """The sum(c * (bit s of b) for c, b in terms) for s < total, each at
+    most ``top``, as a memoryview of native integers.  A byte table
+    spreads each bitset into fields of the narrowest width holding
+    ``top``, in native byte order; the scaled fields are summed as one
+    big int and read back by a cast."""
+    width, fmt = next((w, f) for w, f in zip((1, 2, 4, 8), "BHIQ") if top < 1 << 8 * w)
+    order, size = sys.byteorder, (total + 7) // 8
+    spread = [b""]  # byte x -> fields of its bits, least significant first
+    for _ in range(8):
+        spread = [s + f for f in (bytes(width), (1).to_bytes(width, order)) for s in spread]
+    acc = 0
+    for c, b in terms:
+        data = b"".join(map(spread.__getitem__, b.to_bytes(size, "little")))
+        acc += c * int.from_bytes(data, order)
+    return memoryview(acc.to_bytes(8 * width * size, order)).cast(fmt)[:total]
 
 
 class GlobalMap:
@@ -352,24 +423,29 @@ class GlobalMap:
     def truth_table(self, ambient=False):
         """Outputs over the model's state space (or the full field space)."""
         m = self.model
-        levels = [tuple(m.field.elements())] * m.n if ambient else m.state_sets
-        folded = _fold_offsets(m, levels)
-        if folded is None:  # the map leaves the state space
+        levels = (tuple(m.field.elements()),) * m.n if ambient else m.state_sets
+        bits = _fold_bits(m, levels)
+        if bits is None:  # the map leaves the state space
             return tuple(map(self, m.iter_states()))
-        offsets, strides = folded
-        columns = [
-            map({p * s: v for p, v in enumerate(values)}.__getitem__, o)
-            for values, s, o in zip(levels, strides, offsets)
-        ]
+        total, top = math.prod(map(len, levels)), m.field.order - 1
+        columns = [_spread(_planes(v, gene), total, top).tolist() for v, gene in zip(levels, bits)]
         return tuple(zip(*columns)) if columns else ((),)
 
     def successor_array(self):
         """State index of the image of every state, in index order."""
-        m = self.model
-        folded = _fold_offsets(m, m.state_sets)
-        if folded is None:
+        m, total = self.model, self.model.state_count()
+        bits = _fold_bits(m, m.state_sets)
+        if bits is None:
             raise ModelValidationError(validate_model(m))
-        return list(_offset_sum(range(m.n), folded[0], m.state_count()))
+        terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), bits)
+                 for c, b in _planes(range(len(gene)), gene)]
+        return _spread(terms, total, total - 1).tolist()
+
+    def image_bits(self):
+        """Per gene, the bitset of each level: bit s is set when the image of
+        state s holds it.  None when a local polynomial leaves its levels."""
+        bits = _fold_bits(self.model, self.model.state_sets)
+        return None if bits is None else tuple(map(tuple, bits))
 
 
 def global_map(model, validate=True):
@@ -403,12 +479,11 @@ def validate_model(model):
     reduced-form support, so only support variables outside a vertex's
     neighborhood are probed for a witness pair.  A value depends only on
     the support coordinates, so ranges are checked on each polynomial's
-    support subcube; only a subcube holding an out-of-range value is
-    expanded into the per-state violations, in state index order.
+    support subcube; only a polynomial with an out-of-range value there
+    is evaluated state by state for the violations, in state index order.
     """
     report = ValidationReport(model.genes)
-    domain = list(model.state_sets)
-    strides = _strides(domain)
+    domain, tables = model.state_sets, _subcube_tables(model, model.state_sets)
     for i, poly in enumerate(model.local_polys):
         allowed = model.graph.neighborhood(i)
         for var in sorted(poly.support()):
@@ -417,15 +492,13 @@ def validate_model(model):
             witness = poly._probe_variable(var - 1, domain)
             if witness:
                 report.locality.append((i, var, witness))
-        support, table = _subcube_table(poly, domain, strides)
-        values = set(model.state_sets[i])
-        if values.issuperset(table.values()):
+        values = set(domain[i])
+        if values.issuperset(tables[i][1]):
             continue
-        offsets, _ = _offset_lists(domain)
-        keys = _offset_sum(support, offsets, model.state_count())
-        for state, k in zip(model.iter_states(), keys):
-            if table[k] not in values:
-                report.range.append((i, state, table[k]))
+        for state in model.iter_states():
+            value = poly.eval(state)
+            if value not in values:
+                report.range.append((i, state, value))
     return report
 
 

@@ -6,12 +6,17 @@ reference: the scalar global map and the exhaustive per-state range loop
 that validation used before the kernel.
 """
 
+import json
 import random
+import sys
+import tracemalloc
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gsds import DependencyGraph, Field, GlobalMap, GsdsModel, phase_portrait
+from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationError,
+                  network, phase_portrait)
 from gsds.cli import main
 from gsds.network import ValidationReport, save_model, validate_model
 from gsds.polyring import Polynomial, iter_points
@@ -140,3 +145,141 @@ def test_validate_cli_output_matches_exhaustive_loop(tmp_path, capsys):
             f"  {line}\n" for line in expected.lines()
         )
         checked += 1
+
+
+# -- deterministic cases past one machine word and at the edges ---------------
+
+
+def random_model(field, n, schedule, state_sets=None, seed=0):
+    """A seeded model whose local polynomials read three genes, mapped
+    into the state sets, with every edge present so that it passes
+    validation."""
+    rng = random.Random(seed)
+    q = field.order
+    polys = []
+    for i in range(n):
+        inputs = rng.sample(range(n), min(3, n))
+        terms = {}
+        for _ in range(4):
+            exps = [0] * n
+            for j in inputs:
+                exps[j] = rng.randint(0, q - 1)
+            terms[tuple(exps)] = rng.randint(1, q - 1)
+        poly = Polynomial(field, n, terms)
+        polys.append(into_levels(poly, state_sets[i]) if state_sets else poly)
+    edges = {(a, b) for a in range(n) for b in range(n)}
+    return GsdsModel(field, [f"g{j}" for j in range(n)], DependencyGraph(n, edges),
+                     polys, schedule, state_sets=state_sets)
+
+
+def assert_kernel_matches_scalar(m):
+    f = GlobalMap(m)
+    images = [f(s) for s in m.iter_states()]
+    successor = [m.state_index(image) for image in images]
+    assert f.truth_table() == tuple(images)
+    assert f.successor_array() == successor
+    assert phase_portrait(m).successor == successor
+    return images
+
+
+def test_kernel_gf257_matches_scalar_map():
+    field = Field(257)
+    polys = [Polynomial(field, 2, {(1, 1): 1, (0, 0): 200}),
+             Polynomial(field, 2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})]
+    m = GsdsModel(field, ["a", "b"], DependencyGraph(2, {(0, 1), (1, 0)}),
+                  polys, (1, 0, 1))
+    assert m.state_count() == 66049
+    images = assert_kernel_matches_scalar(m)
+    # the level 256 does not fit a one-byte truth table field
+    assert max(map(max, images)) == 256
+
+
+def test_kernel_gf2_13_word_with_repeats_and_omissions():
+    m = random_model(Field(2), 13, (3, 0, 3, 7, 12, 0, 5, 9, 3), seed=13)
+    assert_kernel_matches_scalar(m)
+
+
+def test_kernel_gf3_7_restricted_state_sets():
+    rng = random.Random(7)
+    sets = [tuple(sorted(rng.sample(range(3), rng.randint(2, 3)))) for _ in range(7)]
+    for schedule in (None, (6, 5, 4, 3, 2, 1, 0)):
+        assert_kernel_matches_scalar(random_model(Field(3), 7, schedule, sets, seed=3))
+
+
+def test_kernel_single_level_gene():
+    sets = [(0, 1, 2), (1,), (0, 2)]
+    for schedule in (None, (1, 0, 2, 1)):
+        assert_kernel_matches_scalar(random_model(Field(3), 3, schedule, sets, seed=1))
+
+
+def test_kernel_zero_gene_model(tmp_path, capsys):
+    m = GsdsModel(Field(2), [], DependencyGraph(0, set()), [], None)
+    assert_kernel_matches_scalar(m)
+    assert GlobalMap(m).truth_table() == ((),)
+    assert phase_portrait(m).fixed_points() == [()]
+    path = tmp_path / "empty.json"
+    save_model(m, path)
+    assert main(["portrait", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["state_count"], report["attractor_count"]) == (1, 1)
+
+
+def test_successor_array_peak_memory_near_result_size():
+    f = GlobalMap(random_model(Field(2), 18, None, seed=18))
+    tracemalloc.start()
+    try:
+        result = f.successor_array()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # small ints are shared; every larger entry is its own object
+    size = sys.getsizeof(result) + sum(sys.getsizeof(v) for v in result if v > 256)
+    assert len(result) == 1 << 18
+    assert peak <= 2 * size
+
+
+def full_support_model(field, n, schedule, seed=0):
+    """random_model with gene 0 reading every gene: x1 * ... * xn + x1."""
+    m = random_model(field, n, schedule, seed=seed)
+    first = Polynomial(field, n, {(1,) * n: 1, (1,) + (0,) * (n - 1): 1})
+    return GsdsModel(field, m.genes, m.graph, (first,) + tuple(m.local_polys[1:]), schedule)
+
+
+@pytest.mark.parametrize("gather", [False, True])
+def test_kernel_walk_and_gather_match_scalar_map(monkeypatch, gather):
+    monkeypatch.setattr(network, "_gathers", lambda *args: gather)
+    sets = [(0, 2), (1,), (0, 1, 2), (1, 2), (0, 1, 2)]
+    for m in (full_support_model(Field(2), 9, None, seed=9),
+              full_support_model(Field(2), 9, (0, 4, 0, 8, 2), seed=2),
+              random_model(Field(3), 5, (4, 0, 4, 2), sets, seed=5),
+              random_model(Field(4), 4, None, seed=4)):
+        assert_kernel_matches_scalar(m)
+
+
+@pytest.mark.parametrize("gather", [False, True])
+def test_full_support_gene_peak_memory_near_result_size(monkeypatch, gather):
+    monkeypatch.setattr(network, "_gathers", lambda *args: gather)
+    f = GlobalMap(full_support_model(Field(2), 14, (3, 0, 7), seed=14))
+    network._subcube_tables(f.model, f.model.state_sets)
+    tracemalloc.start()
+    try:
+        result = f.successor_array()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(result) + sum(sys.getsizeof(v) for v in result if v > 256)
+    assert result == [f.model.state_index(f(s)) for s in f.model.iter_states()]
+    assert peak <= 2 * size
+
+
+def test_word_omitting_an_out_of_range_gene():
+    # gene 2 maps into level 2, outside its state set {0, 1}; the word
+    # never updates it, yet the kernel declines the whole model
+    m = random_model(Field(3), 3, (0, 1), seed=6)
+    polys = m.local_polys[:2] + (Polynomial.constant(Field(3), 3, 2),)
+    m = GsdsModel(m.field, m.genes, m.graph, polys, (0, 1), state_sets=[(0, 1, 2)] * 2 + [(0, 1)])
+    f = GlobalMap(m)
+    assert f.image_bits() is None
+    assert f.truth_table() == tuple(map(f, m.iter_states()))
+    with pytest.raises(ModelValidationError):
+        f.successor_array()
