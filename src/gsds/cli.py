@@ -6,6 +6,7 @@ contradictory transition data, 4 compatibility failure, 1 anything
 else.  All output is deterministic for identical inputs and flags.
 """
 
+import functools
 import sys
 
 import click
@@ -305,6 +306,7 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
     tmap, _ = load_thresholds(thresholds_file, list(model.genes))
     start = [float(v) for v in c0.replace("(", "").replace(")", "").split(",")]
     result = hybrid_simulate(model, rates, tmap, start, t_end)
+    decode = functools.cache(model.decode_state)  # a run visits few states
     report = {
         "format_version": FORMAT_VERSION,
         "t_end": result.t_end,
@@ -322,13 +324,13 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
                 "gene": model.genes[e.gene],
                 "threshold": e.threshold,
                 "kind": e.kind,
-                "old_state": model.decode_state(e.old_state),
-                "new_state": model.decode_state(e.new_state),
+                "old_state": decode(e.old_state),
+                "new_state": decode(e.new_state),
             }
             for e in result.events
         ],
         "phases": [
-            [t0, t1, model.decode_state(s)]
+            [t0, t1, decode(s)]
             for t0, t1, s in result.phases
         ],
     }

@@ -29,7 +29,7 @@ from .files import FORMAT_VERSION, document, load
 from .network import global_map
 from .translate import discretize
 
-CONTINUITY_TOL = 1e-9
+CONTINUITY_TOL = 1e-9  # times the largest of 1 and the terms a*t, b at a breakpoint
 MAX_EVENTS = 10**6
 
 
@@ -52,11 +52,10 @@ class SectionalLinear:
             )
         if outside_mode not in ("zero", "extend-last"):
             raise ValueError(f"unknown outside_mode {outside_mode!r}")
-        for k in range(len(segments) - 1):
-            t = breakpoints[k + 1]
-            left = segments[k][0] * t + segments[k][1]
-            right = segments[k + 1][0] * t + segments[k + 1][1]
-            if abs(left - right) > CONTINUITY_TOL:
+        for (a0, b0), (a1, b1), t in zip(segments, segments[1:], breakpoints[1:]):
+            left, right = a0 * t + b0, a1 * t + b1
+            scale = max(1.0, abs(a0 * t), abs(b0), abs(a1 * t), abs(b1))
+            if abs(left - right) > CONTINUITY_TOL * scale:
                 raise ContinuityError(t, right - left)
         self.breakpoints = breakpoints
         self.segments = segments
@@ -187,16 +186,21 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
         raise ValueError("initial vector, model, and thresholds disagree on gene count")
     rates.check_coverage(model)
     fmap = global_map(model)
+    rows = {}  # discrete state -> slope row of its activities
 
     def slopes_for(state, conc):
-        act = fmap(state)
-        out = []
-        for j in range(n):
-            v = rates.slope(j, act[j])
-            if rates.floor_at_zero and conc[j] <= 0 and v < 0:
-                v = 0.0
-            out.append(float(v))
-        return out
+        row = rows.get(state)
+        if row is None:
+            row = [float(rates.slope(j, a)) for j, a in enumerate(fmap(state))]
+            rows[state] = row
+        if not rates.floor_at_zero:
+            return row
+        return [0.0 if v < 0 and c <= 0 else v for v, c in zip(row, conc)]
+
+    # each gene's crossing targets, rising and falling
+    rising = [[(theta, "threshold") for theta in gt.thresholds] for gt in tmap.genes]
+    falling = [r + [(0.0, "floor")] if rates.floor_at_zero and (0.0, "threshold") not in r
+               else r for r in rising]
 
     t = 0.0
     conc = [float(c) for c in c0]
@@ -216,10 +220,7 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
             v = slopes[j]
             if v == 0:
                 continue
-            targets = [(theta, "threshold") for theta in tmap.genes[j].thresholds]
-            if rates.floor_at_zero and v < 0 and 0.0 not in tmap.genes[j].thresholds:
-                targets.append((0.0, "floor"))
-            for theta, kind in targets:
+            for theta, kind in (falling if v < 0 else rising)[j]:
                 if (v > 0 and conc[j] < theta) or (v < 0 and conc[j] > theta):
                     when = t + (theta - conc[j]) / v
                     if best_t is None or when < best_t:
@@ -328,6 +329,9 @@ def load_samples_csv(path):
         genes = [h.strip() for h in header[1:]]
         if not genes:
             raise ValueError("sample CSV has no gene columns")
+        repeated = sorted({g for g in genes if genes.count(g) > 1})
+        if repeated:
+            raise ValueError(f"sample CSV repeats gene column(s) {', '.join(repeated)}")
         times = []
         rows = []
         for row in reader:

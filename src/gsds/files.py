@@ -12,15 +12,47 @@ parse or encoding error keeps its type and only gains that prefix.
 
 import json
 import sys
+from itertools import accumulate, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import PolyParseError, UnsupportedEncodingError
 
 FORMAT_VERSION = 1
+# The stdlib C encoder, with a newline in the item separator and no indent
+_ENCODER_ARGS = (json.JSONEncoder().default, encode_basestring_ascii, None,
+                 ": ", ",\n", False, False, True)
+_DEPTH = {"[": 1, "{": 1, "\n": -1}
+
+
+def dumps(data):
+    """``json.dumps(data, indent=2)`` from one call of the C encoder.  It
+    escapes strings to printable ASCII, so control characters are free as
+    markers and, with the strings set aside, every newline and bracket is
+    structure: the text is cut before each bracket, and each piece's
+    newlines indented to the depth after it."""
+    if c_make_encoder is None:
+        return json.dumps(data, indent=2)
+    text = "".join(c_make_encoder({}, *_ENCODER_ARGS)(data, 0))
+    escaped = "\\" in text
+    if escaped:  # hide escaped backslashes and quotes from the split
+        text = text.replace("\\\\", "\x01").replace('\\"', "\x02")
+    parts = text.split('"')
+    head, *pieces = ("\x00".join(parts[0::2]).replace("[]", "\x03").replace("{}", "\x04")
+                     .replace("[", "\x05[\n").replace("{", "\x05{\n")
+                     .replace("]", "\x05\n]").replace("}", "\x05\n}")).split("\x05")
+    firsts = map(str.__getitem__, pieces, repeat(0))
+    depths = list(accumulate(map(_DEPTH.__getitem__, firsts)))
+    indents = ["\n" + "  " * d for d in range(max(depths, default=0) + 1)]
+    skeleton = head + "".join(
+        map(str.replace, pieces, repeat("\n"), map(indents.__getitem__, depths)))
+    parts[0::2] = skeleton.replace("\x03", "[]").replace("\x04", "{}").split("\x00")
+    text = '"'.join(parts)
+    return text.replace("\x02", '\\"').replace("\x01", "\\\\") if escaped else text
 
 
 def write_json(data, path=None):
     """Write ``data`` as indented JSON to ``path``, or to stdout."""
-    text = json.dumps(data, indent=2) + "\n"
+    text = dumps(data) + "\n"
     if path is None:
         sys.stdout.write(text)
         return

@@ -267,6 +267,18 @@ def test_discretize_collapse_flag(workspace, capsys):
     assert json.loads(out)["states"] == [[-1]]
 
 
+@pytest.mark.parametrize("command", ["fit", "discretize"])
+def test_repeated_gene_column_exits_1(workspace, capsys, command):
+    csv = workspace["dir"] / "repeated.csv"
+    csv.write_text("t,g1,g2,g1\n0,0.5,1,0.7\n1,1.5,1,0.2\n")
+    argv = {"fit": ["fit", csv],
+            "discretize": ["discretize", csv, "--thresholds", workspace["thresholds"]]}
+    code, out, err = run(capsys, *argv[command])
+    assert code == 1
+    assert out == ""
+    assert err == "error: sample CSV repeats gene column(s) g1\n"
+
+
 def test_check_compatible(workspace, capsys):
     code, out, _ = run(
         capsys, "check", workspace["csv"],
@@ -395,6 +407,31 @@ def test_hybrid_command(workspace, capsys):
     assert crossing_times == [1.0, 3.0]
     assert report["trajectories"]["g"]["breakpoints"][0] == 0.0
     assert csv_out.read_text().startswith("t,g\n")
+
+
+def test_hybrid_large_magnitudes(workspace, capsys):
+    # threshold 1e6 and t_end 3e7: the fitted segments' terms reach 1e8,
+    # and their rounding must not read as a discontinuity
+    model_path = workspace["dir"] / "toggle.json"
+    from gsds import DependencyGraph, Field, GsdsModel
+    from gsds.polyring import parse_poly
+
+    field = Field(2)
+    save_model(GsdsModel(field, ["g"], DependencyGraph(1, {(0, 0)}),
+                         [parse_poly("1 + x1", 1, field)], [0]), model_path)
+    rates_path = workspace["dir"] / "rates.json"
+    rates_path.write_text(json.dumps({"format_version": 1,
+                                      "rates": {"g": {"0": -3.0, "1": 3.0}}}))
+    th_path = workspace["dir"] / "th.json"
+    th_path.write_text(json.dumps({
+        "format_version": 1, "field": 2,
+        "genes": {"g": {"levels": [{"threshold": 1e6, "below_level": 0,
+                                    "equal_level": 1}], "top_level": 1}},
+    }))
+    code, out, err = run(capsys, "hybrid", model_path, "--rates", rates_path,
+                         "--thresholds", th_path, "--c0", "0", "--t-end", "3e7")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["events"]) == 90
 
 
 # -- misc -------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsds import (
     ContinuityError,
@@ -21,10 +23,11 @@ from gsds.continuous import (
     rates_to_dict,
     save_samples_csv,
 )
-from gsds.polyring import parse_poly
+from gsds.polyring import Polynomial, parse_poly
 from gsds.translate import GeneThresholds, ThresholdMap, check_translated, discretize
 
 from conftest import EX3_ROWS, EX3_TIMES, build_example3
+from oracles import oracle_hybrid_simulate
 
 GF2 = Field(2)
 
@@ -54,6 +57,18 @@ def test_fitted_microarray_segments_are_valid():
 def test_single_segment_is_trivially_valid():
     curve = make_sectional_linear([0, 1], [(2.0, -1.0)])
     assert curve.value(0.5) == 0.0
+
+
+def test_continuity_tolerance_scales_with_the_terms():
+    # a*t + b rounds with an error that grows with |a*t| and |b|, so at
+    # t = 1e6 a gap of a few 1e-9 is rounding, not a jump, even where the
+    # value itself is 0
+    make_sectional_linear([0, 1e6, 2e6], [(1.0, 0.0), (1.0, 2e-9)])
+    make_sectional_linear([0, 1e6, 2e6], [(3.0, -3e6), (-3.0, 3e6 + 4e-9)])
+    with pytest.raises(ContinuityError):
+        make_sectional_linear([0, 1e6, 2e6], [(1.0, 0.0), (1.0, 1e-2)])
+    with pytest.raises(ContinuityError):
+        make_sectional_linear([0, 1, 2], [(1.0, 0.0), (1.0, 2e-9)])
 
 
 def test_discontinuity_rejected_with_gap():
@@ -263,6 +278,18 @@ def test_zeno_guard():
         hybrid_simulate(m, rates, one_threshold_map(1), [0.0], 1e9, max_events=100)
 
 
+def test_hybrid_accepts_its_own_trajectories_at_large_magnitudes():
+    # the fitted segments' intercepts reach 1e8, and at breakpoints such
+    # as 5666666.67 (value 1e6) and 7333333.33 (value 0) they round to
+    # gaps of 2e-9 and 4e-9, above an absolute tolerance of 1e-9
+    tmap = ThresholdMap(GF2, [GeneThresholds([1e6], [0, 1], [1])])
+    rates = RatePolicy([{0: -3.0, 1: 3.0}])
+    result = hybrid_simulate(toggle_model(), rates, tmap, [0.0], 3e7)
+    assert [e.kind for e in result.events] == ["threshold", "floor"] * 45
+    tr = result.trajectories[0]
+    assert max(abs(tr.value(e.time) - e.threshold) for e in result.events) < 1e-6
+
+
 def test_simultaneous_crossings_processed_in_gene_order():
     polys = [parse_poly("1", 2, GF2), parse_poly("1", 2, GF2)]
     m = GsdsModel(GF2, ["a", "b"], DependencyGraph(2, set()), polys, [0, 1])
@@ -315,3 +342,69 @@ def test_samples_csv_row_length_checked(tmp_path):
     path.write_text("t,g1,g2\n0,1\n")
     with pytest.raises(ValueError):
         load_samples_csv(path)
+
+
+# -- the simulator against the per-event loop ---------------------------------
+
+
+@st.composite
+def hybrid_cases(draw):
+    """Random GF(2) and GF(3) models wired completely, so every one
+    validates, with thresholds (0.0 among the candidates), rates, initial
+    vectors on and off thresholds, and the floor on or off."""
+    field = Field(draw(st.sampled_from([2, 3])))
+    q = field.order
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, q - 1)] * n)
+    polys = [Polynomial(field, n, draw(st.dictionaries(exps, st.integers(1, q - 1),
+                                                        max_size=3)))
+             for _ in range(n)]
+    schedule = draw(st.none() | st.permutations(range(n)))
+    model = GsdsModel(field, [f"g{j}" for j in range(n)],
+                      DependencyGraph(n, {(a, b) for a in range(n) for b in range(n)}),
+                      polys, schedule)
+    level = st.integers(0, q - 1)
+    genes = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]),
+                                    min_size=1, max_size=2, unique=True)))
+        band = draw(st.lists(level, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        equal = draw(st.lists(level, min_size=len(cuts), max_size=len(cuts)))
+        genes.append(GeneThresholds(cuts, band, equal))
+    slope = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    rates = RatePolicy([{v: draw(slope) for v in range(q)} for _ in range(n)],
+                       floor_at_zero=draw(st.booleans()))
+    start = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(-1.0, 3.0)
+    c0 = draw(st.lists(start, min_size=n, max_size=n))
+    return model, rates, ThresholdMap(field, genes), c0, draw(st.floats(0.1, 8.0))
+
+
+def run_outcome(simulate, case):
+    try:
+        result = simulate(*case, max_events=400)
+    except ZenoError as exc:
+        return str(exc)
+    events = [(e.time, e.gene, e.threshold, e.kind, e.old_state, e.new_state)
+              for e in result.events]
+    curves = [(tr.breakpoints, tr.segments) for tr in result.trajectories]
+    return events, result.phases, curves
+
+
+def test_floor_holds_per_event_on_a_revisited_state():
+    # a toggles; b copies a.  b starts floored in state (0, 0), rises while
+    # a is up, and decays when a's floor hit brings (0, 0) back at t = 2
+    polys = [parse_poly("x1 + 1", 2, GF2), parse_poly("x1", 2, GF2)]
+    m = GsdsModel(GF2, ["a", "b"], DependencyGraph(2, {(0, 0), (0, 1)}), polys, None)
+    tmap = ThresholdMap(GF2, [GeneThresholds([1.0], [0, 1], [1]),
+                              GeneThresholds([2.5], [0, 1], [1])])
+    rates = RatePolicy([{0: -1.0, 1: 1.0}] * 2)
+    case = (m, rates, tmap, [0.0, 0.0], 3.5)
+    assert run_outcome(hybrid_simulate, case) == run_outcome(oracle_hybrid_simulate, case)
+    b = hybrid_simulate(*case).trajectories[1]
+    assert [b.value(t) for t in (1.0, 2.0, 2.5, 3.0)] == [0.0, 1.0, 0.5, 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hybrid_cases())
+def test_simulator_matches_the_per_event_loop(case):
+    assert run_outcome(hybrid_simulate, case) == run_outcome(oracle_hybrid_simulate, case)

@@ -5,6 +5,9 @@ display over GF(3) and GF(5) and canonical display over GF(2) and GF(4),
 and must refuse a display mode it does not know.
 """
 
+import json
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -112,6 +115,34 @@ def test_rates_file_round_trip(tmp_path, m, data):
     write_json(rates_to_dict(policy, m), path)
     back = load_rates(path, m)
     assert (back.rates, back.floor_at_zero) == (policy.rates, policy.floor_at_zero)
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+               | st.floats() | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf])
+               | st.text() | st.text(alphabet='[]{},: "\\\n\t\x00\x1f\x7fé☃𝄞'))
+json_keys = (st.text(alphabet='[]{},: "\\\n\x01é☃ab') | st.integers() | st.floats()
+             | st.booleans() | st.none())
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_values)
+def test_write_json_is_the_stdlib_indented_dump(tmp_path, capsys, data):
+    want = json.dumps(data, indent=2) + "\n"
+    path = tmp_path / "out.json"
+    write_json(data, path)
+    assert path.read_bytes() == want.encode("ascii")
+    capsys.readouterr()
+    write_json(data)
+    assert capsys.readouterr().out == want
 
 
 # -- display modes -------------------------------------------------------------
