@@ -31,7 +31,7 @@ from .errors import (
     GsdsError,
     ModelValidationError,
 )
-from .files import FORMAT_VERSION, write_json
+from .files import FORMAT_VERSION, dumps
 from .infer import StateSeries, TransitionData, infer_network, load_series, \
     save_series, series_to_dict, solution_space
 from .network import global_map, load_model, save_model, \
@@ -62,6 +62,15 @@ def _parse_state(model, text):
     if len(parts) != model.n:
         raise ValueError(f"state {text!r} does not have {model.n} coordinates")
     return tuple(model.encode_level(int(p)) for p in parts)
+
+
+def _report(data, path=None):
+    """Print ``data`` as JSON, and write the same text to ``path``."""
+    text = dumps(data) + "\n"
+    sys.stdout.write(text)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 display_option = click.option(
@@ -104,7 +113,7 @@ def simulate(model_file, state, steps, as_json, display, schedule):
     global_map(model)  # validates; exit 2 on failure
     states = trajectory(model, start, steps)
     if as_json:
-        write_json(
+        _report(
             {
                 "format_version": FORMAT_VERSION,
                 "field": model.field.order,
@@ -139,10 +148,7 @@ def portrait(model_file, json_out, dot_out, summary_out, workers, limit, display
     """Attractors, transients, and basins of the global map."""
     model = _with_overrides(load_model(model_file), display, schedule)
     p = phase_portrait(model, limit=limit, workers=workers)
-    report = portrait_report(p)
-    write_json(report)
-    if json_out:
-        write_json(report, json_out)
+    _report(portrait_report(p), json_out)
     if dot_out:
         with open(dot_out, "w") as fh:
             fh.write(transitions_dot(p))
@@ -210,7 +216,7 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
             verdicts[model.genes[i]] = solution_space(data, i).is_solution(candidate)
         report["membership"] = verdicts
         report["member_of_all"] = all(verdicts.values())
-    write_json(report)
+    _report(report)
     if output:
         save_model(model, output)
 
@@ -230,9 +236,7 @@ def fit(csv_file, output):
             "breakpoints": list(curve.breakpoints),
             "segments": [[a, b] for a, b in curve.segments],
         }
-    write_json(report)
-    if output:
-        write_json(report, output)
+    _report(report, output)
 
 
 @cli.command()
@@ -248,7 +252,7 @@ def discretize(csv_file, thresholds_file, collapse, output):
     tmap, _ = load_thresholds(thresholds_file, genes)
     states = discretize_series(tmap, rows, collapse=collapse)
     series = StateSeries(tmap.field, states, genes, tmap.display)
-    write_json(series_to_dict(series))
+    _report(series_to_dict(series))
     if output:
         save_series(series, output)
 
@@ -265,7 +269,7 @@ def check(csv_file, thresholds_file, model_file):
     tmap, _ = load_thresholds(thresholds_file, genes)
     fmap = global_map(model)
     result = check_translated(fmap, list(zip(rows, rows[1:])), tmap)
-    write_json(
+    _report(
         {
             "format_version": FORMAT_VERSION,
             "compatible": result.compatible,
@@ -334,15 +338,12 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
             for t0, t1, s in result.phases
         ],
     }
-    write_json(report)
-    if output:
-        write_json(report, output)
-    if csv_out:
+    _report(report, output)
+    if csv_out:  # each breakpoint takes the value of the segment on its left
         times = result.trajectories[0].breakpoints
-        rows = [
-            tuple(tr.value(t) for tr in result.trajectories) for t in times
-        ]
-        save_samples_csv(csv_out, model.genes, times, rows)
+        columns = [[a * t + b for (a, b), t in zip(tr.segments[:1] + tr.segments, times)]
+                   for tr in result.trajectories]
+        save_samples_csv(csv_out, model.genes, times, zip(*columns))
     if events_csv:
         save_events_csv(events_csv, result.events, model.genes,
                         format_level=model.format_level)

@@ -210,7 +210,6 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
     phases = []
     breakpoints = [0.0]
     columns = [[c] for c in conc]  # concentration at each breakpoint
-    phase_start = 0.0
 
     while True:
         # next crossing over all genes and thresholds, plus floor hits
@@ -240,21 +239,21 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
             conc[j] += slopes[j] * (best_t - t)
         for j, theta, _ in crossings:
             conc[j] = theta
-        t = best_t
         old_state = state
         state = discretize(tmap, conc)
         for j, theta, kind in sorted(crossings):
-            events.append(HybridEvent(t, j, theta, kind, old_state, state))
-        phases.append((phase_start, t, old_state))
-        phase_start = t
-        breakpoints.append(t)
-        for j in range(n):
-            columns[j].append(conc[j])
+            events.append(HybridEvent(best_t, j, theta, kind, old_state, state))
+        if best_t > t:  # else the crossing rounded to now: no phase or breakpoint
+            phases.append((t, best_t, old_state))
+            breakpoints.append(best_t)
+        for column, c in zip(columns, conc):  # the last breakpoint's sample, new or not
+            column[len(breakpoints) - 1 :] = [c]
+        t = best_t
         slopes = slopes_for(state, conc)
 
     # close the final phase and extend trajectories to t_end
     if t < t_end:
-        phases.append((phase_start, t_end, state))
+        phases.append((t, t_end, state))
         breakpoints.append(t_end)
         for j in range(n):
             columns[j].append(conc[j] + slopes[j] * (t_end - t))

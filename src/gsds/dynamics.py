@@ -12,6 +12,7 @@ per-level state bitsets; no state is evaluated term by term.
 """
 
 import itertools
+from collections import Counter
 
 from .errors import StateSpaceLimitError
 from .files import FORMAT_VERSION
@@ -36,19 +37,14 @@ class PhasePortrait:
         return len(self.successor)
 
     def basin_sizes(self):
-        sizes = [0] * len(self.attractors)
-        for aid in self.basin:
-            sizes[aid] += 1
-        return sizes
+        sizes = Counter(self.basin)
+        return [sizes[aid] for aid in range(len(self.attractors))]
 
     def max_transient(self):
         return max(self.transient, default=0)
 
     def transient_histogram(self):
-        hist = {}
-        for t in self.transient:
-            hist[t] = hist.get(t, 0) + 1
-        return sorted(hist.items())
+        return sorted(Counter(self.transient).items())
 
     def fixed_points(self):
         return [
@@ -79,48 +75,40 @@ def phase_portrait(model, limit=DEFAULT_STATE_LIMIT, workers=1):
     successor = global_map(model).successor_array()
     n = len(successor)
 
-    # Iterative successor-pointer traversal with per-state coloring:
-    # 0 = unseen, 1 = on the current path, 2 = finalized.
-    color = [0] * n
-    attr_of = [-1] * n
+    # Iterative successor-pointer traversal.  attr[v] is the visit mark:
+    # -1 unseen, -2 - start on the walk from start, else the attractor id.
+    attr = [-1] * n
     transient = [0] * n
     attractors = []
     for start in range(n):
-        if color[start]:
+        if attr[start] != -1:
             continue
-        path = []
-        on_path = {}
-        v = start
-        while color[v] == 0:
-            color[v] = 1
-            on_path[v] = len(path)
+        mark, path, v = -2 - start, [], start
+        while attr[v] == -1:
+            attr[v] = mark
             path.append(v)
             v = successor[v]
-        if color[v] == 1:
-            cut = on_path[v]
-            cycle = path[cut:]
+        aid, depth = attr[v], transient[v]
+        if aid == mark:  # the walk closed a new cycle at v
+            cut = path.index(v)
+            cycle, path = path[cut:], path[:cut]
             rot = cycle.index(min(cycle))
-            cycle = cycle[rot:] + cycle[:rot]
-            aid = len(attractors)
-            attractors.append(cycle)
+            aid, depth = len(attractors), 0
+            attractors.append(cycle[rot:] + cycle[:rot])
             for node in cycle:
-                color[node] = 2
-                attr_of[node] = aid
-                transient[node] = 0
-            tail = path[:cut]
-        else:
-            tail = path
-        for node in reversed(tail):
-            nxt = successor[node]
-            attr_of[node] = attr_of[nxt]
-            transient[node] = transient[nxt] + 1
-            color[node] = 2
+                attr[node] = aid
+        for node in reversed(path):
+            depth += 1
+            attr[node] = aid
+            transient[node] = depth
 
     # renumber attractors by minimal state index
     order = sorted(range(len(attractors)), key=lambda a: attractors[a][0])
-    remap = {old: new for new, old in enumerate(order)}
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
     attractors = [attractors[a] for a in order]
-    basin = [remap[a] for a in attr_of]
+    basin = list(map(rank.__getitem__, attr))
     return PhasePortrait(model, successor, attractors, transient, basin)
 
 

@@ -30,7 +30,7 @@ import sys
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level, format_state
 from .files import FORMAT_VERSION, document, load, write_json
-from .polyring import Polynomial, iter_points, parse_poly, table_poly
+from .polyring import Polynomial, parse_poly
 
 
 class DependencyGraph:
@@ -142,7 +142,7 @@ class GsdsModel:
         self.schedule = schedule
         self.state_sets = state_sets
         self.display = display
-        self._tables = {}  # levels -> subcube tables, see _subcube_tables
+        self._tables = []  # subcube tables, filled once, see _subcube_tables
 
     @property
     def n(self):
@@ -258,21 +258,23 @@ def _subcube_table(poly, levels):
     return support, table
 
 
-def _subcube_tables(model, levels):
-    """All local polynomials' subcube tables over ``levels``, kept on the
-    model so that validation and the fold tabulate once."""
-    if levels not in model._tables:
-        model._tables[levels] = [_subcube_table(p, levels) for p in model.local_polys]
-    return model._tables[levels]
+def _subcube_tables(model):
+    """All local polynomials' subcube tables over the state sets, kept on
+    the model (and its replacements) so that validation and the fold
+    tabulate once."""
+    if not model._tables:
+        model._tables.extend(_subcube_table(p, model.state_sets) for p in model.local_polys)
+    return model._tables
 
 
-def _fold_bits(model, levels):
+def _fold_bits(model):
     """Each gene's level bitsets of the images of the model's map over
-    the product of ``levels``; None when any local polynomial, updated by
-    the word or not, leaves its gene's levels (only a model failing range
+    its state space; None when any local polynomial, updated by the word
+    or not, leaves its gene's levels (only a model failing range
     validation has one), so None does not depend on the word.  A parallel
     map reads the input bitsets; a word updates them in order."""
-    tables = _subcube_tables(model, levels)
+    levels = model.state_sets
+    tables = _subcube_tables(model)
     position = [{v: p for p, v in enumerate(values)} for values in levels]
     if not all(pos.keys() >= set(t) for pos, (_, t) in zip(position, tables)):
         return None
@@ -378,7 +380,6 @@ class GlobalMap:
 
     def __init__(self, model):
         self.model = model
-        self._poly_cache = {}
 
     def __call__(self, state):
         m = self.model
@@ -389,52 +390,31 @@ class GlobalMap:
             current[i] = m.local_polys[i].eval(current)
         return tuple(current)
 
-    def coordinate_polys(self, method="symbolic"):
-        """The parallel coordinate functions F1..Fn as reduced polynomials.
-
-        ``symbolic`` composes the local polynomials along the schedule;
-        ``interpolate`` rebuilds each coordinate from the full truth
-        table over the ambient field.  The two agree on reduced form.
-        """
-        if method in self._poly_cache:
-            return self._poly_cache[method]
+    def coordinate_polys(self):
+        """The parallel coordinate functions F1..Fn as reduced polynomials:
+        the local polynomials composed along the schedule."""
         m = self.model
-        if method == "symbolic":
-            coords = [
-                Polynomial.variable(m.field, m.n, j + 1) for j in range(m.n)
-            ]
-            if m.parallel:
-                coords = list(m.local_polys)
-            else:
-                for i in m.schedule:
-                    coords[i] = m.local_polys[i].compose(coords)
-            result = tuple(coords)
-        elif method == "interpolate":
-            pairs = list(zip(iter_points(m.field, m.n), self.truth_table(ambient=True)))
-            result = tuple(
-                table_poly(m.field, m.n, {p: image[i] for p, image in pairs})
-                for i in range(m.n)
-            )
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        self._poly_cache[method] = result
-        return result
+        if m.parallel:
+            return m.local_polys
+        coords = [Polynomial.variable(m.field, m.n, j + 1) for j in range(m.n)]
+        for i in m.schedule:
+            coords[i] = m.local_polys[i].compose(coords)
+        return tuple(coords)
 
-    def truth_table(self, ambient=False):
-        """Outputs over the model's state space (or the full field space)."""
+    def truth_table(self):
+        """The image of every state, in index order."""
         m = self.model
-        levels = (tuple(m.field.elements()),) * m.n if ambient else m.state_sets
-        bits = _fold_bits(m, levels)
+        bits = _fold_bits(m)
         if bits is None:  # the map leaves the state space
             return tuple(map(self, m.iter_states()))
-        total, top = math.prod(map(len, levels)), m.field.order - 1
-        columns = [_spread(_planes(v, gene), total, top).tolist() for v, gene in zip(levels, bits)]
+        total, top = m.state_count(), m.field.order - 1
+        columns = [_spread(_planes(v, gene), total, top).tolist() for v, gene in zip(m.state_sets, bits)]
         return tuple(zip(*columns)) if columns else ((),)
 
     def successor_array(self):
         """State index of the image of every state, in index order."""
         m, total = self.model, self.model.state_count()
-        bits = _fold_bits(m, m.state_sets)
+        bits = _fold_bits(m)
         if bits is None:
             raise ModelValidationError(validate_model(m))
         terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), bits)
@@ -444,7 +424,7 @@ class GlobalMap:
     def image_bits(self):
         """Per gene, the bitset of each level: bit s is set when the image of
         state s holds it.  None when a local polynomial leaves its levels."""
-        bits = _fold_bits(self.model, self.model.state_sets)
+        bits = _fold_bits(self.model)
         return None if bits is None else tuple(map(tuple, bits))
 
 
@@ -483,7 +463,7 @@ def validate_model(model):
     is evaluated state by state for the violations, in state index order.
     """
     report = ValidationReport(model.genes)
-    domain, tables = model.state_sets, _subcube_tables(model, model.state_sets)
+    domain, tables = model.state_sets, _subcube_tables(model)
     for i, poly in enumerate(model.local_polys):
         allowed = model.graph.neighborhood(i)
         for var in sorted(poly.support()):

@@ -225,18 +225,19 @@ class Polynomial:
         return frozenset(out)
 
     def _probe_variable(self, j, domain):
-        """Two points of ``domain`` that differ only in x_(j+1) and give
-        different values, or None when there are none."""
-        others = [domain[k] for k in range(self.n_vars) if k != j]
-        for rest in itertools.product(*others):
-            first_point = first_val = None
-            for v in domain[j]:
-                point = rest[:j] + (v,) + rest[j:]
-                val = self.eval(point)
-                if first_point is None:
-                    first_point, first_val = point, val
-                elif val != first_val:
-                    return (first_point, point)
+        """The first pair in product order of points of ``domain`` that
+        differ only in x_(j+1) and give different values, or None.  It has
+        every coordinate off the support at its first level."""
+        others = sorted(v - 1 for v in self.support() if v != j + 1)
+        point = [values[0] for values in domain]
+        for rest in itertools.product(*(domain[k] for k in others)):
+            for k, v in zip(others, rest):
+                point[k] = v
+            line = [tuple(point[:j]) + (v,) + tuple(point[j + 1 :]) for v in domain[j]]
+            value = self.eval(line[0])
+            witness = next((p for p in line[1:] if self.eval(p) != value), None)
+            if witness:
+                return line[0], witness
         return None
 
     # -- rendering -----------------------------------------------------

@@ -74,6 +74,66 @@ def oracle_table_poly(field, n, values):
     return result
 
 
+def oracle_probe_variable(poly, j, domain):
+    """The first pair in product order of points of ``domain`` that
+    differ only in x_(j+1) and give different values, or None: a scan of
+    every other coordinate's levels, support or not."""
+    others = [domain[k] for k in range(poly.n_vars) if k != j]
+    for rest in itertools.product(*others):
+        first_point = first_val = None
+        for v in domain[j]:
+            point = rest[:j] + (v,) + rest[j:]
+            val = poly.eval(point)
+            if first_point is None:
+                first_point, first_val = point, val
+            elif val != first_val:
+                return (first_point, point)
+    return None
+
+
+def oracle_phase_portrait(successor):
+    """(attractors, transient, basin) of a successor list by a walk from
+    each unfinished state that colours its states and keeps a dict of
+    their positions on the walk; attractors in ascending order of their
+    minimal state, each rotated to start there."""
+    n = len(successor)
+    color = [0] * n  # 0 unseen, 1 on the current walk, 2 finished
+    attr_of = [-1] * n
+    transient = [0] * n
+    attractors = []
+    for start in range(n):
+        if color[start]:
+            continue
+        path = []
+        on_path = {}
+        v = start
+        while color[v] == 0:
+            color[v] = 1
+            on_path[v] = len(path)
+            path.append(v)
+            v = successor[v]
+        if color[v] == 1:
+            cut = on_path[v]
+            cycle = path[cut:]
+            rot = cycle.index(min(cycle))
+            aid = len(attractors)
+            attractors.append(cycle[rot:] + cycle[:rot])
+            for node in cycle:
+                color[node] = 2
+                attr_of[node] = aid
+            tail = path[:cut]
+        else:
+            tail = path
+        for node in reversed(tail):
+            nxt = successor[node]
+            attr_of[node] = attr_of[nxt]
+            transient[node] = transient[nxt] + 1
+            color[node] = 2
+    order = sorted(range(len(attractors)), key=lambda a: attractors[a][0])
+    remap = {old: new for new, old in enumerate(order)}
+    return [attractors[a] for a in order], transient, [remap[a] for a in attr_of]
+
+
 def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
     """The hybrid event loop evaluating the map and every rate, and
     building every gene's crossing targets, at each event."""
@@ -141,11 +201,15 @@ def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS)
         state = discretize(tmap, conc)
         for j, theta, kind in sorted(crossings):
             events.append(HybridEvent(t, j, theta, kind, old_state, state))
-        phases.append((phase_start, t, old_state))
-        phase_start = t
-        breakpoints.append(t)
-        for j in range(n):
-            columns[j].append(conc[j])
+        if t > breakpoints[-1]:  # a crossing that rounds to now adds no phase
+            phases.append((phase_start, t, old_state))
+            phase_start = t
+            breakpoints.append(t)
+            for j in range(n):
+                columns[j].append(conc[j])
+        else:
+            for j in range(n):
+                columns[j][-1] = conc[j]
         slopes = slopes_for(state, conc)
 
     # close the final phase and extend trajectories to t_end

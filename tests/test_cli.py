@@ -517,6 +517,34 @@ def test_hybrid_events_csv(workspace, capsys):
     assert lines[2].startswith("2,g,0,floor,1,0")
 
 
+def test_hybrid_crossing_that_rounds_to_now(workspace, capsys):
+    # g = 1 rising at slope 3 from -5e-324 crosses 0.0 at 5e-324 / 3, which
+    # rounds to t = 0: one event at 0 and no zero-length phase
+    from gsds import DependencyGraph, Field, GsdsModel
+    from gsds.polyring import parse_poly
+
+    field = Field(2)
+    model_path = workspace["dir"] / "on.json"
+    save_model(GsdsModel(field, ["g"], DependencyGraph(1, set()),
+                         [parse_poly("1", 1, field)], None), model_path)
+    rates_path = workspace["dir"] / "rates3.json"
+    rates_path.write_text(json.dumps({"format_version": 1,
+                                      "rates": {"g": {"0": 3.0, "1": 3.0}}}))
+    th_path = workspace["dir"] / "th3.json"
+    th_path.write_text(json.dumps({
+        "format_version": 1, "field": 2,
+        "genes": {"g": {"levels": [{"threshold": 0.0, "below_level": 0,
+                                    "equal_level": 1}], "top_level": 1}},
+    }))
+    code, out, err = run(capsys, "hybrid", model_path, "--rates", rates_path,
+                         "--thresholds", th_path, "--c0=-5e-324", "--t-end", "1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    times = report["trajectories"]["g"]["breakpoints"]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert [(e["time"], e["kind"]) for e in report["events"]] == [(0.0, "threshold")]
+
+
 # -- malformed input files -------------------------------------------------------
 
 RATES = {"format_version": 1, "rates": {g: {"-1": -1.0, "0": 0.0, "1": 1.0}

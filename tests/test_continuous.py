@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsds import (
@@ -404,7 +404,27 @@ def test_floor_holds_per_event_on_a_revisited_state():
     assert [b.value(t) for t in (1.0, 2.0, 2.5, 3.0)] == [0.0, 1.0, 0.5, 0.0]
 
 
+# g = 1 rising from -5e-324 crosses 0.0 at 5e-324 / 3, which rounds to t = 0
+ROUNDS_TO_NOW = (
+    GsdsModel(GF2, ["g"], DependencyGraph(1, set()), [Polynomial.constant(GF2, 1, 1)], None),
+    RatePolicy([{0: 3.0, 1: 3.0}]),
+    ThresholdMap(GF2, [GeneThresholds([0.0], [0, 1], [1])]),
+    [-5e-324],
+    1.0,
+)
+
+
+def test_crossing_that_rounds_to_now_adds_no_phase():
+    result = hybrid_simulate(*ROUNDS_TO_NOW)
+    assert [(e.time, e.kind, e.old_state, e.new_state) for e in result.events] == [
+        (0.0, "threshold", (1,), (1,))]
+    assert result.phases == [(0.0, 1.0, (1,))]
+    curve = result.trajectories[0]
+    assert (curve.breakpoints, curve.segments) == ((0.0, 1.0), ((3.0, 0.0),))
+
+
 @settings(max_examples=300, deadline=None)
 @given(hybrid_cases())
+@example(ROUNDS_TO_NOW)
 def test_simulator_matches_the_per_event_loop(case):
     assert run_outcome(hybrid_simulate, case) == run_outcome(oracle_hybrid_simulate, case)

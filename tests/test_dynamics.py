@@ -18,9 +18,10 @@ from gsds import (
     schedule_scan,
 )
 from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_dot
-from gsds.polyring import Polynomial, parse_poly
+from gsds.polyring import Polynomial, parse_poly, table_poly
 
 from conftest import build_example1, build_example3
+from oracles import oracle_phase_portrait
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -128,6 +129,46 @@ def test_portrait_matches_brute_force_oracle():
                 m.state_at(j) for j in p.attractors[p.basin[i]]
             )
             assert cycle_states == attr_state[s]
+
+
+@st.composite
+def functional_graphs(draw):
+    """Successor lists on 1 to 101 states: random maps, permutations
+    (cycles only, often many) and a path through every state that closes
+    onto itself, a long tail into one cycle or a self-loop."""
+    n = draw(st.integers(1, 101))
+    kind = draw(st.sampled_from(["map", "permutation", "path"]))
+    if kind == "map":
+        return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    if kind == "permutation":
+        return order
+    successor = [0] * n
+    for a, b in zip(order, order[1:]):
+        successor[a] = b
+    successor[order[-1]] = order[draw(st.integers(0, n - 1))]
+    return successor
+
+
+def map_model(successor):
+    """A one-gene GF(101) model whose map on the levels 0..len-1 is the
+    successor list."""
+    field = Field(101)
+    poly = table_poly(field, 1, {(x,): y for x, y in enumerate(successor)})
+    return GsdsModel(field, ["g"], DependencyGraph(1, set()), [poly], None,
+                     state_sets=[range(len(successor))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(functional_graphs())
+def test_portrait_matches_the_reference_traversal(successor):
+    p = phase_portrait(map_model(successor))
+    attractors, transient, basin = oracle_phase_portrait(successor)
+    assert p.successor == successor
+    assert (p.attractors, p.transient, p.basin) == (attractors, transient, basin)
+    assert p.basin_sizes() == [basin.count(a) for a in range(len(attractors))]
+    assert p.transient_histogram() == [
+        (t, transient.count(t)) for t in sorted(set(transient))]
 
 
 def test_portrait_invariants():

@@ -19,7 +19,9 @@ from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationE
                   network, phase_portrait)
 from gsds.cli import main
 from gsds.network import ValidationReport, save_model, validate_model
-from gsds.polyring import Polynomial, iter_points
+from gsds.polyring import Polynomial, iter_points, parse_poly, support_vars, table_poly
+
+from oracles import oracle_phase_portrait, oracle_probe_variable
 
 FIELDS = [Field(q) for q in (2, 3, 4, 5)]
 
@@ -69,6 +71,11 @@ def models(draw, closed=False):
                      polys, schedule, state_sets=state_sets)
 
 
+def full_field_copy(m):
+    """The model with every state set widened to the whole field."""
+    return GsdsModel(m.field, m.genes, m.graph, m.local_polys, m.schedule)
+
+
 def reference_validate(model):
     """Validation as an exhaustive loop over every state."""
     report = ValidationReport(model.genes)
@@ -78,7 +85,7 @@ def reference_validate(model):
         for var in sorted(poly.support()):
             if (var - 1) in allowed:
                 continue
-            witness = poly._probe_variable(var - 1, domain)
+            witness = oracle_probe_variable(poly, var - 1, domain)
             if witness:
                 report.locality.append((i, var, witness))
         values = set(model.state_sets[i])
@@ -95,16 +102,27 @@ def test_successor_array_matches_scalar_map(m):
     f = GlobalMap(m)
     expected = [m.state_index(f(s)) for s in m.iter_states()]
     assert f.successor_array() == expected
-    assert phase_portrait(m).successor == expected
+    p = phase_portrait(m)
+    assert p.successor == expected
+    assert (p.attractors, p.transient, p.basin) == oracle_phase_portrait(expected)
 
 
 @kernel_settings
 @given(models())
 def test_truth_table_matches_scalar_map(m):
-    f = GlobalMap(m)
+    f, full = GlobalMap(m), GlobalMap(full_field_copy(m))
     assert f.truth_table() == tuple(f(s) for s in m.iter_states())
-    assert f.truth_table(ambient=True) == tuple(
-        f(p) for p in iter_points(m.field, m.n)
+    assert full.truth_table() == tuple(f(p) for p in iter_points(m.field, m.n))
+
+
+@kernel_settings
+@given(models())
+def test_coordinate_polys_equal_interpolated_full_field_table(m):
+    points = list(iter_points(m.field, m.n))
+    table = GlobalMap(full_field_copy(m)).truth_table()
+    assert GlobalMap(m).coordinate_polys() == tuple(
+        table_poly(m.field, m.n, {p: image[i] for p, image in zip(points, table)})
+        for i in range(m.n)
     )
 
 
@@ -114,6 +132,29 @@ def test_validate_matches_exhaustive_loop(m):
     report, expected = validate_model(m), reference_validate(m)
     assert report.locality == expected.locality
     assert report.range == expected.range
+    for poly in m.local_polys:
+        assert support_vars(poly, m.state_sets) == frozenset(
+            v for v in poly.support()
+            if oracle_probe_variable(poly, v - 1, m.state_sets))
+
+
+def test_locality_probe_scans_the_support_only(monkeypatch):
+    # f1 = x1*x16 over GF(3)^16 with no edge between g1 and g16: a scan of
+    # every other gene would evaluate f1 at 3^15 points per level of x16
+    field, n = Field(3), 16
+    polys = [parse_poly("x1*x16", n, field)]
+    polys += [Polynomial.variable(field, n, j + 1) for j in range(1, n)]
+    m = GsdsModel(field, [f"g{j}" for j in range(n)], DependencyGraph(n, set()),
+                  polys, None)
+    evals = []
+    original = Polynomial.eval
+    monkeypatch.setattr(Polynomial, "eval",
+                        lambda self, point: evals.append(1) or original(self, point))
+    report = validate_model(m)
+    low = (0,) * (n - 2)
+    assert report.locality == [(0, n, ((1,) + low + (0,), (1,) + low + (1,)))]
+    assert support_vars(polys[0], m.state_sets) == {1, n}
+    assert len(evals) <= 100
 
 
 def test_validate_cli_output_matches_exhaustive_loop(tmp_path, capsys):
@@ -260,7 +301,7 @@ def test_kernel_walk_and_gather_match_scalar_map(monkeypatch, gather):
 def test_full_support_gene_peak_memory_near_result_size(monkeypatch, gather):
     monkeypatch.setattr(network, "_gathers", lambda *args: gather)
     f = GlobalMap(full_support_model(Field(2), 14, (3, 0, 7), seed=14))
-    network._subcube_tables(f.model, f.model.state_sets)
+    network._subcube_tables(f.model)
     tracemalloc.start()
     try:
         result = f.successor_array()

@@ -172,15 +172,6 @@ def test_global_map_equals_fold_of_locals():
             assert f(state) == expected
 
 
-def test_coordinate_polys_symbolic_equals_interpolated():
-    rng = random.Random(29)
-    for field in (GF2, GF3):
-        for _ in range(10):
-            m = random_model(rng, field, 2)
-            f = global_map(m, validate=False)
-            assert f.coordinate_polys("symbolic") == f.coordinate_polys("interpolate")
-
-
 def test_global_map_requires_valid_model(example2):
     with pytest.raises(ModelValidationError):
         global_map(example2)
