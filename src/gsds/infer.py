@@ -33,7 +33,7 @@ from .errors import ContradictoryDataError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .network import DependencyGraph, GsdsModel
-from .polyring import Polynomial, indicator_poly, iter_points, table_poly
+from .polyring import Polynomial, _field_rows, indicator_poly, iter_points, table_poly
 
 SPARSEST_MAX_VARS = 12
 CONSTRAINED_MAX_UNKNOWNS = 1 << 14
@@ -85,11 +85,15 @@ def interpolate(data, coordinate):
 class SolutionSpace:
     """All interpolants of one coordinate: particular + indicator span."""
 
-    def __init__(self, field, n, pairs, particular):
+    def __init__(self, field, n, pairs):
         self.field = field
         self.n = n
         self.pairs = pairs  # (input state, output value), inputs distinct
-        self.particular = particular
+
+    @functools.cached_property
+    def particular(self):
+        """The canonical interpolant, built on first access."""
+        return table_poly(self.field, self.n, dict(self.pairs))
 
     @property
     def dimension(self):
@@ -123,17 +127,15 @@ class SolutionSpace:
 
 
 def solution_space(data, coordinate):
-    return SolutionSpace(
-        data.field,
-        data.n,
-        tuple(data.coordinate_view(coordinate)),
-        interpolate(data, coordinate),
-    )
+    return SolutionSpace(data.field, data.n, tuple(data.coordinate_view(coordinate)))
 
 
 def _solve_linear(field, rows, rhs):
     """One solution of A x = b over the field (free unknowns set to 0),
-    or None if the system is inconsistent."""
+    or None if the system is inconsistent.  Reduced row-echelon form on
+    the field's lookup rows: scaling is one row of ``mul``, subtraction
+    adds the product with the negated factor."""
+    add, mul = _field_rows(field)
     rows = [list(r) + [b] for r, b in zip(rows, rhs)]
     cols = len(rows[0]) - 1 if rows else 0
     pivots = []
@@ -143,15 +145,12 @@ def _solve_linear(field, rows, rhs):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(rows[i], rows[r])
-                ]
+        scale = mul[field.inv(rows[r][c])]
+        prow = rows[r] = [scale[v] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                m = mul[field.neg(row[c])]
+                rows[i] = [add[v][m[w]] for v, w in zip(row, prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -184,36 +183,36 @@ def constrained_interpolate(data, coordinate, allowed_vars):
     for v in allowed:
         if not 1 <= v <= data.n:
             raise ValueError(f"variable index {v} outside 1..{data.n}")
-    q = data.field.order
+    f = data.field
+    q = f.order
     if q ** len(allowed) > CONSTRAINED_MAX_UNKNOWNS:
         raise ValueError(
             f"{q}^{len(allowed)} unknowns exceed the solver limit "
             f"({CONSTRAINED_MAX_UNKNOWNS})"
         )
-    monomials = []
-    for partial in itertools.product(range(q), repeat=len(allowed)):
-        exps = [0] * data.n
-        for v, e in zip(allowed, partial):
-            exps[v - 1] = e
-        monomials.append(tuple(exps))
+    mul = _field_rows(f)[1]
     view = data.coordinate_view(coordinate)
-    f = data.field
+    levels = {state[v - 1] for state, _ in view for v in allowed}
+    powers = {x: [f.pow(x, e) for e in range(q)] for x in levels}
     rows = []
     for state, _ in view:
-        row = []
-        for exps in monomials:
-            v = 1
-            for x, e in zip(state, exps):
-                if e:
-                    v = f.mul(v, f.pow(x, e))
-            row.append(v)
+        # the monomials x^e over ``allowed`` in product order, as a
+        # Kronecker product of per-variable power rows
+        row = [1]
+        for v in allowed:
+            row = [mul[a][b] for a in row for b in powers[state[v - 1]]]
         rows.append(row)
     solution = _solve_linear(f, rows, [value for _, value in view])
     if solution is None:
         return None
-    return Polynomial(
-        f, data.n, {e: c for e, c in zip(monomials, solution) if c}
-    )
+    terms = {}
+    for i, c in enumerate(solution):
+        if c:
+            exps = [0] * data.n
+            for v in reversed(allowed):
+                i, exps[v - 1] = divmod(i, q)
+            terms[tuple(exps)] = c
+    return Polynomial._trusted(f, data.n, terms)
 
 
 def sparsest_interpolate(data, coordinate):

@@ -24,6 +24,7 @@ import functools
 import itertools
 
 from .errors import FieldMismatchError, PolyParseError
+from .ffield import GF4_ADD, GF4_MUL
 
 
 def iter_points(field, n_vars):
@@ -34,7 +35,7 @@ def iter_points(field, n_vars):
 class Polynomial:
     """A reduced multivariate polynomial over a finite field."""
 
-    __slots__ = ("field", "n_vars", "terms", "_compiled")
+    __slots__ = ("field", "n_vars", "terms", "_compiled", "_text")
 
     def __init__(self, field, n_vars, terms=None):
         if n_vars < 0:
@@ -55,7 +56,7 @@ class Polynomial:
                 coeff = field.add(reduced[exps], coeff)
             reduced[exps] = coeff
         self.terms = {e: c for e, c in reduced.items() if c != 0}
-        self._compiled = None
+        self._compiled = self._text = None
 
     def _reduce_exp(self, e):
         if e == 0:
@@ -63,6 +64,14 @@ class Polynomial:
         return (e - 1) % (self.field.order - 1) + 1
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field, n_vars, terms):
+        """A polynomial on terms already reduced, canonical and nonzero."""
+        poly = cls.__new__(cls)
+        poly.field, poly.n_vars, poly.terms = field, n_vars, terms
+        poly._compiled = poly._text = None
+        return poly
 
     @classmethod
     def zero(cls, field, n_vars):
@@ -213,16 +222,12 @@ class Polynomial:
 
     def _ordered_exps(self):
         # graded lexicographic, highest first; deterministic render order
-        return sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        # (the sort is stable under reverse=True, so ties keep lex order)
+        return sorted(sorted(self.terms, reverse=True), key=sum, reverse=True)
 
     def support(self):
         """1-based indices of variables appearing in the reduced form."""
-        out = set()
-        for exps in self.terms:
-            for j, e in enumerate(exps):
-                if e:
-                    out.add(j + 1)
-        return frozenset(out)
+        return frozenset(j + 1 for j, col in enumerate(zip(*self.terms)) if any(col))
 
     def _probe_variable(self, j, domain):
         """The first pair in product order of points of ``domain`` that
@@ -243,24 +248,26 @@ class Polynomial:
     # -- rendering -----------------------------------------------------
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in self._ordered_exps():
-            coeff = self.terms[exps]
-            factors = []
-            for j, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{j + 1}")
-                elif e > 1:
-                    factors.append(f"x{j + 1}^{e}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
+        if self._text is None:  # terms are never written after construction
+            names = _factor_names(self.n_vars, self.field.order)
+            parts = []
+            for exps in self._ordered_exps():
+                factors = [row[e] for row, e in zip(names, exps) if e]
+                coeff = self.terms[exps]
+                if coeff != 1 or not factors:
+                    factors.insert(0, str(coeff))
                 parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(coeff)] + factors))
-        return " + ".join(parts)
+            self._text = " + ".join(parts) or "0"
+        return self._text
+
+
+@functools.lru_cache(maxsize=64)
+def _factor_names(n_vars, q):
+    """names[j][e]: the factor x_(j+1)^e as rendered, for 1 <= e < q."""
+    return tuple(
+        ("", f"x{j}") + tuple(f"x{j}^{e}" for e in range(2, q))
+        for j in range(1, n_vars + 1)
+    )
 
 
 def support_vars(poly, domain=None):
@@ -284,34 +291,54 @@ def support_vars(poly, domain=None):
 
 
 @functools.lru_cache(maxsize=64)
-def _inverse_vandermonde(field):
-    """Row a of the inverse Vandermonde matrix: the nonzero (e, L(a, e)),
-    coefficients of the indicator 1 - (x - a)^(q-1).  L(a, 0) = [a == 0]
-    and L(a, e) = -a^(q-1-e) for e >= 1, with 0^0 = 1 (also in GF(4))."""
+def _field_rows(field):
+    """The addition rows add[a][b] = a + b and multiplication rows
+    mul[c][v] = c * v of the field, built on first use."""
     q = field.order
+    if field.kind == "gf4":
+        return GF4_ADD, GF4_MUL
+    return (tuple(tuple((a + b) % q for b in range(q)) for a in range(q)),
+            tuple(tuple(c * v % q for v in range(q)) for c in range(q)))
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_vandermonde(field):
+    """Row a of the inverse Vandermonde matrix: for each nonzero L(a, e),
+    a coefficient of the indicator 1 - (x - a)^(q-1), the pair (e, the
+    multiplication row of L(a, e)).  L(a, 0) = [a == 0] and
+    L(a, e) = -a^(q-1-e) for e >= 1, with 0^0 = 1 (also in GF(4))."""
+    q = field.order
+    mul = _field_rows(field)[1]
     rows = []
     for a in range(q):
         row = [int(a == 0)] + [field.neg(field.pow(a, q - 1 - e)) for e in range(1, q)]
-        rows.append(tuple((e, c) for e, c in enumerate(row) if c))
+        rows.append(tuple((e, mul[c]) for e, c in enumerate(row) if c))
     return tuple(rows)
 
 
 def table_poly(field, n_vars, values):
     """The reduced polynomial that is ``values[point]`` on the given
     points of GF(q)^n and 0 elsewhere: the inverse Vandermonde matrix
-    applied along each axis of the sparse table, O(n q^(n+1)) at most."""
+    applied along each axis of the sparse table, O(n q^(n+1)) at most.
+    The table is keyed by mixed-radix point index (first variable
+    slowest); the digit of axis j is index // q^(n-1-j) % q."""
+    q = field.order
+    add = _field_rows(field)[0]
     rows = _inverse_vandermonde(field)
-    add, mul = field.add, field.mul
-    table = {point: v for point, v in values.items() if v}
-    for j in range(n_vars):
+    strides = [q ** (n_vars - 1 - j) for j in range(n_vars)]
+    table = {sum(a * s for a, s in zip(p, strides)): v for p, v in values.items() if v}
+    for stride in strides:
         out = {}
-        for point, v in table.items():
-            head, tail = point[:j], point[j + 1:]
-            for e, c in rows[point[j]]:
-                key = head + (e,) + tail
-                out[key] = add(out.get(key, 0), mul(c, v))
-        table = {key: v for key, v in out.items() if v}
-    return Polynomial(field, n_vars, table)
+        get = out.get
+        for idx, v in table.items():
+            digit = idx // stride % q
+            base = idx - digit * stride
+            for e, m in rows[digit]:
+                k = base + e * stride
+                out[k] = add[get(k, 0)][m[v]]
+        table = {k: v for k, v in out.items() if v}
+    terms = {tuple([idx // s % q for s in strides]): v for idx, v in table.items()}
+    return Polynomial._trusted(field, n_vars, terms)
 
 
 def indicator_poly(field, point):

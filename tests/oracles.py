@@ -74,6 +74,93 @@ def oracle_table_poly(field, n, values):
     return result
 
 
+def oracle_render(poly):
+    """The text of a polynomial: terms in graded lexicographic order,
+    highest first, by a per-term sort key, with each factor formatted
+    from its exponent."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for exps in sorted(poly.terms, key=lambda e: (sum(e), e), reverse=True):
+        coeff = poly.terms[exps]
+        factors = []
+        for j, e in enumerate(exps):
+            if e == 1:
+                factors.append(f"x{j + 1}")
+            elif e > 1:
+                factors.append(f"x{j + 1}^{e}")
+        if not factors:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append("*".join([str(coeff)] + factors))
+    return " + ".join(parts)
+
+
+def oracle_solve_linear(field, rows, rhs):
+    """One solution of A x = b (free unknowns 0) or None, by reduced
+    row-echelon form with one field method call per entry."""
+    rows = [list(r) + [b] for r, b in zip(rows, rhs)]
+    cols = len(rows[0]) - 1 if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [
+                    field.sub(v, field.mul(factor, w))
+                    for v, w in zip(rows[i], rows[r])
+                ]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if rows[i][-1] != 0:
+            return None
+    solution = [0] * cols
+    for i, c in enumerate(pivots):
+        solution[c] = rows[i][-1]
+    return solution
+
+
+def oracle_constrained_interpolate(data, coordinate, allowed_vars):
+    """The interpolant on the monomials in ``allowed_vars`` (1-based)
+    with free coefficients 0, or None: one row entry per monomial, each
+    a product of field powers, solved by ``oracle_solve_linear``."""
+    allowed = sorted(set(allowed_vars))
+    f = data.field
+    monomials = []
+    for partial in itertools.product(range(f.order), repeat=len(allowed)):
+        exps = [0] * data.n
+        for v, e in zip(allowed, partial):
+            exps[v - 1] = e
+        monomials.append(tuple(exps))
+    view = data.coordinate_view(coordinate)
+    rows = []
+    for state, _ in view:
+        row = []
+        for exps in monomials:
+            v = 1
+            for x, e in zip(state, exps):
+                if e:
+                    v = f.mul(v, f.pow(x, e))
+            row.append(v)
+        rows.append(row)
+    solution = oracle_solve_linear(f, rows, [value for _, value in view])
+    if solution is None:
+        return None
+    return Polynomial(f, data.n, {e: c for e, c in zip(monomials, solution) if c})
+
+
 def oracle_probe_variable(poly, j, domain):
     """The first pair in product order of points of ``domain`` that
     differ only in x_(j+1) and give different values, or None: a scan of

@@ -19,11 +19,24 @@ from gsds import (
     support_vars,
     trajectory,
 )
-from gsds.infer import _feasible, load_series, save_series, series_from_dict, series_to_dict
+from gsds.infer import (
+    _feasible,
+    _solve_linear,
+    load_series,
+    save_series,
+    series_from_dict,
+    series_to_dict,
+)
 from gsds.polyring import Polynomial, indicator_poly, iter_points, parse_poly, table_poly
 
 from conftest import build_example1
-from oracles import oracle_indicator_poly, oracle_interpolate_gf3, oracle_table_poly
+from oracles import (
+    oracle_constrained_interpolate,
+    oracle_indicator_poly,
+    oracle_interpolate_gf3,
+    oracle_solve_linear,
+    oracle_table_poly,
+)
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -325,11 +338,74 @@ def partial_functions(draw):
     return TransitionData(field, n, pairs)
 
 
+@st.composite
+def wide_partial_functions(draw):
+    """A random partial function as in ``partial_functions``, on GF(2)^n
+    for n <= 8, GF(3)^n for n <= 5, or GF(7)^n and GF(257)^n for n <= 2,
+    so that point indices reach several digits on several axes."""
+    q, top = draw(st.sampled_from([(2, 8), (3, 5), (7, 2), (257, 2)]))
+    field = Field(q)
+    n = draw(st.integers(1, top))
+    # the oracle builds each GF(257) indicator from 257-term powers
+    size = {1: 4, 2: 1}[n] if q == 257 else 24
+    inputs = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), unique=True,
+                           max_size=size))
+    values = draw(st.lists(st.integers(0, q - 1),
+                           min_size=len(inputs), max_size=len(inputs)))
+    pairs = [(p, (v,) + (0,) * (n - 1)) for p, v in zip(inputs, values)]
+    return TransitionData(field, n, pairs)
+
+
+@st.composite
+def constrained_problems(draw):
+    """Transition data on GF(q)^n, q in {2, 3, 4, 5, 257} and n <= 3, with
+    a subset of the variables small enough for the solver limit."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 257]))
+    n = draw(st.integers(1, 2 if q == 257 else 3))
+    inputs = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), unique=True,
+                           max_size=12))
+    values = draw(st.lists(st.integers(0, q - 1),
+                           min_size=len(inputs), max_size=len(inputs)))
+    data = TransitionData(Field(q), n, [(p, (v,) + (0,) * (n - 1))
+                                        for p, v in zip(inputs, values)])
+    subset = draw(st.sets(st.integers(1, n), max_size=1 if q == 257 else n))
+    return data, subset
+
+
+@st.composite
+def linear_systems(draw):
+    """A system A x = b over GF(q), q in {2, 3, 4, 5, 257}: square, over-
+    or under-determined, of drawn rank (deficient when below both sides),
+    with b in the column space or drawn freely (often inconsistent)."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5, 257])))
+    m, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(m, cols)))
+    element = st.integers(0, field.order - 1)
+    base = [draw(st.lists(element, min_size=cols, max_size=cols)) for _ in range(rank)]
+    rows = []
+    for _ in range(m):
+        row = [0] * cols
+        for b in base:
+            c = draw(element)
+            row = [field.add(v, field.mul(c, w)) for v, w in zip(row, b)]
+        rows.append(row)
+    if draw(st.booleans()):
+        x = draw(st.lists(element, min_size=cols, max_size=cols))
+        rhs = [0] * m
+        for i, row in enumerate(rows):
+            for a, v in zip(row, x):
+                rhs[i] = field.add(rhs[i], field.mul(a, v))
+    else:
+        rhs = draw(st.lists(element, min_size=m, max_size=m))
+    return field, rows, rhs
+
+
 def exhaustive_sparsest(data, coordinate):
-    """The sparsest search that solves the linear system for every subset."""
+    """The sparsest search that solves the linear system for every subset,
+    with the oracle's solver."""
     for size in range(data.n + 1):
         for subset in itertools.combinations(range(1, data.n + 1), size):
-            poly = constrained_interpolate(data, coordinate, subset)
+            poly = oracle_constrained_interpolate(data, coordinate, subset)
             if poly is not None:
                 return poly
     raise AssertionError("the full variable set always interpolates")
@@ -342,6 +418,37 @@ def test_table_poly_matches_indicator_sum(data):
     expected = oracle_table_poly(data.field, data.n, values)
     assert table_poly(data.field, data.n, values) == expected
     assert interpolate(data, 0) == expected
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_partial_functions())
+def test_table_poly_matches_indicator_sum_beyond_three_variables(data):
+    values = dict(data.coordinate_view(0))
+    got = table_poly(data.field, data.n, values)
+    assert got == oracle_table_poly(data.field, data.n, values)
+    # reduced, canonical and nonzero, as the unchecked constructor assumes
+    q = data.field.order
+    for exps, coeff in got.terms.items():
+        assert len(exps) == data.n and all(0 <= e <= q - 1 for e in exps)
+        assert 1 <= coeff <= q - 1
+
+
+@property_settings
+@given(linear_systems())
+def test_solve_linear_matches_oracle(system):
+    field, rows, rhs = system
+    assert _solve_linear(field, rows, rhs) == oracle_solve_linear(field, rows, rhs)
+
+
+@property_settings
+@given(constrained_problems())
+def test_constrained_interpolate_matches_oracle(problem):
+    data, subset = problem
+    got = constrained_interpolate(data, 0, subset)
+    expected = oracle_constrained_interpolate(data, 0, subset)
+    assert got == expected
+    if got is not None:
+        assert list(got.terms.items()) == list(expected.terms.items())
 
 
 @property_settings
@@ -373,8 +480,9 @@ def test_sparsest_matches_exhaustive_elimination(data):
 @given(partial_functions())
 def test_solution_space_dimension_counts_lazy_basis(data):
     space = solution_space(data, 0)
+    assert "particular" not in vars(space)  # built on first access only
     assert space.is_solution(space.particular)
-    assert "basis" not in vars(space)  # built on first access only
+    assert "basis" not in vars(space)
     assert space.dimension == len(space.basis)
 
 

@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsds import Field, FieldMismatchError, Polynomial, PolyParseError
 from gsds.polyring import indicator_poly, iter_points, parse_poly, support_vars
+
+from oracles import oracle_render
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -270,6 +274,32 @@ def test_render_round_trip():
                 },
             )
             assert parse_poly(p.render(), n, field) == p
+
+
+@st.composite
+def polynomials(draw):
+    """A polynomial over GF(2), GF(3), GF(4), GF(5), GF(11) or GF(257) in
+    0 to 12 variables: zero, constant-only, or up to 6 drawn terms."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5, 11, 257])))
+    n = draw(st.integers(0, 12))
+    coeffs = st.integers(0, field.order - 1)
+    exps = st.tuples(*[st.integers(0, field.order - 1)] * n)
+    terms = draw(st.one_of(
+        st.just({}),
+        coeffs.map(lambda c: {(0,) * n: c}),
+        st.dictionaries(exps, coeffs, max_size=6),
+    ))
+    return Polynomial(field, n, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials())
+def test_render_matches_oracle_and_round_trips(p):
+    text = p.render()
+    assert text == oracle_render(p)
+    assert p.render() == text
+    assert parse_poly(text, p.n_vars, p.field) == p
+    assert p.support() == {j + 1 for exps in p.terms for j, e in enumerate(exps) if e}
 
 
 def test_render_order_is_graded_lex():
