@@ -33,7 +33,7 @@ from .errors import ContradictoryDataError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .network import DependencyGraph, GsdsModel
-from .polyring import Polynomial, _field_rows, indicator_poly, iter_points, table_poly
+from .polyring import Polynomial, _field_rows, indicator_poly, iter_points, poly_sum, table_poly
 
 SPARSEST_MAX_VARS = 12
 CONSTRAINED_MAX_UNKNOWNS = 1 << 14
@@ -119,11 +119,8 @@ class SolutionSpace:
         """particular + sum of coefficient * basis polynomial."""
         if len(coefficients) != self.dimension:
             raise ValueError(f"need {self.dimension} coefficients")
-        result = self.particular
-        for c, b in zip(coefficients, self.basis):
-            if c:
-                result = result + b.scale(c)
-        return result
+        scaled = [b.scale(c) for c, b in zip(coefficients, self.basis) if c]
+        return poly_sum(self.field, self.n, [self.particular] + scaled)
 
 
 def solution_space(data, coordinate):

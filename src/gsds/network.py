@@ -30,7 +30,7 @@ import sys
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level, format_state
 from .files import FORMAT_VERSION, document, load, write_json
-from .polyring import Polynomial, parse_poly
+from .polyring import Polynomial, parse_poly, poly_table
 
 
 class DependencyGraph:
@@ -231,7 +231,7 @@ def apply_local(model, i, state):
 # Bulk work runs over the mixed-radix index of a product of per-gene
 # level lists, gene 1 most significant.  A gene's values are one Python-
 # int bitset per level position: bit s is set when state s holds that
-# level.  A local polynomial is evaluated once per point of its support
+# level.  polyring.poly_table tabulates a local polynomial on its support
 # subcube.  An update walks that subcube depth first, ANDing in one
 # support gene's bitset per level and ORing the AND at each point into
 # the bitset of the point's value: q^k points of a few big-int operations
@@ -245,25 +245,12 @@ def _strides(levels):
     return [math.prod(map(len, levels[j + 1 :])) for j in range(len(levels))]
 
 
-def _subcube_table(poly, levels):
-    """The polynomial's support genes (0-based) and its values on their
-    subcube, in product order."""
-    support = sorted(v - 1 for v in poly.support())
-    point = [0] * poly.n_vars  # reduced form reads support coordinates only
-    table = []
-    for combo in itertools.product(*(levels[j] for j in support)):
-        for j, v in zip(support, combo):
-            point[j] = v
-        table.append(poly.eval(point))
-    return support, table
-
-
 def _subcube_tables(model):
-    """All local polynomials' subcube tables over the state sets, kept on
+    """Each local polynomial's ``poly_table`` over the state sets, kept on
     the model (and its replacements) so that validation and the fold
     tabulate once."""
     if not model._tables:
-        model._tables.extend(_subcube_table(p, model.state_sets) for p in model.local_polys)
+        model._tables.extend(poly_table(p, model.state_sets) for p in model.local_polys)
     return model._tables
 
 
@@ -498,16 +485,9 @@ def parallel_to_sequential(coordinate_polys, field=None, genes=None):
         genes = [f"g{j + 1}" for j in range(n)]
     names = list(genes) + [f"{g}__copy" for g in genes]
 
-    def widen(poly, shift):
-        terms = {}
-        for exps, coeff in poly.terms.items():
-            wide = [0] * (2 * n)
-            for j, e in enumerate(exps):
-                wide[j + shift] = e
-            terms[tuple(wide)] = coeff
-        return Polynomial(field, 2 * n, terms)
-
-    locals_ = [widen(p, n) for p in polys]  # originals read the shadows
+    # the originals read the shadows
+    locals_ = [Polynomial(field, 2 * n, {(0,) * n + e: c for e, c in p.terms.items()})
+               for p in polys]
     locals_ += [
         Polynomial.variable(field, 2 * n, j + 1) for j in range(n)
     ]  # shadows copy the originals

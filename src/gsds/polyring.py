@@ -22,6 +22,8 @@ with whitespace ignored and integer coefficients reduced into the field
 
 import functools
 import itertools
+import math
+import operator
 
 from .errors import FieldMismatchError, PolyParseError
 from .ffield import GF4_ADD, GF4_MUL
@@ -40,28 +42,18 @@ class Polynomial:
     def __init__(self, field, n_vars, terms=None):
         if n_vars < 0:
             raise ValueError("n_vars must be non-negative")
-        self.field = field
-        self.n_vars = n_vars
-        top = field.order - 1
-        reduced = {}
-        for exps, coeff in (terms or {}).items():
+        for exps in terms or ():
             if len(exps) != n_vars:
                 raise ValueError(f"exponent tuple {exps} does not have {n_vars} entries")
             if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            if exps and max(exps) > top:
-                exps = tuple(self._reduce_exp(e) for e in exps)
-            coeff = field.coerce(coeff)
-            if exps in reduced:
-                coeff = field.add(reduced[exps], coeff)
-            reduced[exps] = coeff
-        self.terms = {e: c for e, c in reduced.items() if c != 0}
+        self.field = field
+        self.n_vars = n_vars
+        self.terms = _reduced(field, n_vars, (terms or {}).items()).terms
         self._compiled = self._text = None
 
     def _reduce_exp(self, e):
-        if e == 0:
-            return 0
-        return (e - 1) % (self.field.order - 1) + 1
+        return e and (e - 1) % (self.field.order - 1) + 1
 
     # -- constructors ------------------------------------------------
 
@@ -124,31 +116,22 @@ class Polynomial:
 
     def __add__(self, other):
         self._check_compatible(other)
-        f = self.field
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = f.add(terms.get(exps, 0), coeff)
-        return Polynomial(f, self.n_vars, terms)
+        return poly_sum(self.field, self.n_vars, (self, other))
 
     def __neg__(self):
-        f = self.field
-        return Polynomial(f, self.n_vars, {e: f.neg(c) for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        f = self.field
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = f.mul(c1, c2)
-                # exponent folding can merge products, so reduce eagerly
-                exps = tuple(self._reduce_exp(e) for e in exps)
-                terms[exps] = f.add(terms.get(exps, 0), c)
-        return Polynomial(f, self.n_vars, terms)
+        mul = _field_rows(self.field)[1]
+        return _reduced(self.field, self.n_vars, (
+            (tuple(map(operator.add, e1, e2)), mul[c1][c2])
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        ))
 
     def __pow__(self, e):
         if e < 0:
@@ -166,9 +149,8 @@ class Polynomial:
         return result
 
     def scale(self, coeff):
-        f = self.field
-        c = f.coerce(coeff)
-        return Polynomial(f, self.n_vars, {e: f.mul(v, c) for e, v in self.terms.items()})
+        row = _field_rows(self.field)[1][self.field.coerce(coeff)]
+        return _reduced(self.field, self.n_vars, ((e, row[v]) for e, v in self.terms.items()))
 
     # -- evaluation ----------------------------------------------------
 
@@ -205,14 +187,12 @@ class Polynomial:
             )
         for s in substitutions:
             self._check_compatible(s)
-        result = Polynomial.zero(self.field, self.n_vars)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(self.field, self.n_vars, coeff)
-            for sub, e in zip(substitutions, exps):
-                if e:
-                    term = term * sub**e
-            result = result + term
-        return result
+        f, n = self.field, self.n_vars
+        return poly_sum(f, n, [
+            functools.reduce(operator.mul, (s**e for s, e in zip(substitutions, exps) if e),
+                             Polynomial.constant(f, n, coeff))
+            for exps, coeff in self.terms.items()
+        ])
 
     # -- structure -----------------------------------------------------
 
@@ -303,42 +283,102 @@ def _field_rows(field):
 
 @functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(field):
-    """Row a of the inverse Vandermonde matrix: for each nonzero L(a, e),
-    a coefficient of the indicator 1 - (x - a)^(q-1), the pair (e, the
-    multiplication row of L(a, e)).  L(a, 0) = [a == 0] and
-    L(a, e) = -a^(q-1-e) for e >= 1, with 0^0 = 1 (also in GF(4))."""
-    q = field.order
+    """Row a of the inverse Vandermonde matrix: the pairs (e, the
+    multiplication row of L(a, e)) with L(a, e) != 0, where
+    L(a, e) = [e == 0] - a^(q-1-e), with 0^0 = 1 (also in GF(4)), are the
+    coefficients of the indicator 1 - (x - a)^(q-1)."""
+    q, mul = field.order, _field_rows(field)[1]
+    return tuple(
+        tuple((e, mul[c]) for e, c in enumerate(
+            field.sub(int(e == 0), field.pow(a, q - 1 - e)) for e in range(q)) if c)
+        for a in range(q)
+    )
+
+
+def _reduced(field, n_vars, pairs):
+    """The polynomial in GF(q)[x1..xn] that is the sum of the (exponents,
+    coefficient) pairs: the one place where terms are combined.
+    Exponents fold by x^q = x, coefficients are coerced into the field,
+    repeated monomials merge and zero coefficients drop."""
+    top = field.order - 1
+    add = _field_rows(field)[0]
+    coerce = field.coerce
+    out = {}
+    get = out.get
+    for exps, c in pairs:
+        if exps and max(exps) > top:
+            exps = tuple(e and (e - 1) % top + 1 for e in exps)
+        out[exps] = add[get(exps, 0)][coerce(c)]
+    return Polynomial._trusted(field, n_vars, {e: c for e, c in out.items() if c})
+
+
+def poly_sum(field, n_vars, polys):
+    """The sum of polynomials, all in GF(q)[x1..xn], reduced once."""
+    return _reduced(field, n_vars, itertools.chain.from_iterable(p.terms.items() for p in polys))
+
+
+@functools.lru_cache(maxsize=256)
+def _vandermonde(field, levels):
+    """Row e of the Vandermonde matrix V[a][e] = a^e over ``levels``: the
+    pairs (position of a, the multiplication row of a^e) with a^e != 0,
+    where 0^0 = 1."""
     mul = _field_rows(field)[1]
-    rows = []
-    for a in range(q):
-        row = [int(a == 0)] + [field.neg(field.pow(a, q - 1 - e)) for e in range(1, q)]
-        rows.append(tuple((e, mul[c]) for e, c in enumerate(row) if c))
-    return tuple(rows)
+    return tuple(
+        tuple((p, mul[v]) for p, v in enumerate(field.pow(a, e) for a in levels) if v)
+        for e in range(field.order)
+    )
+
+
+def _along_axes(field, table, axes):
+    """A sparse table keyed by mixed-radix index (first axis slowest)
+    with one matrix applied along each axis.  ``axes`` holds per axis
+    (input radix, output radix, rows), where rows[d] lists for input
+    digit d the pairs (output digit, multiplication row of the entry).
+    Each pass takes the leading digit off the index and appends the
+    output digit at the end, so the axes end in their first order."""
+    add = _field_rows(field)[0]
+    top = math.prod(r_in for r_in, _, _ in axes)
+    for r_in, r_out, rows in axes:
+        top //= r_in
+        out = {}
+        get = out.get
+        for idx, v in table.items():
+            digit, rest = divmod(idx, top)
+            base = rest * r_out
+            for e, m in rows[digit]:
+                out[base + e] = add[get(base + e, 0)][m[v]]
+        table = {k: v for k, v in out.items() if v}
+        top *= r_out
+    return table
 
 
 def table_poly(field, n_vars, values):
     """The reduced polynomial that is ``values[point]`` on the given
     points of GF(q)^n and 0 elsewhere: the inverse Vandermonde matrix
-    applied along each axis of the sparse table, O(n q^(n+1)) at most.
-    The table is keyed by mixed-radix point index (first variable
-    slowest); the digit of axis j is index // q^(n-1-j) % q."""
+    applied along each axis of the sparse table, O(n q^(n+1)) at most."""
     q = field.order
-    add = _field_rows(field)[0]
-    rows = _inverse_vandermonde(field)
     strides = [q ** (n_vars - 1 - j) for j in range(n_vars)]
     table = {sum(a * s for a, s in zip(p, strides)): v for p, v in values.items() if v}
-    for stride in strides:
-        out = {}
-        get = out.get
-        for idx, v in table.items():
-            digit = idx // stride % q
-            base = idx - digit * stride
-            for e, m in rows[digit]:
-                k = base + e * stride
-                out[k] = add[get(k, 0)][m[v]]
-        table = {k: v for k, v in out.items() if v}
+    table = _along_axes(field, table, [(q, q, _inverse_vandermonde(field))] * n_vars)
     terms = {tuple([idx // s % q for s in strides]): v for idx, v in table.items()}
     return Polynomial._trusted(field, n_vars, terms)
+
+
+def poly_table(poly, levels):
+    """The forward direction of the exact transform of ``table_poly``:
+    the polynomial's support variables (0-based) and its values on the
+    product of their ``levels`` (one level list per variable), in
+    product order.  The Vandermonde matrix over each support variable's
+    levels is applied along its axis of the coefficient table."""
+    field, q = poly.field, poly.field.order
+    support = sorted(v - 1 for v in poly.support())
+    strides = [q ** (len(support) - 1 - k) for k in range(len(support))]
+    table = {sum(exps[j] * s for j, s in zip(support, strides)): c
+             for exps, c in poly.terms.items()}
+    sizes = [len(levels[j]) for j in support]
+    axes = [(q, size, _vandermonde(field, tuple(levels[j]))) for j, size in zip(support, sizes)]
+    table = _along_axes(field, table, axes)
+    return support, [table.get(i, 0) for i in range(math.prod(sizes))]
 
 
 def indicator_poly(field, point):
@@ -361,40 +401,27 @@ class _Parser:
 
     def parse(self):
         result = self._expr()
-        self._skip_ws()
-        if self.pos < len(self.text):
-            raise PolyParseError(
-                f"unexpected character {self.text[self.pos]!r}", self.pos
-            )
+        if self._peek():
+            raise PolyParseError(f"unexpected character {self._peek()!r}", self.pos)
         return result
 
-    def _skip_ws(self):
+    def _peek(self):
+        """The next non-blank character, or "" at the end of the text."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def _peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def _expr(self):
-        negate = False
+        terms = []
         ch = self._peek()
-        if ch in "+-":
-            self.pos += 1
-            negate = ch == "-"
-        result = self._term()
-        if negate:
-            result = -result
         while True:
+            if ch and ch in "+-":
+                self.pos += 1
+            elif terms:
+                return poly_sum(self.field, self.n, terms)
+            term = self._term()
+            terms.append(-term if ch == "-" else term)
             ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                result = result + self._term()
-            elif ch == "-":
-                self.pos += 1
-                result = result - self._term()
-            else:
-                return result
 
     def _term(self):
         result = self._factor()
@@ -415,7 +442,11 @@ class _Parser:
             return inner
         if ch.isdigit():
             value = self._integer()
-            return Polynomial.constant(self.field, self.n, self._coefficient(value))
+            if self.field.kind == "gf4" and value > 3:
+                raise PolyParseError(
+                    f"coefficient {value} is not a canonical GF(4) value", self.pos
+                )
+            return Polynomial.constant(self.field, self.n, value)
         if ch == "x":
             var_pos = self.pos
             self.pos += 1
@@ -426,7 +457,7 @@ class _Parser:
                 raise PolyParseError(
                     f"variable x{index} outside 1..{self.n}", var_pos
                 )
-            poly = Polynomial.variable(self.field, self.n, index)
+            exponent = 1
             if self._peek() == "^":
                 self.pos += 1
                 exp_pos = self.pos
@@ -439,24 +470,15 @@ class _Parser:
                 exponent = sign * self._integer()
                 if exponent < 0:
                     raise PolyParseError("negative exponent", exp_pos)
-                poly = poly**exponent
-            return poly
+            exps = [0] * self.n
+            exps[index - 1] = exponent
+            return Polynomial(self.field, self.n, {tuple(exps): 1})
         if ch == "":
             raise PolyParseError("unexpected end of input", self.pos)
         raise PolyParseError(f"unexpected character {ch!r}", self.pos)
 
     def _integer(self):
-        self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         return int(self.text[start : self.pos])
-
-    def _coefficient(self, value):
-        if self.field.kind == "prime":
-            return value % self.field.order
-        if value > 3:
-            raise PolyParseError(
-                f"coefficient {value} is not a canonical GF(4) value", self.pos
-            )
-        return value

@@ -74,6 +74,65 @@ def oracle_table_poly(field, n, values):
     return result
 
 
+def oracle_add(a, b):
+    """a + b: a copy of a's terms with each of b's terms merged in by a
+    field method call, then the constructor."""
+    f = a.field
+    terms = dict(a.terms)
+    for exps, coeff in b.terms.items():
+        terms[exps] = f.add(terms.get(exps, 0), coeff)
+    return Polynomial(f, a.n_vars, terms)
+
+
+def oracle_mul(a, b):
+    """a * b term by term: each product's exponents folded by x^q = x and
+    merged at once, with field method calls."""
+    f, top = a.field, a.field.order - 1
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple((x + y - 1) % top + 1 if x + y else 0 for x, y in zip(e1, e2))
+            terms[exps] = f.add(terms.get(exps, 0), f.mul(c1, c2))
+    return Polynomial(f, a.n_vars, terms)
+
+
+def oracle_compose(poly, substitutions):
+    """Substitution as a running sum of terms, each a running product
+    of the substitutions, one factor at a time."""
+    f, n = poly.field, poly.n_vars
+    result = Polynomial.zero(f, n)
+    for exps, coeff in poly.terms.items():
+        term = Polynomial.constant(f, n, coeff)
+        for sub, e in zip(substitutions, exps):
+            for _ in range(e):
+                term = oracle_mul(term, sub)
+        result = oracle_add(result, term)
+    return result
+
+
+def oracle_member(space, coefficients):
+    """The particular solution plus each scaled basis polynomial, added
+    one at a time."""
+    result = space.particular
+    for c, b in zip(coefficients, space.basis):
+        if c:
+            result = oracle_add(result, b.scale(c))
+    return result
+
+
+def oracle_subcube_table(poly, levels):
+    """The polynomial's support variables (0-based) and its values on
+    the product of their levels, one evaluation per point."""
+    support = sorted(v - 1 for v in poly.support())
+    point = [0] * poly.n_vars
+    table = []
+    for combo in itertools.product(*(levels[j] for j in support)):
+        for j, v in zip(support, combo):
+            point[j] = v
+        table.append(poly.eval(point))
+    return support, table
+
+
 def oracle_render(poly):
     """The text of a polynomial: terms in graded lexicographic order,
     highest first, by a per-term sort key, with each factor formatted

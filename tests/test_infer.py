@@ -20,6 +20,7 @@ from gsds import (
     trajectory,
 )
 from gsds.infer import (
+    SolutionSpace,
     _feasible,
     _solve_linear,
     load_series,
@@ -34,6 +35,7 @@ from oracles import (
     oracle_constrained_interpolate,
     oracle_indicator_poly,
     oracle_interpolate_gf3,
+    oracle_member,
     oracle_solve_linear,
     oracle_table_poly,
 )
@@ -145,6 +147,30 @@ def test_every_basis_combination_is_a_solution():
         coeffs = [rng.randint(0, 2) for _ in range(space.dimension)]
         member = space.member(coeffs)
         assert space.is_solution(member)
+
+
+@st.composite
+def spaces_and_coefficients(draw):
+    """A solution space over GF(2), GF(3), GF(4), GF(5) or GF(257) with
+    drawn specified points, and coefficients for its basis, mostly 0."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5, 257])))
+    q = field.order
+    n = draw(st.integers(0, {2: 4, 3: 3, 4: 2, 5: 2, 257: 1}[q]))
+    points = list(iter_points(field, n))
+    specified = draw(st.sets(st.sampled_from(points), max_size=len(points)))
+    pairs = tuple((p, draw(st.integers(0, q - 1))) for p in points if p in specified)
+    space = SolutionSpace(field, n, pairs)
+    coefficient = st.one_of(st.just(0), st.integers(0, q - 1))
+    return space, draw(st.lists(coefficient, min_size=space.dimension, max_size=space.dimension))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_and_coefficients())
+def test_member_matches_running_sum(case):
+    space, coefficients = case
+    member = space.member(coefficients)
+    assert member == oracle_member(space, coefficients)
+    assert space.is_solution(member)
 
 
 def test_solution_space_exhaustive_small_case():

@@ -286,6 +286,22 @@ def full_support_model(field, n, schedule, seed=0):
     return GsdsModel(field, m.genes, m.graph, (first,) + tuple(m.local_polys[1:]), schedule)
 
 
+def test_portrait_tabulates_without_evaluating(monkeypatch):
+    # subcube tables come from the forward transform, not from one
+    # Polynomial.eval per subcube point
+    rng = random.Random(6)
+    m = random_model(Field(2), 6, (5, 0, 3, 1), seed=6)
+    dense = table_poly(m.field, 6, {p: rng.randint(0, 1) for p in iter_points(m.field, 6)})
+    assert dense.support() == set(range(1, 7)) and len(dense.terms) > 16
+    m = GsdsModel(m.field, m.genes, m.graph, (dense,) + m.local_polys[1:], m.schedule)
+    expected = [m.state_index(GlobalMap(m)(s)) for s in m.iter_states()]
+    calls = []
+    evaluate = Polynomial.eval
+    monkeypatch.setattr(Polynomial, "eval", lambda self, point: calls.append(point) or evaluate(self, point))
+    assert phase_portrait(m).successor == expected
+    assert calls == []
+
+
 @pytest.mark.parametrize("gather", [False, True])
 def test_kernel_walk_and_gather_match_scalar_map(monkeypatch, gather):
     monkeypatch.setattr(network, "_gathers", lambda *args: gather)

@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsds import Field, FieldMismatchError, Polynomial, PolyParseError
-from gsds.polyring import indicator_poly, iter_points, parse_poly, support_vars
+from gsds.polyring import (indicator_poly, iter_points, parse_poly, poly_table, support_vars,
+                           table_poly)
 
-from oracles import oracle_render
+from oracles import oracle_add, oracle_compose, oracle_mul, oracle_render, oracle_subcube_table
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -54,6 +55,11 @@ def test_parse_error_positions():
     with pytest.raises(PolyParseError) as err:
         parse_poly("x1 $ x2", 2, GF3)
     assert err.value.position == 3
+    # an empty, blank or truncated text fails at its end
+    for text, position in (("", 0), ("   ", 3), ("(", 1)):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, 2, GF3)
+        assert err.value.position == position
 
 
 def test_parse_variable_out_of_range():
@@ -363,3 +369,158 @@ def test_indicator_is_one_exactly_at_its_point(q, n):
         ind = indicator_poly(field, a)
         for p in points:
             assert ind.eval(p) == (1 if p == a else 0)
+
+
+# -- one reduction: sums, products and substitution against the oracles ----
+
+arith_settings = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def polys_in(field, n, max_terms, max_exp=None):
+    """Polynomials in GF(q)[x1..xn] of up to ``max_terms`` drawn terms,
+    zero coefficients included, exponents up to ``max_exp`` (default
+    q - 1)."""
+    top = field.order - 1 if max_exp is None else max_exp
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    terms = st.dictionaries(exps, st.integers(0, field.order - 1), max_size=max_terms)
+    return terms.map(lambda t: Polynomial(field, n, t))
+
+
+@st.composite
+def rings(draw, max_vars):
+    """GF(2), GF(3), GF(4) or GF(5) in 0 to ``max_vars`` variables, or
+    GF(257) in 0 to 2."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5, 257])))
+    return field, draw(st.integers(0, 2 if field.order == 257 else max_vars))
+
+
+@st.composite
+def sum_cases(draw):
+    field, n = draw(rings(8))
+    return draw(polys_in(field, n, 300)), draw(polys_in(field, n, 300))
+
+
+@st.composite
+def product_cases(draw):
+    field, n = draw(rings(6))
+    return draw(polys_in(field, n, 40)), draw(polys_in(field, n, 8))
+
+
+@st.composite
+def compose_cases(draw):
+    field, n = draw(rings(4))
+    poly = draw(polys_in(field, n, 8, max_exp=min(field.order - 1, 4)))
+    subs = [draw(polys_in(field, n, 3)) for _ in range(n)]
+    return poly, subs
+
+
+@arith_settings
+@given(sum_cases())
+def test_sum_matches_oracle(case):
+    a, b = case
+    assert a + b == oracle_add(a, b)
+    minus_b = Polynomial(b.field, b.n_vars, {e: b.field.neg(c) for e, c in b.terms.items()})
+    assert a - b == oracle_add(a, minus_b)
+    assert parse_poly((a + b).render(), a.n_vars, a.field) == a + b
+
+
+@arith_settings
+@given(product_cases())
+def test_product_matches_oracle(case):
+    a, b = case
+    assert a * b == oracle_mul(a, b)
+    assert parse_poly((a * b).render(), a.n_vars, a.field) == a * b
+
+
+@arith_settings
+@given(compose_cases())
+def test_compose_matches_oracle(case):
+    poly, subs = case
+    assert poly.compose(subs) == oracle_compose(poly, subs)
+
+
+def test_parse_coerce_calls_grow_linearly(monkeypatch):
+    # every '+' once copied and re-reduced the running sum, so parsing a
+    # rendered sum coerced O(terms^2) coefficients
+    rng = random.Random(8)
+    monomials = rng.sample(list(itertools.product(range(3), repeat=8)), 800)
+    texts = {k: Polynomial(GF3, 8, {e: rng.randint(1, 2) for e in monomials[:k]}).render()
+             for k in (400, 800)}
+    calls = []
+    coerce = Field.coerce
+    monkeypatch.setattr(Field, "coerce", lambda self, v: calls.append(v) or coerce(self, v))
+
+    def count(k):
+        calls.clear()
+        assert len(parse_poly(texts[k], 8, GF3).terms) == k
+        return len(calls)
+
+    assert count(800) <= 2.5 * count(400)
+
+
+# -- the forward transform ------------------------------------------------------
+
+
+@st.composite
+def tabulation_cases(draw):
+    """A zero, constant or drawn polynomial and per-variable level lists,
+    the whole field or a subset in drawn order (GF(257): the whole field
+    in at most one variable)."""
+    field, n = draw(rings(4))
+    q = field.order
+    poly = draw(st.one_of(
+        st.just(Polynomial.zero(field, n)),
+        st.integers(0, q - 1).map(lambda c: Polynomial.constant(field, n, c)),
+        polys_in(field, n, 20),
+    ))
+    subset = st.lists(st.integers(0, q - 1), min_size=1, max_size=min(q, 6), unique=True)
+    whole = st.just(list(range(q))) if q < 257 or n <= 1 else subset
+    return poly, [draw(st.one_of(whole, subset)) for _ in range(n)]
+
+
+@arith_settings
+@given(tabulation_cases())
+def test_poly_table_matches_pointwise_table(case):
+    poly, levels = case
+    assert poly_table(poly, levels) == oracle_subcube_table(poly, levels)
+
+
+def test_poly_table_of_constants():
+    assert poly_table(Polynomial.zero(GF3, 0), []) == ([], [0])
+    assert poly_table(Polynomial.constant(GF4, 0, 3), []) == ([], [3])
+    assert poly_table(Polynomial.constant(GF3, 2, 2), [(0, 1), (2,)]) == ([], [2])
+    assert poly_table(parse_poly("x2^2 + 1", 3, GF3), [(0,), (2, 0, 1), (1,)]) == ([1], [2, 1, 2])
+
+
+@st.composite
+def full_tables(draw):
+    field = Field(draw(st.sampled_from([2, 3, 4, 5, 257])))
+    n = draw(st.integers(0, {2: 6, 3: 4, 4: 3, 5: 3, 257: 1}[field.order]))
+    return draw(polys_in(field, n, 40))
+
+
+@arith_settings
+@given(full_tables())
+def test_table_poly_inverts_the_full_field_table(poly):
+    field, n = poly.field, poly.n_vars
+    values = {p: poly.eval(p) for p in iter_points(field, n)}
+    assert table_poly(field, n, values) == poly
+    # the same table from the forward transform on the support subcube
+    support, table = poly_table(poly, [field.elements()] * n)
+    on_support = dict(zip(iter_points(field, len(support)), table))
+    assert {p: on_support[tuple(p[j] for j in support)] for p in values} == values
+
+
+def test_arithmetic_matches_oracle_on_dense_polynomials():
+    rng = random.Random(3)
+    monomials = list(itertools.product(range(3), repeat=6))
+    a, b, c, d = (Polynomial(GF3, 6, {e: rng.randint(1, 2) for e in rng.sample(monomials, k)})
+                  for k in (300, 300, 12, 60))
+    assert a + b == oracle_add(a, b)
+    assert a * b == oracle_mul(a, b)
+    x = [Polynomial.variable(GF3, 6, j) for j in range(1, 7)]
+    subs = [c, x[2] + x[4], x[2], c, x[0] * x[5], Polynomial.constant(GF3, 6, 2)]
+    assert d.compose(subs) == oracle_compose(d, subs)
+    assert parse_poly((a * b).render(), 6, GF3) == a * b

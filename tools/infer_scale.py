@@ -3,10 +3,12 @@
 Draws a series of distinct random states on GF(2)^12 (64 transitions)
 and one on GF(3)^8 (60 transitions), infers a model from each with
 ``infer_network`` under the canonical and the sparsest preference,
-renders every inferred polynomial, and prints one line: the four times
-and a digest of the rendered text, which two checkouts that infer the
-same polynomials share.  Uses the gsds package of this checkout.  Run
-from anywhere:
+renders every inferred polynomial, saves each canonical model to a
+temporary file and times reading it back (``load_model``) and
+validating it (``validate_model``).  Prints one line: the four inference
+times, the load and validate times, and a digest of the rendered text,
+which two checkouts that infer the same polynomials share.  Uses the
+gsds package of this checkout.  Run from anywhere:
 
     python3 tools/infer_scale.py
 """
@@ -15,11 +17,12 @@ import hashlib
 import os
 import random
 import sys
+import tempfile
 from time import perf_counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from gsds import Field, infer_network  # noqa: E402
+from gsds import Field, infer_network, load_model, save_model, validate_model  # noqa: E402
 
 SERIES = ((2, 12, 64), (3, 8, 60))  # (q, genes, transitions)
 SEED = 0
@@ -35,6 +38,21 @@ def scale_series(q, n, transitions):
     return states
 
 
+def round_trip(model):
+    """The load and validate times of ``model`` saved to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        start = perf_counter()
+        loaded = load_model(path)
+        loaded_at = perf_counter()
+        report = validate_model(loaded)
+        done = perf_counter()
+    if not report.valid:
+        sys.exit(f"an inferred model fails validation:\n{report}")
+    return f"load {loaded_at - start:.2f} s + validate {done - loaded_at:.2f} s"
+
+
 def main():
     digest = hashlib.sha256()
     parts = []
@@ -47,6 +65,8 @@ def main():
             elapsed = perf_counter() - start
             digest.update("\n".join(texts + [""]).encode())
             parts.append(f"GF({q})^{n} {preference} {elapsed:.2f} s")
+            if preference == "canonical":
+                parts.append(f"GF({q})^{n} canonical model {round_trip(result.model)}")
     sizes = ", ".join(f"GF({q})^{n} {t} transitions" for q, n, t in SERIES)
     print(f"Inference at scale (seed {SEED}; {sizes}): {', '.join(parts)}; "
           f"rendered sha256 {digest.hexdigest()[:16]}")
