@@ -31,14 +31,17 @@ class PhasePortrait:
         self.attractors = attractors  # list of cycles, each a state-index list
         self.transient = transient  # per-state distance to its attractor
         self.basin = basin  # per-state attractor id
+        self._sizes = None
 
     @property
     def state_count(self):
         return len(self.successor)
 
     def basin_sizes(self):
-        sizes = Counter(self.basin)
-        return [sizes[aid] for aid in range(len(self.attractors))]
+        if self._sizes is None:  # counted once for the report and the summary DOT
+            sizes = Counter(self.basin)
+            self._sizes = [sizes[aid] for aid in range(len(self.attractors))]
+        return list(self._sizes)
 
     def max_transient(self):
         return max(self.transient, default=0)
@@ -197,18 +200,18 @@ def portrait_report(portrait):
 
 def transitions_dot(portrait, name="transitions"):
     """DOT digraph of the full state transition graph; attractor states
-    are drawn as double circles."""
+    are drawn as double circles.  Quoted labels are built gene by gene."""
     m = portrait.model
-    levels = [[m.format_level(v) for v in values] for values in m.state_sets]
-    labels = ["(" + ",".join(t) + ")" for t in itertools.product(*levels)]
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    labels = ['"(' if m.n else '"()"']
+    for k, values in enumerate(m.state_sets):
+        end = ')"' if k == m.n - 1 else ","
+        texts = [m.format_level(v) + end for v in values]
+        labels = [a + b for a in labels for b in texts]
     in_cycle = sorted(i for cycle in portrait.attractors for i in cycle)
-    for i in in_cycle:
-        lines.append(f'  "{labels[i]}" [shape=doublecircle];')
-    for i, j in enumerate(portrait.successor):
-        lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    lines += [f"  {labels[i]} [shape=doublecircle];" for i in in_cycle]
+    lines += [f"  {a} -> {b};" for a, b in zip(labels, map(labels.__getitem__, portrait.successor))]
+    return "\n".join(lines) + "\n}\n"
 
 
 def attractor_summary_dot(portrait, name="attractors"):
@@ -222,10 +225,7 @@ def attractor_summary_dot(portrait, name="attractors"):
             f'length {len(cycle)}, basin {sizes[aid]}";'
         )
         labels = [m.format_state(m.state_at(i)) for i in cycle]
-        for lab in labels:
-            lines.append(f'    "{lab}";')
-        for k, lab in enumerate(labels):
-            lines.append(f'    "{lab}" -> "{labels[(k + 1) % len(labels)]}";')
+        lines += [f'    "{lab}";' for lab in labels]
+        lines += [f'    "{a}" -> "{b}";' for a, b in zip(labels, labels[1:] + labels[:1])]
         lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n}\n"

@@ -30,7 +30,7 @@ import sys
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level, format_state
 from .files import FORMAT_VERSION, document, load, write_json
-from .polyring import Polynomial, parse_poly, poly_table
+from .polyring import Polynomial, parse_poly, poly_table, probe_variable
 
 
 class DependencyGraph:
@@ -445,9 +445,9 @@ def validate_model(model):
     Dependence over any product domain implies membership in the
     reduced-form support, so only support variables outside a vertex's
     neighborhood are probed for a witness pair.  A value depends only on
-    the support coordinates, so ranges are checked on each polynomial's
-    support subcube; only a polynomial with an out-of-range value there
-    is evaluated state by state for the violations, in state index order.
+    the support coordinates, so both checks read each polynomial's table
+    on its support subcube, for a range violation state by state in state
+    index order; no state is evaluated term by term.
     """
     report = ValidationReport(model.genes)
     domain, tables = model.state_sets, _subcube_tables(model)
@@ -456,14 +456,16 @@ def validate_model(model):
         for var in sorted(poly.support()):
             if (var - 1) in allowed:
                 continue
-            witness = poly._probe_variable(var - 1, domain)
+            witness = probe_variable(tables[i], var - 1, domain)
             if witness:
                 report.locality.append((i, var, witness))
         values = set(domain[i])
-        if values.issuperset(tables[i][1]):
+        support, table = tables[i]
+        if values.issuperset(table):
             continue
+        value_at = dict(zip(itertools.product(*(domain[j] for j in support)), table))
         for state in model.iter_states():
-            value = poly.eval(state)
+            value = value_at[tuple(map(state.__getitem__, support))]
             if value not in values:
                 report.range.append((i, state, value))
     return report

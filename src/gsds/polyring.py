@@ -28,6 +28,8 @@ import operator
 from .errors import FieldMismatchError, PolyParseError
 from .ffield import GF4_ADD, GF4_MUL
 
+PARSE_MAX_DEPTH = 100  # parentheses nested in one text; three parser frames each
+
 
 def iter_points(field, n_vars):
     """All points of GF(q)^n in mixed-radix (first variable slowest) order."""
@@ -209,22 +211,6 @@ class Polynomial:
         """1-based indices of variables appearing in the reduced form."""
         return frozenset(j + 1 for j, col in enumerate(zip(*self.terms)) if any(col))
 
-    def _probe_variable(self, j, domain):
-        """The first pair in product order of points of ``domain`` that
-        differ only in x_(j+1) and give different values, or None.  It has
-        every coordinate off the support at its first level."""
-        others = sorted(v - 1 for v in self.support() if v != j + 1)
-        point = [values[0] for values in domain]
-        for rest in itertools.product(*(domain[k] for k in others)):
-            for k, v in zip(others, rest):
-                point[k] = v
-            line = [tuple(point[:j]) + (v,) + tuple(point[j + 1 :]) for v in domain[j]]
-            value = self.eval(line[0])
-            witness = next((p for p in line[1:] if self.eval(p) != value), None)
-            if witness:
-                return line[0], witness
-        return None
-
     # -- rendering -----------------------------------------------------
 
     def render(self):
@@ -267,7 +253,8 @@ def support_vars(poly, domain=None):
         if not values:
             raise ValueError(f"empty domain for variable x{j + 1}")
     # only variables in the reduced-form support can influence values
-    return frozenset(v for v in poly.support() if poly._probe_variable(v - 1, domain))
+    tabled = poly_table(poly, domain)
+    return frozenset(v for v in poly.support() if probe_variable(tabled, v - 1, domain))
 
 
 @functools.lru_cache(maxsize=64)
@@ -381,6 +368,24 @@ def poly_table(poly, levels):
     return support, [table.get(i, 0) for i in range(math.prod(sizes))]
 
 
+def probe_variable(tabled, j, domain):
+    """The first pair in product order of points of ``domain`` that differ
+    only in x_(j+1), a support variable, and give different values, or
+    None, read from ``tabled``: the polynomial's ``poly_table`` over
+    ``domain``.  The pair has every coordinate off the support at its
+    first level."""
+    support, table = tabled
+    t = support.index(j)
+    value_at = dict(zip(itertools.product(*(domain[k] for k in support)), table))
+    for sub, value in value_at.items():
+        for v in domain[j][1:] if sub[t] == domain[j][0] else ():
+            other = sub[:t] + (v,) + sub[t + 1 :]
+            if value_at[other] != value:
+                return tuple(tuple(dict(zip(support, s)).get(k, levels[0])
+                                   for k, levels in enumerate(domain)) for s in (sub, other))
+    return None
+
+
 def indicator_poly(field, point):
     """The polynomial that is 1 at ``point`` and 0 elsewhere on GF(q)^n."""
     return table_poly(field, len(point), {tuple(field.coerce(a) for a in point): 1})
@@ -388,7 +393,8 @@ def indicator_poly(field, point):
 
 def parse_poly(text, n_vars, field):
     """Parse polynomial text into reduced form.  See the module docstring
-    for the grammar; raises PolyParseError with a character position."""
+    for the grammar; raises PolyParseError with a character position
+    (also past PARSE_MAX_DEPTH nested parentheses)."""
     return _Parser(text, n_vars, field).parse()
 
 
@@ -398,6 +404,7 @@ class _Parser:
         self.n = n_vars
         self.field = field
         self.pos = 0
+        self.mul = _field_rows(field)[1]
 
     def parse(self):
         result = self._expr()
@@ -411,31 +418,47 @@ class _Parser:
             self.pos += 1
         return self.text[self.pos : self.pos + 1]
 
-    def _expr(self):
-        terms = []
-        ch = self._peek()
-        while True:
-            if ch and ch in "+-":
-                self.pos += 1
-            elif terms:
-                return poly_sum(self.field, self.n, terms)
-            term = self._term()
-            terms.append(-term if ch == "-" else term)
-            ch = self._peek()
-
-    def _term(self):
-        result = self._factor()
-        while self._peek() == "*":
+    def _expr(self, depth=0):
+        """A signed sum of terms, all their pairs reduced in one call."""
+        pairs, ch = [], self._peek()
+        if ch and ch in "+-":
             self.pos += 1
-            result = result * self._factor()
-        return result
+        while True:
+            pairs += self._term(ch == "-", depth)
+            ch = self._peek()
+            if not (ch and ch in "+-"):
+                return _reduced(self.field, self.n, pairs)
+            self.pos += 1
 
-    def _factor(self):
+    def _term(self, negative, depth):
+        """A product of factors as (exponents, coefficient) pairs: numbers
+        multiply on the field's rows and variable powers add into one
+        exponent list; only a parenthesised factor costs a product."""
+        exps, coeff, poly = [0] * self.n, self.field.coerce(-1 if negative else 1), None
+        while True:
+            factor = self._factor(exps, depth)
+            if isinstance(factor, Polynomial):
+                poly = factor if poly is None else poly * factor
+            else:
+                coeff = self.mul[coeff][factor]
+            if self._peek() != "*":
+                break
+            self.pos += 1
+        if poly is None:
+            return [(tuple(exps), coeff)]
+        mul = self.mul[coeff]
+        return [(tuple(map(operator.add, e, exps)), mul[c]) for e, c in poly.terms.items()]
+
+    def _factor(self, exps, depth):
+        """A parenthesised factor as a Polynomial, a number as a field
+        value, or a variable power added into ``exps`` (returning 1)."""
         ch = self._peek()
         if ch == "(":
             open_pos = self.pos
+            if depth == PARSE_MAX_DEPTH:
+                raise PolyParseError(f"parentheses nested deeper than {depth}", open_pos)
             self.pos += 1
-            inner = self._expr()
+            inner = self._expr(depth + 1)
             if self._peek() != ")":
                 raise PolyParseError("unclosed parenthesis", open_pos)
             self.pos += 1
@@ -446,7 +469,7 @@ class _Parser:
                 raise PolyParseError(
                     f"coefficient {value} is not a canonical GF(4) value", self.pos
                 )
-            return Polynomial.constant(self.field, self.n, value)
+            return self.field.coerce(value)
         if ch == "x":
             var_pos = self.pos
             self.pos += 1
@@ -454,25 +477,20 @@ class _Parser:
                 raise PolyParseError("variable needs an index", var_pos)
             index = self._integer()
             if not 1 <= index <= self.n:
-                raise PolyParseError(
-                    f"variable x{index} outside 1..{self.n}", var_pos
-                )
+                raise PolyParseError(f"variable x{index} outside 1..{self.n}", var_pos)
             exponent = 1
             if self._peek() == "^":
                 self.pos += 1
                 exp_pos = self.pos
-                sign = 1
-                if self._peek() == "-":
-                    self.pos += 1
-                    sign = -1
+                negative = self._peek() == "-"
+                self.pos += negative
                 if not self._peek().isdigit():
                     raise PolyParseError("exponent must be an integer", exp_pos)
-                exponent = sign * self._integer()
-                if exponent < 0:
+                exponent = self._integer()
+                if negative and exponent:
                     raise PolyParseError("negative exponent", exp_pos)
-            exps = [0] * self.n
-            exps[index - 1] = exponent
-            return Polynomial(self.field, self.n, {tuple(exps): 1})
+            exps[index - 1] += exponent
+            return 1
         if ch == "":
             raise PolyParseError("unexpected end of input", self.pos)
         raise PolyParseError(f"unexpected character {ch!r}", self.pos)

@@ -3,9 +3,9 @@
 import itertools
 
 from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samples
-from gsds.errors import ZenoError
+from gsds.errors import PolyParseError, ZenoError
 from gsds.network import global_map
-from gsds.polyring import Polynomial
+from gsds.polyring import Polynomial, poly_sum
 from gsds.translate import discretize
 
 
@@ -155,6 +155,118 @@ def oracle_render(poly):
         else:
             parts.append("*".join([str(coeff)] + factors))
     return " + ".join(parts)
+
+
+def oracle_parse_poly(text, n_vars, field):
+    """Recursive descent that builds one Polynomial per factor, one
+    product per '*' and one reduced sum per expression; no nesting
+    bound."""
+    return _OracleParser(text, n_vars, field).parse()
+
+
+class _OracleParser:
+    def __init__(self, text, n_vars, field):
+        self.text = text
+        self.n = n_vars
+        self.field = field
+        self.pos = 0
+
+    def parse(self):
+        result = self._expr()
+        if self._peek():
+            raise PolyParseError(f"unexpected character {self._peek()!r}", self.pos)
+        return result
+
+    def _peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos : self.pos + 1]
+
+    def _expr(self):
+        terms = []
+        ch = self._peek()
+        while True:
+            if ch and ch in "+-":
+                self.pos += 1
+            elif terms:
+                return poly_sum(self.field, self.n, terms)
+            term = self._term()
+            terms.append(-term if ch == "-" else term)
+            ch = self._peek()
+
+    def _term(self):
+        result = self._factor()
+        while self._peek() == "*":
+            self.pos += 1
+            result = result * self._factor()
+        return result
+
+    def _factor(self):
+        ch = self._peek()
+        if ch == "(":
+            open_pos = self.pos
+            self.pos += 1
+            inner = self._expr()
+            if self._peek() != ")":
+                raise PolyParseError("unclosed parenthesis", open_pos)
+            self.pos += 1
+            return inner
+        if ch.isdigit():
+            value = self._integer()
+            if self.field.kind == "gf4" and value > 3:
+                raise PolyParseError(
+                    f"coefficient {value} is not a canonical GF(4) value", self.pos
+                )
+            return Polynomial.constant(self.field, self.n, value)
+        if ch == "x":
+            var_pos = self.pos
+            self.pos += 1
+            if not self._peek().isdigit():
+                raise PolyParseError("variable needs an index", var_pos)
+            index = self._integer()
+            if not 1 <= index <= self.n:
+                raise PolyParseError(f"variable x{index} outside 1..{self.n}", var_pos)
+            exponent = 1
+            if self._peek() == "^":
+                self.pos += 1
+                exp_pos = self.pos
+                sign = 1
+                if self._peek() == "-":
+                    self.pos += 1
+                    sign = -1
+                if not self._peek().isdigit():
+                    raise PolyParseError("exponent must be an integer", exp_pos)
+                exponent = sign * self._integer()
+                if exponent < 0:
+                    raise PolyParseError("negative exponent", exp_pos)
+            exps = [0] * self.n
+            exps[index - 1] = exponent
+            return Polynomial(self.field, self.n, {tuple(exps): 1})
+        if ch == "":
+            raise PolyParseError("unexpected end of input", self.pos)
+        raise PolyParseError(f"unexpected character {ch!r}", self.pos)
+
+    def _integer(self):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return int(self.text[start : self.pos])
+
+
+def oracle_transitions_dot(portrait, name="transitions"):
+    """The transition digraph with one label per state joined from its
+    level tuple, and one formatted line per state."""
+    m = portrait.model
+    levels = [[m.format_level(v) for v in values] for values in m.state_sets]
+    labels = ["(" + ",".join(t) + ")" for t in itertools.product(*levels)]
+    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    in_cycle = sorted(i for cycle in portrait.attractors for i in cycle)
+    for i in in_cycle:
+        lines.append(f'  "{labels[i]}" [shape=doublecircle];')
+    for i, j in enumerate(portrait.successor):
+        lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_solve_linear(field, rows, rhs):

@@ -570,6 +570,9 @@ MALFORMED = [
     ("model-local-unparseable", "model",
      lambda d: {**d, "locals": {**d["locals"], "g1": "x1 $"}}, "validate"),
     ("model-balanced-gf2", "model", _replace("field", 2), "validate"),
+    ("model-local-nested-1000", "model",
+     lambda d: {**d, "locals": {**d["locals"], "g1": "(" * 1000 + "x1" + ")" * 1000}},
+     "validate"),
     ("series-flat-states", "series", _replace("states", [0, 1]), "infer"),
     ("series-genes-string", "series", _replace("genes", "abc"), "infer"),
     ("series-unknown-display", "series", _replace("display", "bogus"), "infer"),

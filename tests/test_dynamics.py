@@ -21,7 +21,7 @@ from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_do
 from gsds.polyring import Polynomial, parse_poly, table_poly
 
 from conftest import build_example1, build_example3
-from oracles import oracle_phase_portrait
+from oracles import oracle_phase_portrait, oracle_transitions_dot
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -369,6 +369,17 @@ def test_transitions_dot_output():
     assert '"(-1,1,-1)" -> "(0,1,0)";' in dot
     assert '"(-1,1,-1)" [shape=doublecircle];' in dot
     assert dot.count("->") == 27
+    assert dot == oracle_transitions_dot(p)
+
+
+def test_transitions_dot_one_balanced_gene():
+    gf5 = Field(5)
+    m = GsdsModel(gf5, ["g"], DependencyGraph(1, set()), [parse_poly("2*x1 + 1", 1, gf5)],
+                  None, display="balanced")
+    p = phase_portrait(m)
+    dot = transitions_dot(p)
+    assert dot == oracle_transitions_dot(p)
+    assert '"(-1)" [shape=doublecircle];' in dot and '"(-1)" -> "(-1)";' in dot
 
 
 def test_attractor_summary_dot_output():

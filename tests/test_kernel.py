@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationError,
                   network, phase_portrait)
 from gsds.cli import main
+from gsds.dynamics import transitions_dot
 from gsds.network import ValidationReport, save_model, validate_model
 from gsds.polyring import Polynomial, iter_points, parse_poly, support_vars, table_poly
 
-from oracles import oracle_phase_portrait, oracle_probe_variable
+from oracles import oracle_phase_portrait, oracle_probe_variable, oracle_transitions_dot
 
 FIELDS = [Field(q) for q in (2, 3, 4, 5)]
 
@@ -136,6 +137,37 @@ def test_validate_matches_exhaustive_loop(m):
         assert support_vars(poly, m.state_sets) == frozenset(
             v for v in poly.support()
             if oracle_probe_variable(poly, v - 1, m.state_sets))
+
+
+@kernel_settings
+@given(models(closed=True), st.booleans())
+def test_transitions_dot_matches_oracle(m, balanced):
+    if balanced and m.field.order in (3, 5):
+        m = m.replace(display="balanced")
+    p = phase_portrait(m)
+    assert transitions_dot(p) == oracle_transitions_dot(p)
+    assert transitions_dot(p, "g") == oracle_transitions_dot(p, "g")
+
+
+def test_failed_validation_reads_the_tables(monkeypatch):
+    # locality witnesses and range lines of a dense polynomial come from
+    # its subcube table, not from one Polynomial.eval per point
+    rng, field, n = random.Random(9), Field(3), 5
+    dense = table_poly(field, n, {p: rng.randint(0, 2) for p in iter_points(field, n)})
+    polys = [dense] + [Polynomial.variable(field, n, j + 1) for j in range(1, n)]
+    sets = [(0, 2), (0, 1, 2), (1, 2), (0, 1, 2), (0, 1)]
+    m = GsdsModel(field, [f"g{j}" for j in range(n)], DependencyGraph(n, {(1, 0)}),
+                  polys, None, state_sets=sets)
+    expected = reference_validate(m)
+    probed = frozenset(v for v in dense.support() if oracle_probe_variable(dense, v - 1, sets))
+    assert len(expected.locality) == 3 and expected.range
+    calls = []
+    evaluate = Polynomial.eval
+    monkeypatch.setattr(Polynomial, "eval", lambda self, point: calls.append(point) or evaluate(self, point))
+    report = validate_model(m)
+    assert (report.locality, report.range) == (expected.locality, expected.range)
+    assert support_vars(dense, sets) == probed
+    assert calls == []
 
 
 def test_locality_probe_scans_the_support_only(monkeypatch):
@@ -258,6 +290,7 @@ def test_kernel_zero_gene_model(tmp_path, capsys):
     assert_kernel_matches_scalar(m)
     assert GlobalMap(m).truth_table() == ((),)
     assert phase_portrait(m).fixed_points() == [()]
+    assert transitions_dot(phase_portrait(m)) == oracle_transitions_dot(phase_portrait(m))
     path = tmp_path / "empty.json"
     save_model(m, path)
     assert main(["portrait", str(path)]) == 0

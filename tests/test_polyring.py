@@ -5,11 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gsds import Field, FieldMismatchError, Polynomial, PolyParseError
-from gsds.polyring import (indicator_poly, iter_points, parse_poly, poly_table, support_vars,
-                           table_poly)
+from gsds import Field, FieldMismatchError, Polynomial, PolyParseError, polyring
+from gsds.polyring import (PARSE_MAX_DEPTH, indicator_poly, iter_points, parse_poly, poly_table,
+                           support_vars, table_poly)
 
-from oracles import oracle_add, oracle_compose, oracle_mul, oracle_render, oracle_subcube_table
+from oracles import (oracle_add, oracle_compose, oracle_mul, oracle_parse_poly, oracle_render,
+                     oracle_subcube_table)
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -73,6 +74,7 @@ def test_parse_negative_exponent_rejected():
     with pytest.raises(PolyParseError) as err:
         parse_poly("x1^-2", 2, GF3)
     assert "negative exponent" in str(err.value)
+    assert parse_poly("x1^-0", 2, GF3) == Polynomial.constant(GF3, 2, 1)
 
 
 def test_parse_unclosed_paren():
@@ -85,6 +87,100 @@ def test_parse_gf4_coefficients_are_canonical_values():
     assert p.eval((1,)) == GF4.add(2, 3)
     with pytest.raises(PolyParseError):
         parse_poly("5*x1", 1, GF4)
+
+
+def test_parse_multiplies_numbers_in_the_field():
+    # in GF(4), 2 * 3 = 1: the plain integer product 6 is not a field value
+    assert parse_poly("2*3*x1", 1, GF4) == Polynomial.variable(GF4, 1, 1)
+    assert parse_poly("3*x1*2*x1^0 + 2*2", 1, GF4).terms == {(1,): 1, (0,): 3}
+
+
+def test_parse_nesting_bound():
+    deep = "(" * PARSE_MAX_DEPTH + "x1" + ")" * PARSE_MAX_DEPTH
+    assert parse_poly(deep, 1, GF3) == Polynomial.variable(GF3, 1, 1)
+    # the error is raised at the first parenthesis past the bound
+    for text in (f"x1 * ({deep})", "2 + " + "(" * 1000 + "x1" + ")" * 1000):
+        with pytest.raises(PolyParseError, match="nested deeper than") as err:
+            parse_poly(text, 1, GF3)
+        assert err.value.position == text.index("(") + PARSE_MAX_DEPTH
+
+
+def test_parse_of_a_rendered_sum_reduces_once(monkeypatch):
+    rng = random.Random(5)
+    monomials = rng.sample(list(itertools.product(range(3), repeat=8)), 500)
+    poly = Polynomial(GF3, 8, {e: rng.randint(1, 2) for e in monomials})
+    calls = []
+    reduced = polyring._reduced
+    monkeypatch.setattr(polyring, "_reduced", lambda *a: calls.append(1) or reduced(*a))
+    assert parse_poly(poly.render(), 8, GF3) == poly
+    assert len(calls) == 1
+
+
+parse_settings = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def poly_texts(draw):
+    """A field, a variable count and a well-formed text with signs,
+    blanks, nested parentheses, repeated variables, ``^0``, exponents
+    past q and products of several numbers."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5])))
+    n = draw(st.integers(1, 4))
+    numbers = st.integers(0, 3 if field.kind == "gf4" else 12).map(str)
+    blank = st.sampled_from(["", "", " ", "  ", "\t"])
+
+    def factor(depth):
+        kind = draw(st.sampled_from(["number", "variable", "variable", "parens"][: 3 + (depth > 0)]))
+        if kind == "number":
+            return draw(numbers)
+        if kind == "variable":
+            text = f"x{draw(st.integers(1, n))}"
+            if draw(st.booleans()):
+                text += f"^{draw(st.integers(0, 2 * field.order))}"
+            return text
+        return "(" + draw(blank) + expr(depth - 1) + draw(blank) + ")"
+
+    def term(depth):
+        factors = [factor(depth) for _ in range(draw(st.integers(1, 4)))]
+        return (draw(blank) + "*" + draw(blank)).join(factors)
+
+    def expr(depth):
+        text = draw(st.sampled_from(["", "", "-", "+"])) + draw(blank) + term(depth)
+        for _ in range(draw(st.integers(0, 3))):
+            text += draw(blank) + draw(st.sampled_from("+-")) + draw(blank) + term(depth)
+        return text
+
+    return field, n, draw(blank) + expr(2) + draw(blank)
+
+
+def parse_outcome(parse, text, n, field):
+    """The parsed terms, or the error message and position."""
+    try:
+        return parse(text, n, field).terms
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+@parse_settings
+@given(poly_texts())
+def test_parse_matches_oracle(case):
+    field, n, text = case
+    assert parse_poly(text, n, field).terms == oracle_parse_poly(text, n, field).terms
+
+
+@parse_settings
+@given(poly_texts(), st.data())
+def test_parse_errors_match_oracle(case, data):
+    # a well-formed text with one character replaced, inserted or deleted
+    field, n, text = case
+    pos = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from("x1234567^+-*() $."))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    text = text[:pos] + ("" if edit == "delete" else char) + text[pos + (edit != "insert"):]
+    assert parse_outcome(parse_poly, text, n, field) == parse_outcome(oracle_parse_poly, text, n,
+                                                                       field)
 
 
 # -- evaluation ----------------------------------------------------------

@@ -1,9 +1,12 @@
 """Time and peak memory of one large phase portrait.
 
 Builds a seeded random parallel model on GF(2)^22 whose genes each read
-three genes, runs ``phase_portrait`` and ``portrait_report`` on it with
-the gsds package of this checkout, and prints one line: the two times
-and the peak resident set size of the process.  Run from anywhere:
+three genes, runs ``phase_portrait``, ``portrait_report``,
+``transitions_dot`` and ``attractor_summary_dot`` on it with the gsds
+package of this checkout, and prints one line: the four times and the
+peak resident set size of the process.  The peak is read before the DOT
+text exists (``ru_maxrss`` is a maximum over the process's life), so it
+is the portrait's and the report's.  Run from anywhere:
 
     python3 tools/portrait_scale.py
 """
@@ -17,7 +20,7 @@ from time import perf_counter
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from gsds import DependencyGraph, Field, GsdsModel, phase_portrait  # noqa: E402
-from gsds.dynamics import portrait_report  # noqa: E402
+from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_dot  # noqa: E402
 from gsds.polyring import Polynomial  # noqa: E402
 
 GENES, IN_DEGREE, TERMS, SEED = 22, 3, 4, 0
@@ -50,9 +53,15 @@ def main():
     report = portrait_report(portrait)
     end = perf_counter()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    transitions_dot(portrait)
+    dot_end = perf_counter()
+    attractor_summary_dot(portrait)
+    summary_end = perf_counter()
     print(f"Portrait at scale (GF(2)^{GENES}, in-degree {IN_DEGREE}, parallel, seed {SEED}): "
           f"{report['attractor_count']} attractors; portrait {middle - start:.2f} s, "
-          f"report {end - middle:.2f} s, peak RSS {peak_mb:.0f} MB")
+          f"report {end - middle:.2f} s, transitions DOT {dot_end - end:.2f} s, "
+          f"summary DOT {summary_end - dot_end:.2f} s, "
+          f"peak RSS before the DOT text {peak_mb:.0f} MB")
 
 
 if __name__ == "__main__":
