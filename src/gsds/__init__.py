@@ -12,10 +12,8 @@ from .continuous import (
     HybridResult,
     RatePolicy,
     SectionalLinear,
-    eval_sectional,
     fit_from_samples,
     hybrid_simulate,
-    make_sectional_linear,
 )
 from .dynamics import (
     PhasePortrait,
@@ -39,7 +37,6 @@ from .errors import (
 )
 from .ffield import (
     Field,
-    FieldElement,
     balanced_decode,
     balanced_encode,
     gf4_table_errata,
@@ -65,7 +62,6 @@ from .network import (
     load_model,
     parallel_to_sequential,
     save_model,
-    step,
     trajectory,
     validate_model,
 )

@@ -88,17 +88,6 @@ class SectionalLinear:
 
     __call__ = value
 
-    def sample(self, times):
-        return [self.value(t) for t in times]
-
-
-def make_sectional_linear(breakpoints, segments, outside_mode="zero"):
-    return SectionalLinear(breakpoints, segments, outside_mode)
-
-
-def eval_sectional(func, t):
-    return func.value(t)
-
 
 def fit_from_samples(times, values, outside_mode="zero"):
     """The piecewise-linear interpolant through consecutive samples."""

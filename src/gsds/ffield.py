@@ -2,8 +2,7 @@
 
 Field elements are plain ints in the canonical range {0, ..., q-1}; a
 ``Field`` object carries the operations, as in most small finite-field
-libraries.  ``FieldElement`` is a thin wrapper with overloaded operators
-for callers that prefer value objects.
+libraries.
 
 GF(4) uses the bit-pair encoding 0=00, 1=01, 2=10, 3=11, where 2 is a
 root ``a`` of z^2 + z + 1 over GF(2), so 3 = a^2 = a + 1.  Addition is
@@ -20,7 +19,7 @@ canonical value 2 shown as -1.  The balanced form is presentation only:
 all internal arithmetic stays canonical.
 """
 
-from .errors import FieldMismatchError, UnsupportedEncodingError
+from .errors import UnsupportedEncodingError
 
 MAX_PRIME = 257
 
@@ -94,9 +93,6 @@ class Field:
             raise ValueError(f"value {value} outside canonical range of {self!r}")
         return value
 
-    def element(self, value):
-        return FieldElement(self, self.check(value))
-
     def coerce(self, value):
         """Reduce an arbitrary int to a canonical value.
 
@@ -151,80 +147,6 @@ class Field:
         for _ in range(e % 3):  # nonzero elements of GF(4) have order dividing 3
             r = GF4_MUL[r][a]
         return r
-
-
-class FieldElement:
-    """A canonical value paired with its field, with operator overloads."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = field.check(value)
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.value}"
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.order, self.value))
-
-    def _operand(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields: {self.field!r} and {other.field!r}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return self.field.coerce(other)
-        return None
-
-    def _wrap(self, value):
-        return FieldElement(self.field, value)
-
-    def __add__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is None else self._wrap(self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is None else self._wrap(self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is None else self._wrap(self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is None else self._wrap(self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is None else self._wrap(self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._operand(other)
-        return NotImplemented if v is None else self._wrap(self.field.div(v, self.value))
-
-    def __neg__(self):
-        return self._wrap(self.field.neg(self.value))
-
-    def __pow__(self, e):
-        return self._wrap(self.field.pow(self.value, e))
-
-    def inverse(self):
-        return self._wrap(self.field.inv(self.value))
 
 
 def _require_balanced(field):

@@ -5,9 +5,10 @@ Every file kind is one JSON object with a ``format_version`` (1 when
 absent).  ``write_json`` writes every file and JSON report,
 ``document`` is the one version check, and ``load`` reads every file.
 A document of the wrong shape surfaces as a TypeError, AttributeError
-or KeyError while it is interpreted; ``load`` turns these, bad JSON and
-bad values into one ValueError that names the file kind and path; a
-parse or encoding error keeps its type and only gains that prefix.
+or KeyError while it is interpreted; ``load`` turns these, bad or too
+deeply nested JSON and bad values into one ValueError that names the
+file kind and path; a parse or encoding error keeps its type and only
+gains that prefix.
 """
 
 import json
@@ -81,5 +82,5 @@ def load(path, kind, from_dict, *args):
         raise
     except KeyError as exc:
         raise ValueError(f"malformed {kind} file {path}: missing key {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed {kind} file {path}: {exc}") from None

@@ -143,6 +143,7 @@ class GsdsModel:
         self.state_sets = state_sets
         self.display = display
         self._tables = []  # subcube tables, filled once, see _subcube_tables
+        self._positions = [{v: p for p, v in enumerate(values)} for values in state_sets]
 
     @property
     def n(self):
@@ -221,9 +222,7 @@ class GsdsModel:
 
 def apply_local(model, i, state):
     """Apply gene i's local update: only coordinate i may change."""
-    state = model.check_state(state)
-    value = model.local_polys[i].eval(state)
-    return state[:i] + (value,) + state[i + 1 :]
+    return GlobalMap(model.replace(schedule=(i,)))(model.check_state(state))
 
 
 # -- truth-table kernel ------------------------------------------------
@@ -247,8 +246,8 @@ def _strides(levels):
 
 def _subcube_tables(model):
     """Each local polynomial's ``poly_table`` over the state sets, kept on
-    the model (and its replacements) so that validation and the fold
-    tabulate once."""
+    the model (and its replacements) so that validation, the bitset fold
+    and the map call tabulate once."""
     if not model._tables:
         model._tables.extend(poly_table(p, model.state_sets) for p in model.local_polys)
     return model._tables
@@ -260,9 +259,8 @@ def _fold_bits(model):
     or not, leaves its gene's levels (only a model failing range
     validation has one), so None does not depend on the word.  A parallel
     map reads the input bitsets; a word updates them in order."""
-    levels = model.state_sets
+    levels, position = model.state_sets, model._positions
     tables = _subcube_tables(model)
-    position = [{v: p for p, v in enumerate(values)} for values in levels]
     if not all(pos.keys() >= set(t) for pos, (_, t) in zip(position, tables)):
         return None
     total = math.prod(map(len, levels))
@@ -367,15 +365,35 @@ class GlobalMap:
 
     def __init__(self, model):
         self.model = model
+        self._fold = None  # per word entry: gene, (support gene, positions), table
 
     def __call__(self, state):
+        """The image of ``state``: each updated gene's value is read from its
+        subcube table, at the mixed-radix position of its support levels.
+        A parallel map reads the input state, a word the state it updates.
+        A level outside a state set has no position; the gene's polynomial
+        is evaluated there instead."""
         m = self.model
-        if m.parallel:
-            return tuple(p.eval(state) for p in m.local_polys)
-        current = list(state)
-        for i in m.schedule:
-            current[i] = m.local_polys[i].eval(current)
-        return tuple(current)
+        if len(state) != m.n:
+            raise FieldMismatchError(
+                f"point has {len(state)} coordinates, polynomial has {m.n}"
+            )
+        if self._fold is None:
+            genes = [(i, [(j, m._positions[j]) for j in support], table)
+                     for i, (support, table) in enumerate(_subcube_tables(m))]
+            self._fold = genes if m.parallel else [genes[i] for i in m.schedule]
+        out = list(state)
+        src = state if m.parallel else out
+        for i, readers, table in self._fold:
+            index = 0
+            try:
+                for j, position in readers:
+                    index = index * len(position) + position[src[j]]
+            except KeyError:
+                out[i] = m.local_polys[i].eval(src)
+            else:
+                out[i] = table[index]
+        return tuple(out)
 
     def coordinate_polys(self):
         """The parallel coordinate functions F1..Fn as reduced polynomials:
@@ -422,10 +440,6 @@ def global_map(model, validate=True):
         if not report.valid:
             raise ModelValidationError(report)
     return GlobalMap(model)
-
-
-def step(model, state):
-    return GlobalMap(model)(state)
 
 
 def trajectory(model, state, steps):

@@ -392,6 +392,17 @@ def oracle_phase_portrait(successor):
     return [attractors[a] for a in order], transient, [remap[a] for a in attr_of]
 
 
+def oracle_global_map(model, state):
+    """The composed map evaluated term by term: every updated gene's
+    polynomial at the current state, in parallel or along the word."""
+    if model.parallel:
+        return tuple(p.eval(state) for p in model.local_polys)
+    current = list(state)
+    for i in model.schedule:
+        current[i] = model.local_polys[i].eval(current)
+    return tuple(current)
+
+
 def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
     """The hybrid event loop evaluating the map and every rate, and
     building every gene's crossing targets, at each event."""
@@ -401,10 +412,10 @@ def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS)
     if len(c0) != n or tmap.n != n:
         raise ValueError("initial vector, model, and thresholds disagree on gene count")
     rates.check_coverage(model)
-    fmap = global_map(model)
+    global_map(model)  # validates
 
     def slopes_for(state, conc):
-        act = fmap(state)
+        act = oracle_global_map(model, state)
         out = []
         for j in range(n):
             v = rates.slope(j, act[j])

@@ -313,6 +313,18 @@ def test_check_incompatible_exits_4(workspace, capsys):
     assert "pair 0" in err
 
 
+def test_check_with_fewer_csv_genes_than_model_genes_exits_1(workspace, capsys):
+    csv = workspace["dir"] / "two_genes.csv"
+    rows = [f"{t},{a},{b}" for t, (a, b, _) in zip(EX3_TIMES, EX3_ROWS)]
+    csv.write_text("\n".join(["t,g1,g2"] + rows) + "\n")
+    code, out, err = run(
+        capsys, "check", csv,
+        "--thresholds", workspace["thresholds"], "--model", workspace["ex3"],
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: point has 2 coordinates, polynomial has 3\n"
+
+
 # -- infer -----------------------------------------------------------------------
 
 
@@ -557,7 +569,7 @@ def _replace(key, value):
     return lambda d: {**d, key: value}
 
 
-# (case, file kind, change to a well-formed document, command)
+# (case, file kind, change to a well-formed document or the file's text, command)
 MALFORMED = [
     ("model-field-string", "model", _replace("field", "3"), "validate"),
     ("model-locals-list", "model", _replace("locals", ["x1", "x2", "x3"]), "validate"),
@@ -566,7 +578,8 @@ MALFORMED = [
     ("model-schedule-string", "model", _replace("schedule", "g1"), "simulate"),
     ("model-missing-field", "model", lambda d: {k: v for k, v in d.items() if k != "field"},
      "portrait"),
-    ("model-not-json", "model", None, "validate"),
+    ("model-not-json", "model", "{", "validate"),
+    ("model-nested-json-100000", "model", "[" * 100000 + "]" * 100000, "validate"),
     ("model-local-unparseable", "model",
      lambda d: {**d, "locals": {**d["locals"], "g1": "x1 $"}}, "validate"),
     ("model-balanced-gf2", "model", _replace("field", 2), "validate"),
@@ -599,7 +612,7 @@ def test_malformed_file_exits_1_with_one_line(workspace, capsys, case, kind, cha
     else:
         doc = {"series": SERIES, "rates": RATES}[kind]
     path = workspace["dir"] / f"{case}.json"
-    path.write_text("{" if change is None else json.dumps(change(doc)))
+    path.write_text(change if isinstance(change, str) else json.dumps(change(doc)))
     files = {"model": workspace["ex3"], "thresholds": workspace["thresholds"],
              "rates": workspace["dir"] / "rates.json"}
     files["rates"].write_text(json.dumps(RATES))

@@ -10,12 +10,11 @@ from gsds import (
     Field,
     GsdsModel,
     RatePolicy,
+    SectionalLinear,
     ZenoError,
-    eval_sectional,
     fit_from_samples,
     global_map,
     hybrid_simulate,
-    make_sectional_linear,
 )
 from gsds.continuous import (
     load_samples_csv,
@@ -48,14 +47,14 @@ def one_threshold_map(n, theta=1.0):
 
 
 def test_fitted_microarray_segments_are_valid():
-    curve = make_sectional_linear(
+    curve = SectionalLinear(
         [0, 1, 2, 3], [(0.28, 0.5), (0.72, 0.06), (-1.0, 3.5)]
     )
     assert curve.segments == ((0.28, 0.5), (0.72, 0.06), (-1.0, 3.5))
 
 
 def test_single_segment_is_trivially_valid():
-    curve = make_sectional_linear([0, 1], [(2.0, -1.0)])
+    curve = SectionalLinear([0, 1], [(2.0, -1.0)])
     assert curve.value(0.5) == 0.0
 
 
@@ -63,48 +62,48 @@ def test_continuity_tolerance_scales_with_the_terms():
     # a*t + b rounds with an error that grows with |a*t| and |b|, so at
     # t = 1e6 a gap of a few 1e-9 is rounding, not a jump, even where the
     # value itself is 0
-    make_sectional_linear([0, 1e6, 2e6], [(1.0, 0.0), (1.0, 2e-9)])
-    make_sectional_linear([0, 1e6, 2e6], [(3.0, -3e6), (-3.0, 3e6 + 4e-9)])
+    SectionalLinear([0, 1e6, 2e6], [(1.0, 0.0), (1.0, 2e-9)])
+    SectionalLinear([0, 1e6, 2e6], [(3.0, -3e6), (-3.0, 3e6 + 4e-9)])
     with pytest.raises(ContinuityError):
-        make_sectional_linear([0, 1e6, 2e6], [(1.0, 0.0), (1.0, 1e-2)])
+        SectionalLinear([0, 1e6, 2e6], [(1.0, 0.0), (1.0, 1e-2)])
     with pytest.raises(ContinuityError):
-        make_sectional_linear([0, 1, 2], [(1.0, 0.0), (1.0, 2e-9)])
+        SectionalLinear([0, 1, 2], [(1.0, 0.0), (1.0, 2e-9)])
 
 
 def test_discontinuity_rejected_with_gap():
     with pytest.raises(ContinuityError) as err:
-        make_sectional_linear([0, 1, 2], [(1, 0), (1, 1)])
+        SectionalLinear([0, 1, 2], [(1, 0), (1, 1)])
     assert err.value.breakpoint_value == 1
     assert err.value.gap == pytest.approx(1.0)
 
 
 def test_breakpoints_must_increase():
     with pytest.raises(ValueError):
-        make_sectional_linear([0, 0], [(1, 0)])
+        SectionalLinear([0, 0], [(1, 0)])
     with pytest.raises(ValueError):
-        make_sectional_linear([1, 0], [(1, 0)])
+        SectionalLinear([1, 0], [(1, 0)])
 
 
 def test_segment_count_must_match():
     with pytest.raises(ValueError):
-        make_sectional_linear([0, 1, 2], [(1, 0)])
+        SectionalLinear([0, 1, 2], [(1, 0)])
 
 
 def test_eval_inside_segments():
     curve = fit_from_samples(EX3_TIMES, [r[2] for r in EX3_ROWS])
-    assert eval_sectional(curve, 1.0) == pytest.approx(1.25, abs=1e-12)
+    assert curve.value(1.0) == pytest.approx(1.25, abs=1e-12)
     assert curve.value(0.5) == pytest.approx(0.875, abs=1e-12)
     assert curve.value(2.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_outside_zero_mode():
-    curve = make_sectional_linear([0, 1], [(1.0, 0.0)])
+    curve = SectionalLinear([0, 1], [(1.0, 0.0)])
     assert curve.value(-1.0) == 0.0
     assert curve.value(2.0) == 0.0
 
 
 def test_eval_outside_extend_last_mode():
-    curve = make_sectional_linear([0, 1], [(1.0, 0.0)], outside_mode="extend-last")
+    curve = SectionalLinear([0, 1], [(1.0, 0.0)], outside_mode="extend-last")
     assert curve.value(2.0) == 2.0
     assert curve.value(-1.0) == 0.0  # only the right side extends
 

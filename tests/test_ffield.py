@@ -2,8 +2,6 @@ import pytest
 
 from gsds import (
     Field,
-    FieldElement,
-    FieldMismatchError,
     UnsupportedEncodingError,
     balanced_decode,
     balanced_encode,
@@ -118,33 +116,12 @@ def test_identity_of_addition_trivial():
         assert f.add(a, 0) == a
 
 
-def test_element_operators():
+def test_check_rejects_values_outside_the_canonical_range():
     f = Field(3)
-    a, b = f.element(1), f.element(2)
-    assert (a + b).value == 0
-    assert (a - b).value == 2
-    assert (a * b).value == 2
-    assert (a / b).value == 2  # 1 * inv(2) = 1 * 2
-    assert (-b).value == 1
-    assert (b**2).value == 1
-    assert b.inverse().value == 2
-    assert a + 1 == 2
-    assert 1 + a == 2
-
-
-def test_element_field_mismatch():
-    a = Field(3).element(1)
-    b = Field(5).element(1)
-    with pytest.raises(FieldMismatchError):
-        a + b
-
-
-def test_element_range_checked():
-    f = Field(3)
-    with pytest.raises(ValueError):
-        f.element(3)
-    with pytest.raises(ValueError):
-        FieldElement(f, -1)
+    assert f.check(2) == 2
+    for bad in (3, -1):
+        with pytest.raises(ValueError):
+            f.check(bad)
 
 
 def test_balanced_encoding_gf3():

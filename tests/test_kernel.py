@@ -1,9 +1,10 @@
 """Properties of the truth-table kernel against the scalar map.
 
-The kernel (successor array, truth table, range validation) must agree
-with evaluating every state one at a time, which stays here as the
-reference: the scalar global map and the exhaustive per-state range loop
-that validation used before the kernel.
+The kernel (successor array, truth table, range validation) and the map
+call, which reads the same subcube tables, must agree with evaluating
+every polynomial term by term at one state at a time, which stays as the
+reference: ``oracles.oracle_global_map`` and the exhaustive per-state
+range loop that validation used before the kernel.
 """
 
 import json
@@ -16,13 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationError,
-                  network, phase_portrait)
+                  network, phase_portrait, trajectory)
 from gsds.cli import main
 from gsds.dynamics import transitions_dot
 from gsds.network import ValidationReport, save_model, validate_model
 from gsds.polyring import Polynomial, iter_points, parse_poly, support_vars, table_poly
+from gsds.translate import GeneThresholds, ThresholdMap, check_translated
 
-from oracles import oracle_phase_portrait, oracle_probe_variable, oracle_transitions_dot
+from oracles import (oracle_global_map, oracle_phase_portrait, oracle_probe_variable,
+                     oracle_transitions_dot)
 
 FIELDS = [Field(q) for q in (2, 3, 4, 5)]
 
@@ -101,7 +104,7 @@ def reference_validate(model):
 @given(models(closed=True))
 def test_successor_array_matches_scalar_map(m):
     f = GlobalMap(m)
-    expected = [m.state_index(f(s)) for s in m.iter_states()]
+    expected = [m.state_index(oracle_global_map(m, s)) for s in m.iter_states()]
     assert f.successor_array() == expected
     p = phase_portrait(m)
     assert p.successor == expected
@@ -112,8 +115,18 @@ def test_successor_array_matches_scalar_map(m):
 @given(models())
 def test_truth_table_matches_scalar_map(m):
     f, full = GlobalMap(m), GlobalMap(full_field_copy(m))
-    assert f.truth_table() == tuple(f(s) for s in m.iter_states())
-    assert full.truth_table() == tuple(f(p) for p in iter_points(m.field, m.n))
+    assert f.truth_table() == tuple(oracle_global_map(m, s) for s in m.iter_states())
+    assert full.truth_table() == tuple(oracle_global_map(m, p) for p in iter_points(m.field, m.n))
+
+
+@kernel_settings
+@given(models())
+def test_map_call_matches_oracle_on_the_full_field(m):
+    # points of the full field include levels outside the state sets, and
+    # models that are not closed map into them
+    f = GlobalMap(m)
+    for p in iter_points(m.field, m.n):
+        assert f(p) == oracle_global_map(m, p)
 
 
 @kernel_settings
@@ -247,7 +260,7 @@ def random_model(field, n, schedule, state_sets=None, seed=0):
 
 def assert_kernel_matches_scalar(m):
     f = GlobalMap(m)
-    images = [f(s) for s in m.iter_states()]
+    images = [oracle_global_map(m, s) for s in m.iter_states()]
     successor = [m.state_index(image) for image in images]
     assert f.truth_table() == tuple(images)
     assert f.successor_array() == successor
@@ -327,7 +340,7 @@ def test_portrait_tabulates_without_evaluating(monkeypatch):
     dense = table_poly(m.field, 6, {p: rng.randint(0, 1) for p in iter_points(m.field, 6)})
     assert dense.support() == set(range(1, 7)) and len(dense.terms) > 16
     m = GsdsModel(m.field, m.genes, m.graph, (dense,) + m.local_polys[1:], m.schedule)
-    expected = [m.state_index(GlobalMap(m)(s)) for s in m.iter_states()]
+    expected = [m.state_index(oracle_global_map(m, s)) for s in m.iter_states()]
     calls = []
     evaluate = Polynomial.eval
     monkeypatch.setattr(Polynomial, "eval", lambda self, point: calls.append(point) or evaluate(self, point))
@@ -358,7 +371,8 @@ def test_full_support_gene_peak_memory_near_result_size(monkeypatch, gather):
     finally:
         tracemalloc.stop()
     size = sys.getsizeof(result) + sum(sys.getsizeof(v) for v in result if v > 256)
-    assert result == [f.model.state_index(f(s)) for s in f.model.iter_states()]
+    m = f.model
+    assert result == [m.state_index(oracle_global_map(m, s)) for s in m.iter_states()]
     assert peak <= 2 * size
 
 
@@ -370,6 +384,47 @@ def test_word_omitting_an_out_of_range_gene():
     m = GsdsModel(m.field, m.genes, m.graph, polys, (0, 1), state_sets=[(0, 1, 2)] * 2 + [(0, 1)])
     f = GlobalMap(m)
     assert f.image_bits() is None
-    assert f.truth_table() == tuple(map(f, m.iter_states()))
+    assert f.truth_table() == tuple(oracle_global_map(m, s) for s in m.iter_states())
     with pytest.raises(ModelValidationError):
         f.successor_array()
+
+
+def test_trajectory_reads_the_tables(monkeypatch):
+    # a dense local polynomial reading all 6 genes: every step is
+    # one table read per updated gene, not one Polynomial.eval
+    rng = random.Random(11)
+    m = random_model(Field(2), 6, None, seed=11)
+    dense = table_poly(m.field, 6, {p: rng.randint(0, 1) for p in iter_points(m.field, 6)})
+    assert dense.support() == set(range(1, 7)) and len(dense.terms) > 16
+    for schedule in (None, (5, 0, 3, 1, 0)):
+        m = GsdsModel(m.field, m.genes, m.graph, (dense,) + m.local_polys[1:], schedule)
+        expected = [(1, 0, 1, 1, 0, 1)]
+        for _ in range(40):
+            expected.append(oracle_global_map(m, expected[-1]))
+        calls = []
+        evaluate = Polynomial.eval
+        monkeypatch.setattr(Polynomial, "eval",
+                            lambda self, point: calls.append(point) or evaluate(self, point))
+        assert trajectory(m, expected[0], 40) == expected
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_check_translated_on_levels_outside_a_state_set():
+    # gene 0 keeps levels {0, 1}, but its thresholds discretize high
+    # concentrations to 2; gene 1 reads x1, so its value at such a state
+    # comes from its polynomial, not from its table
+    field = Field(3)
+    polys = [parse_poly("x2^2", 2, field), parse_poly("x1 + 2*x2 + x1*x2", 2, field)]
+    m = GsdsModel(field, ["a", "b"], DependencyGraph(2, {(0, 1), (1, 0)}), polys, (1, 0),
+                  state_sets=[(0, 1), (0, 1, 2)])
+    tmap = ThresholdMap(field, [GeneThresholds([1.0, 2.0], [0, 1, 2]),
+                                GeneThresholds([1.0, 2.0], [0, 1, 2])])
+    rng = random.Random(4)
+    samples = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(60)]
+    pairs = list(zip(samples, samples[1:]))
+    result = check_translated(GlobalMap(m), pairs, tmap)
+    expected = check_translated(lambda s: oracle_global_map(m, s), pairs, tmap)
+    assert result.checked == expected.checked == 59
+    assert result.counterexamples == expected.counterexamples
+    assert any(state[0] == 2 for _, state, _, _ in result.counterexamples)

@@ -6,12 +6,12 @@ import pytest
 from gsds import (
     DependencyGraph,
     Field,
+    FieldMismatchError,
     GsdsModel,
     ModelValidationError,
     apply_local,
     global_map,
     parallel_to_sequential,
-    step,
     trajectory,
     validate_model,
 )
@@ -183,6 +183,13 @@ def test_parallel_model_global_map(example2):
     assert f((1, 0, 1)) == tuple(p.eval((1, 0, 1)) for p in example2.local_polys)
 
 
+def test_global_map_rejects_states_of_the_wrong_length(example2, example3):
+    for f in (global_map(example3), global_map(example2, validate=False)):
+        for state in ((2, 1), (2, 1, 2, 0)):
+            with pytest.raises(FieldMismatchError, match=f"point has {len(state)} coordinates"):
+                f(state)
+
+
 # -- trajectories ---------------------------------------------------------------
 
 
@@ -204,7 +211,7 @@ def test_trajectory_zero_steps(example1):
 
 
 def test_step_is_single_iteration(example3):
-    assert step(example3, (2, 1, 2)) == (0, 1, 0)
+    assert global_map(example3)((2, 1, 2)) == (0, 1, 0)
 
 
 def test_trajectory_rejects_outside_state(example3):

@@ -4,9 +4,10 @@ Draws a series of distinct random states on GF(2)^12 (64 transitions)
 and one on GF(3)^8 (60 transitions), infers a model from each with
 ``infer_network`` under the canonical and the sparsest preference,
 renders every inferred polynomial, saves each canonical model to a
-temporary file and times reading it back (``load_model``) and
-validating it (``validate_model``).  Prints one line: the four inference
-times, the load and validate times, and a digest of the rendered text,
+temporary file and times reading it back (``load_model``), validating
+it (``validate_model``) and iterating its map 1000 steps from the zero
+state (``trajectory``).  Prints one line: the four inference times, the
+load, validate and trajectory times, and a digest of the rendered text,
 which two checkouts that infer the same polynomials share.  Uses the
 gsds package of this checkout.  Run from anywhere:
 
@@ -22,7 +23,8 @@ from time import perf_counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from gsds import Field, infer_network, load_model, save_model, validate_model  # noqa: E402
+from gsds import (Field, infer_network, load_model, save_model, trajectory,  # noqa: E402
+                  validate_model)
 
 SERIES = ((2, 12, 64), (3, 8, 60))  # (q, genes, transitions)
 SEED = 0
@@ -39,7 +41,8 @@ def scale_series(q, n, transitions):
 
 
 def round_trip(model):
-    """The load and validate times of ``model`` saved to a file."""
+    """The load and validate times of ``model`` saved to a file, and the
+    time of a 1000-step trajectory of the loaded model."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         save_model(model, path)
@@ -50,7 +53,10 @@ def round_trip(model):
         done = perf_counter()
     if not report.valid:
         sys.exit(f"an inferred model fails validation:\n{report}")
-    return f"load {loaded_at - start:.2f} s + validate {done - loaded_at:.2f} s"
+    trajectory(loaded, (0,) * loaded.n, 1000)
+    iterated = perf_counter()
+    return (f"load {loaded_at - start:.2f} s + validate {done - loaded_at:.2f} s, "
+            f"1000-step trajectory {iterated - done:.3f} s")
 
 
 def main():
