@@ -33,7 +33,7 @@ from .errors import (
 )
 from .files import FORMAT_VERSION, dumps
 from .infer import StateSeries, TransitionData, infer_network, load_series, \
-    save_series, series_to_dict, solution_space
+    series_to_dict, solution_space
 from .network import global_map, load_model, save_model, \
     trajectory, validate_model
 from .polyring import parse_poly
@@ -147,7 +147,7 @@ def portrait(model_file, json_out, dot_out, summary_out, workers, limit, display
              schedule):
     """Attractors, transients, and basins of the global map."""
     model = _with_overrides(load_model(model_file), display, schedule)
-    p = phase_portrait(model, limit=limit, workers=workers)
+    p = phase_portrait(model, limit=limit)  # --workers is accepted and unused
     _report(portrait_report(p), json_out)
     if dot_out:
         with open(dot_out, "w") as fh:
@@ -252,9 +252,7 @@ def discretize(csv_file, thresholds_file, collapse, output):
     tmap, _ = load_thresholds(thresholds_file, genes)
     states = discretize_series(tmap, rows, collapse=collapse)
     series = StateSeries(tmap.field, states, genes, tmap.display)
-    _report(series_to_dict(series))
-    if output:
-        save_series(series, output)
+    _report(series_to_dict(series), output)
 
 
 @cli.command()

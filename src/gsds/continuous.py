@@ -22,6 +22,7 @@ Sample files are CSV with header ``t,<gene>,<gene>,...``, one row per
 time point.
 """
 
+import bisect
 import csv
 
 from .errors import ContinuityError, ZenoError
@@ -61,29 +62,13 @@ class SectionalLinear:
         self.segments = segments
         self.outside_mode = outside_mode
 
-    @property
-    def support(self):
-        return (self.breakpoints[0], self.breakpoints[-1])
-
     def value(self, t):
-        t = float(t)
-        if t < self.breakpoints[0]:
+        t, bps = float(t), self.breakpoints
+        if t < bps[0] or (t > bps[-1] and self.outside_mode == "zero"):
             return 0.0
-        if t > self.breakpoints[-1]:
-            if self.outside_mode == "extend-last":
-                a, b = self.segments[-1]
-                return a * t + b
-            return 0.0
-        # find the segment whose interval contains t; at an interior
-        # breakpoint both neighbors agree by the continuity invariant
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if t <= self.breakpoints[mid + 1]:
-                hi = mid
-            else:
-                lo = mid + 1
-        a, b = self.segments[lo]
+        # the first segment whose interval reaches t, the last past t_n; at
+        # an interior breakpoint both neighbors agree by continuity
+        a, b = self.segments[bisect.bisect_left(bps, t, 1, len(self.segments)) - 1]
         return a * t + b
 
     __call__ = value

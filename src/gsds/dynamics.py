@@ -62,13 +62,11 @@ class PhasePortrait:
         ]
 
 
-def phase_portrait(model, limit=DEFAULT_STATE_LIMIT, workers=1):
+def phase_portrait(model, limit=DEFAULT_STATE_LIMIT):
     """Analyze the full state space of the model's global map.
 
     Attractors are reported in ascending order of their minimal state
-    index, each cycle rotated to start at that index.  ``workers`` is
-    accepted for compatibility and does not change the result; the
-    kernel runs on the calling thread.
+    index, each cycle rotated to start at that index.
     """
     size = model.state_count()
     if size > limit:
@@ -198,7 +196,7 @@ def portrait_report(portrait):
     }
 
 
-def transitions_dot(portrait, name="transitions"):
+def transitions_dot(portrait):
     """DOT digraph of the full state transition graph; attractor states
     are drawn as double circles.  Quoted labels are built gene by gene."""
     m = portrait.model
@@ -208,17 +206,17 @@ def transitions_dot(portrait, name="transitions"):
         texts = [m.format_level(v) + end for v in values]
         labels = [a + b for a in labels for b in texts]
     in_cycle = sorted(i for cycle in portrait.attractors for i in cycle)
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    lines = ["digraph transitions {", "  node [shape=circle];"]
     lines += [f"  {labels[i]} [shape=doublecircle];" for i in in_cycle]
     lines += [f"  {a} -> {b};" for a, b in zip(labels, map(labels.__getitem__, portrait.successor))]
     return "\n".join(lines) + "\n}\n"
 
 
-def attractor_summary_dot(portrait, name="attractors"):
+def attractor_summary_dot(portrait):
     """DOT digraph with one subgraph per attractor cycle."""
     m = portrait.model
     sizes = portrait.basin_sizes()
-    lines = [f"digraph {name} {{", "  node [shape=doublecircle];"]
+    lines = ["digraph attractors {", "  node [shape=doublecircle];"]
     for aid, cycle in enumerate(portrait.attractors):
         lines.append(
             f'  subgraph cluster_{aid} {{ label="attractor {aid}: '

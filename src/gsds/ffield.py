@@ -2,7 +2,11 @@
 
 Field elements are plain ints in the canonical range {0, ..., q-1}; a
 ``Field`` object carries the operations, as in most small finite-field
-libraries.
+libraries.  Every operation reads the field's lookup rows, built on the
+first ``Field(q)`` of each order from the ``%`` tables (GF(4): ``GF4_ADD``
+and ``GF4_MUL``): ``add_rows[a][b]``, ``mul_rows[a][b]``, ``neg_row[a]``,
+``inv_row[a]`` (0 at 0) and ``pow_rows[a][e] = a^e`` for 0 <= e < q with
+0^0 = 1.  Polynomials and inference index the same rows.
 
 GF(4) uses the bit-pair encoding 0=00, 1=01, 2=10, 3=11, where 2 is a
 root ``a`` of z^2 + z + 1 over GF(2), so 3 = a^2 = a + 1.  Addition is
@@ -56,10 +60,32 @@ GF4_PUBLISHED_ADD = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 2, 1, 0))
 GF4_PUBLISHED_MUL = ((0, 0, 0, 0), (0, 1, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2))
 
 
+_ROWS = {}  # order -> (add, mul, neg, inv, pow) rows, filled by Field(q)
+
+
+def _rows(order, kind):
+    """The lookup rows of GF(order): the addition and multiplication
+    tables, negation and inverse read off where a row hits 0 and 1, and
+    a^e by repeated multiplication."""
+    q = range(order)
+    add, mul = (GF4_ADD, GF4_MUL) if kind == "gf4" else (
+        tuple(tuple((a + b) % order for b in q) for a in q),
+        tuple(tuple(a * b % order for b in q) for a in q))
+    powers = []
+    for a in q:
+        row = [1]
+        while len(row) < order:
+            row.append(mul[row[-1]][a])
+        powers.append(tuple(row))
+    neg = tuple(row.index(0) for row in add)
+    inv = (0,) + tuple(row.index(1) for row in mul[1:])
+    return add, mul, neg, inv, tuple(powers)
+
+
 class Field:
     """GF(q) for prime q <= 257 or q = 4, operating on canonical ints."""
 
-    __slots__ = ("order", "kind")
+    __slots__ = ("order", "kind", "add_rows", "mul_rows", "neg_row", "inv_row", "pow_rows")
 
     def __init__(self, order):
         if order == 4:
@@ -72,6 +98,9 @@ class Field:
             raise ValueError(f"field order must be prime (<= {MAX_PRIME}) or 4, got {order!r}")
         self.order = order
         self.kind = kind
+        if order not in _ROWS:
+            _ROWS[order] = _rows(order, kind)
+        self.add_rows, self.mul_rows, self.neg_row, self.inv_row, self.pow_rows = _ROWS[order]
 
     def __repr__(self):
         return f"GF({self.order})"
@@ -105,48 +134,32 @@ class Field:
         return self.check(abs(value))
 
     def add(self, a, b):
-        if self.kind == "prime":
-            return (a + b) % self.order
-        return a ^ b
+        return self.add_rows[a][b]
 
     def sub(self, a, b):
-        if self.kind == "prime":
-            return (a - b) % self.order
-        return a ^ b
+        return self.add_rows[a][self.neg_row[b]]
 
     def neg(self, a):
-        if self.kind == "prime":
-            return (-a) % self.order
-        return a
+        return self.neg_row[a]
 
     def mul(self, a, b):
-        if self.kind == "prime":
-            return (a * b) % self.order
-        return GF4_MUL[a][b]
+        return self.mul_rows[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        if self.kind == "prime":
-            return pow(a, self.order - 2, self.order)
-        return GF4_MUL[a][a]  # a^3 = 1 for a != 0, so inv(a) = a^2
+        return self.inv_row[a]
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError(f"division by zero in {self!r}")
-        return self.mul(a, self.inv(b))
+        return self.mul_rows[a][self.inv_row[b]]
 
     def pow(self, a, e):
+        """a^e, where a^e = a^((e-1) mod (q-1) + 1) for e > 0 (x^q = x)."""
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.kind == "prime":
-            return pow(a, e, self.order)
-        if a == 0:
-            return 0 if e else 1
-        r = 1
-        for _ in range(e % 3):  # nonzero elements of GF(4) have order dividing 3
-            r = GF4_MUL[r][a]
-        return r
+            a, e = self.inv(a), -e
+        return self.pow_rows[a][e and (e - 1) % (self.order - 1) + 1]
 
 
 def _require_balanced(field):
@@ -195,8 +208,8 @@ def decode_level(field, display, v):
     return balanced_decode(field, v) if display == "balanced" else v
 
 
-def format_state(field, state, balanced=False):
-    display = "balanced" if balanced else "canonical"
+def format_state(field, display, state):
+    """A state written in the display encoding, as "(v1,v2,...)"."""
     return "(" + ",".join(str(decode_level(field, display, v)) for v in state) + ")"
 
 
@@ -207,13 +220,9 @@ def gf4_table_errata():
     values; empty would mean the published tables are consistent with the
     defining relation (they are not).
     """
-    errata = []
-    for a in range(4):
-        for b in range(4):
-            if GF4_ADD[a][b] != GF4_PUBLISHED_ADD[a][b]:
-                errata.append(("add", a, b, GF4_ADD[a][b], GF4_PUBLISHED_ADD[a][b]))
-    for a in range(4):
-        for b in range(4):
-            if GF4_MUL[a][b] != GF4_PUBLISHED_MUL[a][b]:
-                errata.append(("mul", a, b, GF4_MUL[a][b], GF4_PUBLISHED_MUL[a][b]))
-    return errata
+    return [
+        (op, a, b, derived[a][b], published[a][b])
+        for op, derived, published in (("add", GF4_ADD, GF4_PUBLISHED_ADD),
+                                       ("mul", GF4_MUL, GF4_PUBLISHED_MUL))
+        for a in range(4) for b in range(4) if derived[a][b] != published[a][b]
+    ]

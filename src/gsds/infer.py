@@ -33,7 +33,7 @@ from .errors import ContradictoryDataError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .network import DependencyGraph, GsdsModel
-from .polyring import Polynomial, _field_rows, indicator_poly, iter_points, poly_sum, table_poly
+from .polyring import Polynomial, indicator_poly, iter_points, poly_sum, table_poly
 
 SPARSEST_MAX_VARS = 12
 CONSTRAINED_MAX_UNKNOWNS = 1 << 14
@@ -132,7 +132,7 @@ def _solve_linear(field, rows, rhs):
     or None if the system is inconsistent.  Reduced row-echelon form on
     the field's lookup rows: scaling is one row of ``mul``, subtraction
     adds the product with the negated factor."""
-    add, mul = _field_rows(field)
+    add, mul = field.add_rows, field.mul_rows
     rows = [list(r) + [b] for r, b in zip(rows, rhs)]
     cols = len(rows[0]) - 1 if rows else 0
     pivots = []
@@ -187,17 +187,15 @@ def constrained_interpolate(data, coordinate, allowed_vars):
             f"{q}^{len(allowed)} unknowns exceed the solver limit "
             f"({CONSTRAINED_MAX_UNKNOWNS})"
         )
-    mul = _field_rows(f)[1]
+    mul, power = f.mul_rows, f.pow_rows
     view = data.coordinate_view(coordinate)
-    levels = {state[v - 1] for state, _ in view for v in allowed}
-    powers = {x: [f.pow(x, e) for e in range(q)] for x in levels}
     rows = []
     for state, _ in view:
         # the monomials x^e over ``allowed`` in product order, as a
         # Kronecker product of per-variable power rows
         row = [1]
         for v in allowed:
-            row = [mul[a][b] for a in row for b in powers[state[v - 1]]]
+            row = [mul[a][b] for a in row for b in power[state[v - 1]]]
         rows.append(row)
     solution = _solve_linear(f, rows, [value for _, value in view])
     if solution is None:
@@ -274,14 +272,10 @@ def infer_network(field, series, preference="canonical", genes=None,
         else:
             polys.append(interpolate(data, i))
         dimensions.append(field.order**n - len(data))
-    edges = set()
-    for i, poly in enumerate(polys):
-        for var in poly.support():
-            edges.add((var - 1, i))
     model = GsdsModel(
         field,
         genes,
-        DependencyGraph(n, edges),
+        DependencyGraph.from_supports(polys),
         polys,
         schedule=None,
         display=display,

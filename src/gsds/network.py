@@ -32,6 +32,8 @@ from .ffield import Field, check_display, decode_level, encode_level, format_sta
 from .files import FORMAT_VERSION, document, load, write_json
 from .polyring import Polynomial, parse_poly, poly_table, probe_variable
 
+RANGE_MAX_LINES = 10  # range violations listed per gene; the rest are counted
+
 
 class DependencyGraph:
     """Directed gene-interaction graph with symmetric 1-neighborhoods.
@@ -50,6 +52,12 @@ class DependencyGraph:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) references an unknown vertex")
         self.edges = frozenset((a, b) for a, b in edges)
+
+    @classmethod
+    def from_supports(cls, polys):
+        """The wiring of coordinate polynomials: an edge j -> i exactly
+        when polys[i]'s reduced form reads x_(j+1)."""
+        return cls(len(polys), {(v - 1, i) for i, p in enumerate(polys) for v in p.support()})
 
     def neighborhood(self, i):
         """Vertex i, plus everything adjacent to it in either direction."""
@@ -76,7 +84,8 @@ class ValidationReport:
     def __init__(self, genes=None):
         self.genes = genes
         self.locality = []  # (gene, variable, witness state pair)
-        self.range = []  # (gene, input state, value)
+        self.range = []  # (gene, input state, value), RANGE_MAX_LINES per gene
+        self.range_more = {}  # gene -> out-of-range states not listed
         self.schedule = []  # (position, entry)
 
     @property
@@ -91,11 +100,12 @@ class ValidationReport:
                 f"locality: f[{name(gene)}] depends on x{var} outside its "
                 f"neighborhood (witness {s1} vs {s2})"
             )
-        for gene, state, value in self.range:
-            out.append(
-                f"range: f[{name(gene)}]{state} = {value}, outside the "
-                f"gene's state set"
-            )
+        for gene, entries in itertools.groupby(self.range, key=lambda r: r[0]):
+            out += [f"range: f[{name(gene)}]{state} = {value}, outside the gene's state set"
+                    for _, state, value in entries]
+            if gene in self.range_more:
+                out.append(f"range: f[{name(gene)}] ... and {self.range_more[gene]} more "
+                           f"states outside the gene's state set")
         for pos, entry in self.schedule:
             out.append(f"schedule: entry {entry!r} at position {pos} is not a gene")
         return out
@@ -172,10 +182,7 @@ class GsdsModel:
     # -- state space ---------------------------------------------------
 
     def state_count(self):
-        total = 1
-        for s in self.state_sets:
-            total *= len(s)
-        return total
+        return math.prod(map(len, self.state_sets))
 
     def iter_states(self):
         """All states of the product space, first gene most significant."""
@@ -217,7 +224,7 @@ class GsdsModel:
         return [decode_level(self.field, self.display, v) for v in state]
 
     def format_state(self, state):
-        return format_state(self.field, state, self.display == "balanced")
+        return format_state(self.field, self.display, state)
 
 
 def apply_local(model, i, state):
@@ -263,7 +270,7 @@ def _fold_bits(model):
     tables = _subcube_tables(model)
     if not all(pos.keys() >= set(t) for pos, (_, t) in zip(position, tables)):
         return None
-    total = math.prod(map(len, levels))
+    total = model.state_count()
     full = (1 << total) - 1
     src = []
     for values, stride in zip(levels, _strides(levels)):
@@ -372,7 +379,8 @@ class GlobalMap:
         subcube table, at the mixed-radix position of its support levels.
         A parallel map reads the input state, a word the state it updates.
         A level outside a state set has no position; the gene's polynomial
-        is evaluated there instead."""
+        is evaluated there instead, on levels coerced into the field (a
+        threshold map over another field can give any int)."""
         m = self.model
         if len(state) != m.n:
             raise FieldMismatchError(
@@ -390,7 +398,7 @@ class GlobalMap:
                 for j, position in readers:
                     index = index * len(position) + position[src[j]]
             except KeyError:
-                out[i] = m.local_polys[i].eval(src)
+                out[i] = m.local_polys[i].eval(list(map(m.field.coerce, src)))
             else:
                 out[i] = table[index]
         return tuple(out)
@@ -460,8 +468,9 @@ def validate_model(model):
     reduced-form support, so only support variables outside a vertex's
     neighborhood are probed for a witness pair.  A value depends only on
     the support coordinates, so both checks read each polynomial's table
-    on its support subcube, for a range violation state by state in state
-    index order; no state is evaluated term by term.
+    on its support subcube; no state is evaluated term by term.  A gene's
+    first RANGE_MAX_LINES range violations in state index order are
+    listed, and the rest only counted, from the table.
     """
     report = ValidationReport(model.genes)
     domain, tables = model.state_sets, _subcube_tables(model)
@@ -478,10 +487,13 @@ def validate_model(model):
         if values.issuperset(table):
             continue
         value_at = dict(zip(itertools.product(*(domain[j] for j in support)), table))
-        for state in model.iter_states():
-            value = value_at[tuple(map(state.__getitem__, support))]
-            if value not in values:
-                report.range.append((i, state, value))
+        value = lambda state: value_at[tuple(map(state.__getitem__, support))]
+        states = (s for s in model.iter_states() if value(s) not in values)
+        report.range += [(i, s, value(s)) for s in itertools.islice(states, RANGE_MAX_LINES)]
+        # each subcube point stands for the same number of states
+        more = sum(v not in values for v in table) * (model.state_count() // len(table))
+        if more > RANGE_MAX_LINES:
+            report.range_more[i] = more - RANGE_MAX_LINES
     return report
 
 
@@ -507,16 +519,12 @@ def parallel_to_sequential(coordinate_polys, field=None, genes=None):
     locals_ += [
         Polynomial.variable(field, 2 * n, j + 1) for j in range(n)
     ]  # shadows copy the originals
-    edges = set()
-    for j in range(n):
-        edges.add((j, n + j))  # original feeds its shadow
-        for var in sorted(locals_[j].support()):
-            edges.add((var - 1, j))  # shadow feeds the original
     schedule = tuple(range(n, 2 * n)) + tuple(range(n))
+    # edges: the shadows an original reads feed it, an original feeds its shadow
     return GsdsModel(
         field,
         names,
-        DependencyGraph(2 * n, edges),
+        DependencyGraph.from_supports(locals_),
         locals_,
         schedule,
     )

@@ -26,7 +26,6 @@ import math
 import operator
 
 from .errors import FieldMismatchError, PolyParseError
-from .ffield import GF4_ADD, GF4_MUL
 
 PARSE_MAX_DEPTH = 100  # parentheses nested in one text; three parser frames each
 
@@ -128,7 +127,7 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check_compatible(other)
-        mul = _field_rows(self.field)[1]
+        mul = self.field.mul_rows
         return _reduced(self.field, self.n_vars, (
             (tuple(map(operator.add, e1, e2)), mul[c1][c2])
             for e1, c1 in self.terms.items()
@@ -151,13 +150,13 @@ class Polynomial:
         return result
 
     def scale(self, coeff):
-        row = _field_rows(self.field)[1][self.field.coerce(coeff)]
+        row = self.field.mul_rows[self.field.coerce(coeff)]
         return _reduced(self.field, self.n_vars, ((e, row[v]) for e, v in self.terms.items()))
 
     # -- evaluation ----------------------------------------------------
 
     def eval(self, point):
-        """Value at a point given as a sequence of canonical ints."""
+        """Value at a point of canonical ints, term by term on the field's rows."""
         if len(point) != self.n_vars:
             raise FieldMismatchError(
                 f"point has {len(point)} coordinates, polynomial has {self.n_vars}"
@@ -168,15 +167,15 @@ class Polynomial:
                 (coeff, tuple((j, e) for j, e in enumerate(exps) if e))
                 for exps, coeff in self.terms.items()
             ]
-        f = self.field
+        add, mul, power = self.field.add_rows, self.field.mul_rows, self.field.pow_rows
         total = 0
         for coeff, factors in self._compiled:
             v = coeff
             for j, e in factors:
-                v = f.mul(v, f.pow(point[j], e))
+                v = mul[v][power[point[j]][e]]
                 if v == 0:
                     break
-            total = f.add(total, v)
+            total = add[total][v]
         return total
 
     __call__ = eval
@@ -198,15 +197,6 @@ class Polynomial:
 
     # -- structure -----------------------------------------------------
 
-    def monomials(self):
-        """Terms as (exponents, coefficient) pairs in render order."""
-        return [(e, self.terms[e]) for e in self._ordered_exps()]
-
-    def _ordered_exps(self):
-        # graded lexicographic, highest first; deterministic render order
-        # (the sort is stable under reverse=True, so ties keep lex order)
-        return sorted(sorted(self.terms, reverse=True), key=sum, reverse=True)
-
     def support(self):
         """1-based indices of variables appearing in the reduced form."""
         return frozenset(j + 1 for j, col in enumerate(zip(*self.terms)) if any(col))
@@ -217,7 +207,9 @@ class Polynomial:
         if self._text is None:  # terms are never written after construction
             names = _factor_names(self.n_vars, self.field.order)
             parts = []
-            for exps in self._ordered_exps():
+            # graded lexicographic, highest first; deterministic render order
+            # (the sort is stable under reverse=True, so ties keep lex order)
+            for exps in sorted(sorted(self.terms, reverse=True), key=sum, reverse=True):
                 factors = [row[e] for row, e in zip(names, exps) if e]
                 coeff = self.terms[exps]
                 if coeff != 1 or not factors:
@@ -258,26 +250,15 @@ def support_vars(poly, domain=None):
 
 
 @functools.lru_cache(maxsize=64)
-def _field_rows(field):
-    """The addition rows add[a][b] = a + b and multiplication rows
-    mul[c][v] = c * v of the field, built on first use."""
-    q = field.order
-    if field.kind == "gf4":
-        return GF4_ADD, GF4_MUL
-    return (tuple(tuple((a + b) % q for b in range(q)) for a in range(q)),
-            tuple(tuple(c * v % q for v in range(q)) for c in range(q)))
-
-
-@functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(field):
     """Row a of the inverse Vandermonde matrix: the pairs (e, the
     multiplication row of L(a, e)) with L(a, e) != 0, where
     L(a, e) = [e == 0] - a^(q-1-e), with 0^0 = 1 (also in GF(4)), are the
     coefficients of the indicator 1 - (x - a)^(q-1)."""
-    q, mul = field.order, _field_rows(field)[1]
+    q, mul = field.order, field.mul_rows
     return tuple(
         tuple((e, mul[c]) for e, c in enumerate(
-            field.sub(int(e == 0), field.pow(a, q - 1 - e)) for e in range(q)) if c)
+            field.sub(int(e == 0), field.pow_rows[a][q - 1 - e]) for e in range(q)) if c)
         for a in range(q)
     )
 
@@ -288,7 +269,7 @@ def _reduced(field, n_vars, pairs):
     Exponents fold by x^q = x, coefficients are coerced into the field,
     repeated monomials merge and zero coefficients drop."""
     top = field.order - 1
-    add = _field_rows(field)[0]
+    add = field.add_rows
     coerce = field.coerce
     out = {}
     get = out.get
@@ -309,9 +290,9 @@ def _vandermonde(field, levels):
     """Row e of the Vandermonde matrix V[a][e] = a^e over ``levels``: the
     pairs (position of a, the multiplication row of a^e) with a^e != 0,
     where 0^0 = 1."""
-    mul = _field_rows(field)[1]
+    mul, power = field.mul_rows, field.pow_rows
     return tuple(
-        tuple((p, mul[v]) for p, v in enumerate(field.pow(a, e) for a in levels) if v)
+        tuple((p, mul[v]) for p, v in enumerate(power[a][e] for a in levels) if v)
         for e in range(field.order)
     )
 
@@ -323,7 +304,7 @@ def _along_axes(field, table, axes):
     digit d the pairs (output digit, multiplication row of the entry).
     Each pass takes the leading digit off the index and appends the
     output digit at the end, so the axes end in their first order."""
-    add = _field_rows(field)[0]
+    add = field.add_rows
     top = math.prod(r_in for r_in, _, _ in axes)
     for r_in, r_out, rows in axes:
         top //= r_in
@@ -404,7 +385,7 @@ class _Parser:
         self.n = n_vars
         self.field = field
         self.pos = 0
-        self.mul = _field_rows(field)[1]
+        self.mul = field.mul_rows
 
     def parse(self):
         result = self._expr()

@@ -95,9 +95,6 @@ class ThresholdMap:
     def n(self):
         return len(self.genes)
 
-    def classify(self, j, x):
-        return self.genes[j].classify(x, self.eps)
-
 
 def discretize(tmap, concentrations):
     """Map a real concentration vector to a discrete state."""
@@ -105,7 +102,7 @@ def discretize(tmap, concentrations):
         raise FieldMismatchError(
             f"vector has {len(concentrations)} entries, map covers {tmap.n} genes"
         )
-    return tuple(tmap.classify(j, c) for j, c in enumerate(concentrations))
+    return tuple(g.classify(c, tmap.eps) for g, c in zip(tmap.genes, concentrations))
 
 
 def discretize_series(tmap, samples, collapse=False):
@@ -162,22 +159,22 @@ def default_level_scheme(field):
     return (field.order - 1, 0, 1)
 
 
-def candidate_thresholds(values, pad=None):
+def candidate_thresholds(values):
     """Default per-gene candidate grid from observed values: the observed
     values themselves (as on-threshold anchors), midpoints between
-    consecutive distinct values, and one flanking value on each side."""
+    consecutive distinct values, and one flanking value on each side, half
+    the observed span (or 1.0) away."""
     obs = sorted(set(float(v) for v in values))
     if not obs:
         raise ValueError("no observed values to build candidates from")
-    if pad is None:
-        span = obs[-1] - obs[0]
-        pad = span / 2 if span > 0 else 1.0
+    span = obs[-1] - obs[0]
+    pad = span / 2 if span > 0 else 1.0
     mids = [(a + b) / 2 for a, b in zip(obs, obs[1:])]
     return sorted({obs[0] - pad, *obs, *mids, obs[-1] + pad})
 
 
-def search_compatible_thresholds(samples, f, candidate_grid="midpoints",
-                                 field=None, levels=None, eps=DEFAULT_EPS):
+def search_compatible_thresholds(samples, f, candidate_grid="midpoints", *,
+                                 field, levels=None, eps=DEFAULT_EPS):
     """All single-threshold maps under which f commutes with the data.
 
     ``candidate_grid`` is either "midpoints" (build the default grid from
@@ -189,8 +186,6 @@ def search_compatible_thresholds(samples, f, candidate_grid="midpoints",
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     n = len(samples[0])
-    if field is None:
-        raise ValueError("a field is required to assign levels")
     below, equal, above = levels if levels else default_level_scheme(field)
     if candidate_grid == "midpoints":
         grids = [

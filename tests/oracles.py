@@ -4,6 +4,7 @@ import itertools
 
 from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samples
 from gsds.errors import PolyParseError, ZenoError
+from gsds.ffield import GF4_MUL
 from gsds.network import global_map
 from gsds.polyring import Polynomial, poly_sum
 from gsds.translate import discretize
@@ -253,13 +254,13 @@ class _OracleParser:
         return int(self.text[start : self.pos])
 
 
-def oracle_transitions_dot(portrait, name="transitions"):
+def oracle_transitions_dot(portrait):
     """The transition digraph with one label per state joined from its
     level tuple, and one formatted line per state."""
     m = portrait.model
     levels = [[m.format_level(v) for v in values] for values in m.state_sets]
     labels = ["(" + ",".join(t) + ")" for t in itertools.product(*levels)]
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    lines = ["digraph transitions {", "  node [shape=circle];"]
     in_cycle = sorted(i for cycle in portrait.attractors for i in cycle)
     for i in in_cycle:
         lines.append(f'  "{labels[i]}" [shape=doublecircle];')
@@ -491,3 +492,80 @@ def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS)
         fit_from_samples(breakpoints, columns[j]) for j in range(n)
     )
     return HybridResult(trajectories, events, phases, t_end)
+
+
+class OracleField:
+    """Field arithmetic that branches on prime vs GF(4) in every
+    operation: % and pow() for primes, the GF4_MUL table and xor for
+    GF(4)."""
+
+    def __init__(self, order):
+        self.order = order
+        self.kind = "gf4" if order == 4 else "prime"
+
+    def add(self, a, b):
+        if self.kind == "prime":
+            return (a + b) % self.order
+        return a ^ b
+
+    def sub(self, a, b):
+        if self.kind == "prime":
+            return (a - b) % self.order
+        return a ^ b
+
+    def neg(self, a):
+        if self.kind == "prime":
+            return (-a) % self.order
+        return a
+
+    def mul(self, a, b):
+        if self.kind == "prime":
+            return (a * b) % self.order
+        return GF4_MUL[a][b]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError(f"inverse of zero in GF({self.order})")
+        if self.kind == "prime":
+            return pow(a, self.order - 2, self.order)
+        return GF4_MUL[a][a]  # a^3 = 1 for a != 0, so inv(a) = a^2
+
+    def div(self, a, b):
+        if b == 0:
+            raise ZeroDivisionError(f"division by zero in GF({self.order})")
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        if self.kind == "prime":
+            return pow(a, e, self.order)
+        if a == 0:
+            return 0 if e else 1
+        r = 1
+        for _ in range(e % 3):  # nonzero elements of GF(4) have order dividing 3
+            r = GF4_MUL[r][a]
+        return r
+
+
+def oracle_sectional_value(curve, t):
+    """The curve's value at t by a hand-written binary search for the
+    first segment whose interval reaches t; 0 outside, except past the
+    last breakpoint in "extend-last" mode."""
+    t = float(t)
+    if t < curve.breakpoints[0]:
+        return 0.0
+    if t > curve.breakpoints[-1]:
+        if curve.outside_mode == "extend-last":
+            a, b = curve.segments[-1]
+            return a * t + b
+        return 0.0
+    lo, hi = 0, len(curve.segments) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if t <= curve.breakpoints[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    a, b = curve.segments[lo]
+    return a * t + b

@@ -1,11 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from gsds.cli import main
-from gsds.network import save_model
+from gsds.infer import load_series, save_series
+from gsds.network import RANGE_MAX_LINES, save_model
 
 from conftest import (
     EX3_ROWS,
@@ -74,6 +76,41 @@ def test_validation_failures_name_genes(workspace, capsys):
         assert code == 2
         assert "  range: f[g2](1, 0, 1) = 2, outside the gene's state set\n" in err
         assert "#" not in err
+
+
+def constant_gene_model(path, q, sizes):
+    """GF(q), parallel: g1 = 1 with state set {0}, and gene j + 2 keeps
+    its value on the levels range(sizes[j]): every state is a range
+    violation of g1."""
+    genes = [f"g{j + 1}" for j in range(len(sizes) + 1)]
+    states = {"g1": [0], **{g: list(range(k)) for g, k in zip(genes[1:], sizes)}}
+    locals_ = {g: "1" if j == 0 else f"x{j + 1}" for j, g in enumerate(genes)}
+    path.write_text(json.dumps({"field": q, "genes": genes, "states": states,
+                                "edges": [], "locals": locals_, "schedule": None}))
+    return path
+
+
+def test_validate_caps_the_range_lines_of_a_gene(tmp_path, capsys):
+    # a GF(2)^18 model with 2^17 states, each listed before the cap
+    code, _, err = run(capsys, "validate", constant_gene_model(tmp_path / "m.json", 2, [2] * 17))
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 2 + RANGE_MAX_LINES and len(err) < 2000
+    assert lines[1] == f"  range: f[g1]{(0,) * 18} = 1, outside the gene's state set"
+    assert lines[-1] == (f"  range: f[g1] ... and {2**17 - RANGE_MAX_LINES} more states "
+                         "outside the gene's state set")
+
+
+@pytest.mark.parametrize("q, sizes", [(5, [5, 2]), (11, [11])])
+def test_range_lines_at_and_past_the_cap(tmp_path, capsys, q, sizes):
+    count = math.prod(sizes)  # 10 and 11 violations
+    code, _, err = run(capsys, "validate", constant_gene_model(tmp_path / "m.json", q, sizes))
+    lines = err.splitlines()[1:]
+    assert code == 2 and len(lines) == min(count, RANGE_MAX_LINES) + (count > RANGE_MAX_LINES)
+    assert all(line.endswith("= 1, outside the gene's state set") for line in lines[:RANGE_MAX_LINES])
+    if count > RANGE_MAX_LINES:
+        assert lines[-1] == (f"  range: f[g1] ... and {count - RANGE_MAX_LINES} more states "
+                             "outside the gene's state set")
 
 
 # -- simulate ----------------------------------------------------------------
@@ -235,7 +272,10 @@ def test_discretize_produces_series(workspace, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["states"] == [[-1, 1, -1], [0, 1, 0], [1, 1, 1], [-1, 1, -1]]
-    assert json.loads(series_out.read_text()) == data
+    # the file holds the printed text, the bytes save_series writes
+    assert series_out.read_text() == out
+    save_series(load_series(series_out), workspace["dir"] / "saved.json")
+    assert (workspace["dir"] / "saved.json").read_text() == out
 
 
 def test_discretize_carries_threshold_display(workspace, capsys):

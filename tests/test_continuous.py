@@ -26,7 +26,7 @@ from gsds.polyring import Polynomial, parse_poly
 from gsds.translate import GeneThresholds, ThresholdMap, check_translated, discretize
 
 from conftest import EX3_ROWS, EX3_TIMES, build_example3
-from oracles import oracle_hybrid_simulate
+from oracles import oracle_hybrid_simulate, oracle_sectional_value
 
 GF2 = Field(2)
 
@@ -115,6 +115,29 @@ def test_interior_breakpoint_agrees_from_both_sides():
     right = curve.segments[1][0] * t + curve.segments[1][1]
     assert abs(left - right) <= 1e-9
     assert curve.value(t) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def curves_and_times(draw):
+    """A continuous curve through random samples at quarter-integer
+    times, in either outside mode, and times on its breakpoints, between
+    them and outside them."""
+    times = sorted(draw(st.sets(st.integers(-40, 40), min_size=2, max_size=9)))
+    times = [t / 4 for t in times]
+    values = draw(st.lists(st.floats(-10, 10), min_size=len(times), max_size=len(times)))
+    mode = draw(st.sampled_from(["zero", "extend-last"]))
+    curve = fit_from_samples(times, values, mode)
+    between = [a + (b - a) * draw(st.floats(0, 1)) for a, b in zip(times, times[1:])]
+    outside = [times[0] - draw(st.floats(0, 20)), times[-1] + draw(st.floats(0, 20))]
+    return curve, times + between + outside
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves_and_times())
+def test_value_matches_binary_search_oracle(case):
+    curve, ts = case
+    for t in ts:
+        assert curve.value(t) == oracle_sectional_value(curve, t)
 
 
 # -- fitting ---------------------------------------------------------------------

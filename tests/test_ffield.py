@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsds import (
     Field,
@@ -8,6 +10,8 @@ from gsds import (
     gf4_table_errata,
 )
 from gsds.ffield import GF4_PUBLISHED_ADD, GF4_PUBLISHED_MUL, format_state
+
+from oracles import OracleField
 
 AXIOM_ORDERS = [2, 3, 4, 5, 7]
 
@@ -156,5 +160,32 @@ def test_balanced_encoding_unsupported_fields():
 
 def test_format_state():
     f = Field(3)
-    assert format_state(f, (2, 1, 2)) == "(2,1,2)"
-    assert format_state(f, (2, 1, 2), balanced=True) == "(-1,1,-1)"
+    assert format_state(f, "canonical", (2, 1, 2)) == "(2,1,2)"
+    assert format_state(f, "balanced", (2, 1, 2)) == "(-1,1,-1)"
+
+
+def outcome(op, *args):
+    """The result of a field operation, or the type of error it raised."""
+    try:
+        return op(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@st.composite
+def field_operands(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 4, 257]))
+    return q, draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_operands())
+def test_operations_match_the_branching_oracle(case):
+    q, a, b = case
+    f, oracle = Field(q), OracleField(q)
+    for name in ("add", "sub", "mul", "div"):
+        assert outcome(getattr(f, name), a, b) == outcome(getattr(oracle, name), a, b), name
+    for name in ("neg", "inv"):
+        assert outcome(getattr(f, name), a) == outcome(getattr(oracle, name), a), name
+    for e in range(-2 * q, 3 * q + 1):
+        assert outcome(f.pow, a, e) == outcome(oracle.pow, a, e), e
