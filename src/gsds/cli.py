@@ -3,34 +3,21 @@
 Commands: validate, simulate, portrait, infer, fit, discretize, check,
 hybrid.  Exit codes: 0 success, 2 model validation failure, 3
 contradictory transition data, 4 compatibility failure, 1 anything
-else.  All output is deterministic for identical inputs and flags.
+else, usage errors included.  All output is deterministic for identical
+inputs and flags.  One stdlib ``argparse`` parser, built at import,
+reads every command line.
 """
 
+import argparse
 import functools
+import os
 import sys
 
-import click
-
-from .continuous import (
-    fit_from_samples,
-    hybrid_simulate,
-    load_rates,
-    load_samples_csv,
-    save_events_csv,
-    save_samples_csv,
-)
-from .dynamics import (
-    attractor_summary_dot,
-    phase_portrait,
-    portrait_report,
-    transitions_dot,
-)
-from .errors import (
-    CompatibilityError,
-    ContradictoryDataError,
-    GsdsError,
-    ModelValidationError,
-)
+from .continuous import fit_from_samples, hybrid_simulate, load_rates, load_samples_csv, \
+    save_events_csv, save_samples_csv
+from .dynamics import attractor_summary_dot, phase_portrait, portrait_report, transitions_dot
+from .errors import CompatibilityError, ContradictoryDataError, FieldMismatchError, \
+    GsdsError, ModelValidationError
 from .files import FORMAT_VERSION, dumps
 from .infer import StateSeries, TransitionData, infer_network, load_series, \
     series_to_dict, solution_space
@@ -38,6 +25,64 @@ from .network import global_map, load_model, save_model, \
     trajectory, validate_model
 from .polyring import parse_poly
 from .translate import discretize_series, check_translated, load_thresholds
+
+
+def _existing(path):
+    """A path argument, checked for existence while the line is parsed."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+HELP = _arg("--help", action="help", help="Show this message and exit.")
+PARSER = _Parser(prog="gsds", description="Gene-network dynamical systems over finite fields.",
+                 add_help=False, allow_abbrev=False)
+PARSER.add_argument(*HELP[0], **HELP[1])
+COMMANDS = PARSER.add_subparsers(dest="command", metavar="COMMAND", required=True)
+VALUE_OPTIONS = {}  # command -> {option string taking a value: its long form}
+
+
+def _command(*params):
+    """Add the decorated function to the parser as the command of its
+    name, with one ``add_argument`` call per ``_arg`` in ``params``."""
+    def add(fn):
+        sub = COMMANDS.add_parser(fn.__name__, help=fn.__doc__, description=fn.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        for flags, kwargs in (*params, HELP):
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=fn)
+        VALUE_OPTIONS[fn.__name__] = {f: flags[-1] for flags, kw in params
+                                      if "action" not in kw and flags[0].startswith("-")
+                                      for f in flags}
+        return fn
+    return add
+
+
+def _joined(argv):
+    """``argv`` with each option that takes a value joined to the next
+    token as ``--long-form=value``, so that the value may begin with ``-``."""
+    out, valued, tokens = [], None, iter(argv)
+    for token in tokens:
+        if valued is None:
+            valued = VALUE_OPTIONS.get(token)
+        elif token in valued:
+            value = next(tokens, None)
+            token = token if value is None else f"{valued[token]}={value}"
+        elif token == "--":
+            return out + [token, *tokens]
+        out.append(token)
+    return out
 
 
 def _with_overrides(model, display=None, schedule=None):
@@ -73,39 +118,39 @@ def _report(data, path=None):
             fh.write(text)
 
 
-display_option = click.option(
-    "--display",
-    type=click.Choice(["canonical", "balanced"]),
-    default=None,
-    help="Override the model's display encoding.",
-)
+SCHEDULE = _arg("--schedule", help="Override the schedule word, e.g. 'g3,g2,g1,g0'.")
+DISPLAY = _arg("--display", choices=["canonical", "balanced"],
+               help="Override the model's display encoding.")
 
 
-@click.group()
-def cli():
-    """Gene-network dynamical systems over finite fields."""
+def _thresholds(path, genes, model):
+    """The threshold file's map, which must be over the model's field."""
+    tmap, _ = load_thresholds(path, genes)
+    if tmap.field != model.field:
+        raise FieldMismatchError(f"threshold file {path} is over {tmap.field!r}, "
+                                 f"the model over {model.field!r}")
+    return tmap
 
 
-@cli.command()
-@click.argument("model_file", type=click.Path(exists=True))
+@_command(_arg("model_file", type=_existing))
 def validate(model_file):
     """Check locality, value ranges, and the schedule of a model."""
     model = load_model(model_file)
     report = validate_model(model)
     if report.valid:
-        click.echo("valid")
+        print("valid")
         return
     raise ModelValidationError(report)
 
 
-@cli.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@click.option("--state", required=True, help="Initial state, e.g. '(-1,1,-1)' or '0000'.")
-@click.option("--steps", "-T", default=0, show_default=True, help="Number of steps.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text lines.")
-@click.option("--schedule", default=None,
-              help="Override the schedule word, e.g. 'g3,g2,g1,g0'.")
-@display_option
+@_command(
+    _arg("model_file", type=_existing),
+    _arg("--state", required=True, help="Initial state, e.g. '(-1,1,-1)' or '0000'."),
+    _arg("-T", "--steps", type=int, default=0, help="Number of steps. (default: %(default)s)"),
+    _arg("--json", dest="as_json", action="store_true",
+         help="Emit JSON instead of text lines."),
+    SCHEDULE, DISPLAY,
+)
 def simulate(model_file, state, steps, as_json, display, schedule):
     """Iterate the model's global map from a state."""
     model = _with_overrides(load_model(model_file), display, schedule)
@@ -122,59 +167,57 @@ def simulate(model_file, state, steps, as_json, display, schedule):
             }
         )
     else:
-        for s in states:
-            click.echo(model.format_state(s))
+        sys.stdout.write("".join(model.format_state(s) + "\n" for s in states))
 
 
-@cli.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@click.option("--json", "json_out", type=click.Path(), default=None,
-              help="Write the JSON report here (also printed).")
-@click.option("--dot", "dot_out", type=click.Path(), default=None,
-              help="Write the transition digraph in DOT form.")
-@click.option("--summary-dot", "summary_out", type=click.Path(), default=None,
-              help="Write the attractor summary in DOT form.")
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True,
-              help="Accepted for compatibility; starts no threads and does "
-                   "not change the output.")
-@click.option("--limit", default=1 << 24, show_default=True,
-              help="Maximum state-space size.")
-@click.option("--schedule", default=None,
-              help="Override the schedule word, e.g. 'g3,g2,g1,g0'.")
-@display_option
+@_command(
+    _arg("model_file", type=_existing),
+    _arg("--json", dest="json_out", metavar="PATH",
+         help="Write the JSON report here (also printed)."),
+    _arg("--dot", dest="dot_out", metavar="PATH",
+         help="Write the transition digraph in DOT form."),
+    _arg("--summary-dot", dest="summary_out", metavar="PATH",
+         help="Write the attractor summary in DOT form."),
+    _arg("--workers", type=int, default=1,
+         help="Accepted for compatibility; starts no threads and does "
+              "not change the output. (default: %(default)s)"),
+    _arg("--limit", type=int, default=1 << 24,
+         help="Maximum state-space size. (default: %(default)s)"),
+    SCHEDULE, DISPLAY,
+)
 def portrait(model_file, json_out, dot_out, summary_out, workers, limit, display,
              schedule):
     """Attractors, transients, and basins of the global map."""
+    if workers < 1:
+        raise ValueError(f"--workers {workers} is not in the range x>=1")
     model = _with_overrides(load_model(model_file), display, schedule)
     p = phase_portrait(model, limit=limit)  # --workers is accepted and unused
     _report(portrait_report(p), json_out)
     if dot_out:
         with open(dot_out, "w") as fh:
-            fh.write(transitions_dot(p))
+            fh.writelines(transitions_dot(p))
     if summary_out:
         with open(summary_out, "w") as fh:
             fh.write(attractor_summary_dot(p))
 
 
-@cli.command()
-@click.argument("series_file", type=click.Path(exists=True), required=False)
-@click.option("--csv", "csv_file", type=click.Path(exists=True), default=None,
-              help="Concentration CSV to discretize instead of a series file.")
-@click.option("--thresholds", "thresholds_file", type=click.Path(exists=True),
-              default=None, help="Threshold file (required with --csv).")
-@click.option("--preference", type=click.Choice(["canonical", "sparsest"]),
-              default="canonical", show_default=True)
-@click.option("--member", default=None,
-              help="Semicolon-separated coordinate polynomials to test for "
-                   "solution-space membership.")
-@click.option("-o", "--output", type=click.Path(), default=None,
-              help="Write the inferred model file here.")
+@_command(
+    _arg("series_file", type=_existing, nargs="?"),
+    _arg("--csv", dest="csv_file", type=_existing,
+         help="Concentration CSV to discretize instead of a series file."),
+    _arg("--thresholds", dest="thresholds_file", type=_existing,
+         help="Threshold file (required with --csv)."),
+    _arg("--preference", choices=["canonical", "sparsest"], default="canonical",
+         help="(default: %(default)s)"),
+    _arg("--member", help="Semicolon-separated coordinate polynomials to test for "
+                          "solution-space membership."),
+    _arg("-o", "--output", metavar="PATH", help="Write the inferred model file here."),
+)
 def infer(series_file, csv_file, thresholds_file, preference, member, output):
     """Fit polynomial coordinate functions to a state series."""
     if csv_file:
         if thresholds_file is None:
-            raise click.UsageError("--csv requires --thresholds")
+            raise ValueError("--csv requires --thresholds")
         genes, _, rows = load_samples_csv(csv_file)
         tmap, _ = load_thresholds(thresholds_file, genes)
         states = discretize_series(tmap, rows)
@@ -182,9 +225,9 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
     elif series_file:
         series = load_series(series_file)
     else:
-        raise click.UsageError("provide a series file or --csv")
+        raise ValueError("provide a series file or --csv")
     if len(series.states) < 2:
-        raise click.UsageError("the series must contain at least two states")
+        raise ValueError("the series must contain at least two states")
     result = infer_network(
         series.field,
         series.states,
@@ -206,7 +249,7 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
     if member:
         texts = [t.strip() for t in member.split(";")]
         if len(texts) != model.n:
-            raise click.UsageError(
+            raise ValueError(
                 f"--member needs {model.n} polynomials, got {len(texts)}"
             )
         data = TransitionData.from_series(series.field, series.states)
@@ -221,14 +264,12 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
         save_model(model, output)
 
 
-@cli.command()
-@click.argument("csv_file", type=click.Path(exists=True))
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_command(_arg("csv_file", type=_existing), _arg("-o", "--output", metavar="PATH"))
 def fit(csv_file, output):
     """Fit piecewise-linear curves through a concentration CSV."""
     genes, times, rows = load_samples_csv(csv_file)
     if len(times) < 2:
-        raise click.UsageError("need at least two samples to fit")
+        raise ValueError("need at least two samples to fit")
     report = {"format_version": FORMAT_VERSION, "genes": {}}
     for j, name in enumerate(genes):
         curve = fit_from_samples(times, [r[j] for r in rows])
@@ -239,13 +280,12 @@ def fit(csv_file, output):
     _report(report, output)
 
 
-@cli.command()
-@click.argument("csv_file", type=click.Path(exists=True))
-@click.option("--thresholds", "thresholds_file", type=click.Path(exists=True),
-              required=True)
-@click.option("--collapse", is_flag=True, help="Collapse consecutive repeats.")
-@click.option("-o", "--output", type=click.Path(), default=None,
-              help="Write the discretized series file here.")
+@_command(
+    _arg("csv_file", type=_existing),
+    _arg("--thresholds", dest="thresholds_file", type=_existing, required=True),
+    _arg("--collapse", action="store_true", help="Collapse consecutive repeats."),
+    _arg("-o", "--output", metavar="PATH", help="Write the discretized series file here."),
+)
 def discretize(csv_file, thresholds_file, collapse, output):
     """Discretize a concentration CSV into a state series."""
     genes, _, rows = load_samples_csv(csv_file)
@@ -255,16 +295,16 @@ def discretize(csv_file, thresholds_file, collapse, output):
     _report(series_to_dict(series), output)
 
 
-@cli.command()
-@click.argument("csv_file", type=click.Path(exists=True))
-@click.option("--thresholds", "thresholds_file", type=click.Path(exists=True),
-              required=True)
-@click.option("--model", "model_file", type=click.Path(exists=True), required=True)
+@_command(
+    _arg("csv_file", type=_existing),
+    _arg("--thresholds", dest="thresholds_file", type=_existing, required=True),
+    _arg("--model", dest="model_file", type=_existing, required=True),
+)
 def check(csv_file, thresholds_file, model_file):
     """Check that the model's map commutes with discretization on the data."""
     genes, _, rows = load_samples_csv(csv_file)
     model = load_model(model_file)
-    tmap, _ = load_thresholds(thresholds_file, genes)
+    tmap = _thresholds(thresholds_file, genes, model)
     fmap = global_map(model)
     result = check_translated(fmap, list(zip(rows, rows[1:])), tmap)
     _report(
@@ -287,25 +327,22 @@ def check(csv_file, thresholds_file, model_file):
         raise CompatibilityError(result)
 
 
-@cli.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@click.option("--rates", "rates_file", type=click.Path(exists=True), required=True)
-@click.option("--thresholds", "thresholds_file", type=click.Path(exists=True),
-              required=True)
-@click.option("--c0", required=True, help="Initial concentrations, e.g. '0.5,1.2,0.5'.")
-@click.option("--t-end", type=float, required=True)
-@click.option("-o", "--output", type=click.Path(), default=None,
-              help="Write the JSON result here (also printed).")
-@click.option("--csv-out", type=click.Path(), default=None,
-              help="Write trajectory breakpoints as CSV.")
-@click.option("--events-csv", type=click.Path(), default=None,
-              help="Write the event log as CSV.")
+@_command(
+    _arg("model_file", type=_existing),
+    _arg("--rates", dest="rates_file", type=_existing, required=True),
+    _arg("--thresholds", dest="thresholds_file", type=_existing, required=True),
+    _arg("--c0", required=True, help="Initial concentrations, e.g. '0.5,1.2,0.5'."),
+    _arg("--t-end", type=float, required=True),
+    _arg("-o", "--output", metavar="PATH", help="Write the JSON result here (also printed)."),
+    _arg("--csv-out", metavar="PATH", help="Write trajectory breakpoints as CSV."),
+    _arg("--events-csv", metavar="PATH", help="Write the event log as CSV."),
+)
 def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
            events_csv):
     """Event-driven simulation of concentrations coupled to the model."""
     model = load_model(model_file)
     rates = load_rates(rates_file, model)
-    tmap, _ = load_thresholds(thresholds_file, list(model.genes))
+    tmap = _thresholds(thresholds_file, list(model.genes), model)
     start = [float(v) for v in c0.replace("(", "").replace(")", "").split(",")]
     result = hybrid_simulate(model, rates, tmap, start, t_end)
     decode = functools.cache(model.decode_state)  # a run visits few states
@@ -350,30 +387,26 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
 def main(argv=None):
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, prog_name="gsds", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+        args = vars(PARSER.parse_args(_joined(sys.argv[1:] if argv is None else argv)))
+        del args["command"]
+        args.pop("run")(**args)
+    except SystemExit as exc:  # --help printed the help
+        return exc.code
     except ModelValidationError as exc:
-        click.echo("validation failed:", err=True)
+        print("validation failed:", file=sys.stderr)
         for line in exc.report.lines():
-            click.echo(f"  {line}", err=True)
+            print(f"  {line}", file=sys.stderr)
         return 2
     except ContradictoryDataError as exc:
-        click.echo(f"contradictory data: {exc}", err=True)
+        print(f"contradictory data: {exc}", file=sys.stderr)
         return 3
     except CompatibilityError as exc:
-        click.echo(f"compatibility failure: {exc}", err=True)
+        print(f"compatibility failure: {exc}", file=sys.stderr)
         for idx, state, expected, actual in exc.check.counterexamples:
-            click.echo(
-                f"  pair {idx}: f{state} = {expected}, observed {actual}",
-                err=True,
-            )
+            print(f"  pair {idx}: f{state} = {expected}, observed {actual}", file=sys.stderr)
         return 4
     except (GsdsError, OSError, ValueError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

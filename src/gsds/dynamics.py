@@ -12,6 +12,7 @@ per-level state bitsets; no state is evaluated term by term.
 """
 
 import itertools
+import operator
 from collections import Counter
 
 from .errors import StateSpaceLimitError
@@ -20,6 +21,7 @@ from .network import GlobalMap, global_map
 
 DEFAULT_STATE_LIMIT = 1 << 24
 DEFAULT_PERM_VERTEX_LIMIT = 8
+DOT_BLOCK_STATES = 1024  # bounds the text transitions_dot holds at once
 
 
 class PhasePortrait:
@@ -196,20 +198,38 @@ def portrait_report(portrait):
     }
 
 
-def transitions_dot(portrait):
-    """DOT digraph of the full state transition graph; attractor states
-    are drawn as double circles.  Quoted labels are built gene by gene."""
-    m = portrait.model
-    labels = ['"(' if m.n else '"()"']
-    for k, values in enumerate(m.state_sets):
-        end = ')"' if k == m.n - 1 else ","
-        texts = [m.format_level(v) + end for v in values]
+def _labels(model, genes, start):
+    """``start`` + the label text of each level combination of ``genes``."""
+    labels = [start]
+    for k in genes:
+        end = ')"' if k == model.n - 1 else ","
+        texts = [model.format_level(v) + end for v in model.state_sets[k]]
         labels = [a + b for a in labels for b in texts]
-    in_cycle = sorted(i for cycle in portrait.attractors for i in cycle)
-    lines = ["digraph transitions {", "  node [shape=circle];"]
-    lines += [f"  {labels[i]} [shape=doublecircle];" for i in in_cycle]
-    lines += [f"  {a} -> {b};" for a, b in zip(labels, map(labels.__getitem__, portrait.successor))]
-    return "\n".join(lines) + "\n}\n"
+    return labels
+
+
+def transitions_dot(portrait):
+    """DOT digraph of the full state transition graph, yielded as text
+    blocks; attractor states are drawn as double circles.  A block has a
+    line for each state that shares one level of every leading gene; the
+    trailing genes are the last one and as many more as keep their level
+    combinations at most DOT_BLOCK_STATES."""
+    m = portrait.model
+    k, width = m.n, 1
+    while k and (k == m.n or width * len(m.state_sets[k - 1]) <= DOT_BLOCK_STATES):
+        k -= 1
+        width *= len(m.state_sets[k])
+    head, tail = _labels(m, range(k), '"(' if m.n else '"()"'), _labels(m, range(k, m.n), "")
+    yield "digraph transitions {\n  node [shape=circle];\n"
+    starts = range(0, portrait.state_count, width)
+    for h, s in zip(head, starts):  # a state lies on its attractor iff its transient is 0
+        on_cycle = map(operator.not_, portrait.transient[s:s + width])
+        yield "".join([f"  {h}{t} [shape=doublecircle];\n" for t in itertools.compress(tail, on_cycle)])
+    succ = portrait.successor
+    for h, s in zip(head, starts):
+        yield "".join([f"  {h}{t} -> {head[a]}{tail[b]};\n" for t, (a, b) in zip(
+            tail, map(divmod, succ[s:s + width], itertools.repeat(width)))])
+    yield "}\n"
 
 
 def attractor_summary_dot(portrait):

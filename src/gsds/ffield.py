@@ -155,11 +155,14 @@ class Field:
             raise ZeroDivisionError(f"division by zero in {self!r}")
         return self.mul_rows[a][self.inv_row[b]]
 
+    def fold_exp(self, e):
+        """e >= 0 folded into [0, q-1] by x^q = x: a^e = a^fold_exp(e) for all a."""
+        return e and (e - 1) % (self.order - 1) + 1
+
     def pow(self, a, e):
-        """a^e, where a^e = a^((e-1) mod (q-1) + 1) for e > 0 (x^q = x)."""
         if e < 0:
             a, e = self.inv(a), -e
-        return self.pow_rows[a][e and (e - 1) % (self.order - 1) + 1]
+        return self.pow_rows[a][self.fold_exp(e)]
 
 
 def _require_balanced(field):

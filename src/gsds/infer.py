@@ -129,10 +129,11 @@ def solution_space(data, coordinate):
 
 def _solve_linear(field, rows, rhs):
     """One solution of A x = b over the field (free unknowns set to 0),
-    or None if the system is inconsistent.  Reduced row-echelon form on
-    the field's lookup rows: scaling is one row of ``mul``, subtraction
-    adds the product with the negated factor."""
-    add, mul = field.add_rows, field.mul_rows
+    or None if the system is inconsistent.  Forward elimination to unit
+    pivots (rows below a pivot are zero left of its column), then back-
+    substitution, on the field's lookup rows: scaling is one row of
+    ``mul``, subtraction adds the product with the negated factor."""
+    add, mul, neg = field.add_rows, field.mul_rows, field.neg_row
     rows = [list(r) + [b] for r, b in zip(rows, rhs)]
     cols = len(rows[0]) - 1 if rows else 0
     pivots = []
@@ -143,21 +144,23 @@ def _solve_linear(field, rows, rhs):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         scale = mul[field.inv(rows[r][c])]
-        prow = rows[r] = [scale[v] for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c] != 0:
-                m = mul[field.neg(row[c])]
-                rows[i] = [add[v][m[w]] for v, w in zip(row, prow)]
+        prow = rows[r][c:] = [scale[v] for v in rows[r][c:]]
+        for row in rows[r + 1:]:
+            if row[c] != 0:
+                m = mul[neg[row[c]]]
+                row[c:] = [add[v][m[w]] for v, w in zip(row[c:], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
+    if any(row[-1] for row in rows[r:]):
+        return None
     solution = [0] * cols
-    for i, c in enumerate(pivots):
-        solution[c] = rows[i][-1]
+    for i in reversed(range(r)):
+        row, value = rows[i], rows[i][-1]
+        for c in pivots[i + 1:]:
+            value = add[value][mul[neg[row[c]]][solution[c]]]
+        solution[pivots[i]] = value
     return solution
 
 

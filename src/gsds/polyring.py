@@ -53,9 +53,6 @@ class Polynomial:
         self.terms = _reduced(field, n_vars, (terms or {}).items()).terms
         self._compiled = self._text = None
 
-    def _reduce_exp(self, e):
-        return e and (e - 1) % (self.field.order - 1) + 1
-
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -138,7 +135,7 @@ class Polynomial:
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
         # a^e = a^(reduced e) on every field value, so on every function
-        e = self._reduce_exp(e)
+        e = self.field.fold_exp(e)
         result = Polynomial.constant(self.field, self.n_vars, 1)
         base = self
         while e:
@@ -275,7 +272,7 @@ def _reduced(field, n_vars, pairs):
     get = out.get
     for exps, c in pairs:
         if exps and max(exps) > top:
-            exps = tuple(e and (e - 1) % top + 1 for e in exps)
+            exps = tuple(map(field.fold_exp, exps))
         out[exps] = add[get(exps, 0)][coerce(c)]
     return Polynomial._trusted(field, n_vars, {e: c for e, c in out.items() if c})
 

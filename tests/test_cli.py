@@ -499,14 +499,16 @@ def test_missing_file_exits_1(capsys):
     assert code == 1
 
 
+COMMANDS = ["validate", "simulate", "portrait", "infer", "fit", "discretize", "check", "hybrid"]
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "gsds.cli", "--help"],
         capture_output=True, text=True,
     )
     assert result.returncode == 0
-    assert "simulate" in result.stdout
-    assert "portrait" in result.stdout
+    assert all(command in result.stdout for command in COMMANDS)
 
 
 def test_simulate_schedule_override(workspace, capsys):
@@ -674,3 +676,103 @@ def test_malformed_file_exits_1_with_one_line(workspace, capsys, case, kind, cha
     assert err.startswith(f"error: malformed {kind} file ")
     assert str(path) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# -- command-line compatibility --------------------------------------------------
+
+SIM = ["simulate", "{ex3}", "--state"]
+HYB = ["hybrid", "{ex3}", "--rates", "{rates}", "--thresholds", "{thresholds}"]
+C0 = ["--c0", "0.5,0.5,0.5", "--t-end", "1"]
+# Each path argument of each command, named by "{missing}" in turn
+PATH_ARGUMENTS = [
+    ["validate", "{missing}"],
+    ["simulate", "{missing}", "--state", "0,0,0"],
+    ["portrait", "{missing}"],
+    ["infer", "{missing}"],
+    ["infer", "--csv", "{missing}", "--thresholds", "{thresholds}"],
+    ["infer", "--csv", "{csv}", "--thresholds", "{missing}"],
+    ["fit", "{missing}"],
+    ["discretize", "{missing}", "--thresholds", "{thresholds}"],
+    ["discretize", "{csv}", "--thresholds", "{missing}"],
+    ["check", "{missing}", "--thresholds", "{thresholds}", "--model", "{ex3}"],
+    ["check", "{csv}", "--thresholds", "{missing}", "--model", "{ex3}"],
+    ["check", "{csv}", "--thresholds", "{thresholds}", "--model", "{missing}"],
+    ["hybrid", "{missing}", "--rates", "{rates}", "--thresholds", "{thresholds}", *C0],
+    ["hybrid", "{ex3}", "--rates", "{missing}", "--thresholds", "{thresholds}", *C0],
+    ["hybrid", "{ex3}", "--rates", "{rates}", "--thresholds", "{missing}", *C0],
+]
+# (case, argv, exit code, stdout: the text, or the argv whose stdout it equals);
+# every exit code and stdout is that of the click front end the parser replaced
+COMPAT = [
+    ("state-leading-dash", SIM + ["-1,1,-1", "--steps", "2"], 0,
+     "(-1,1,-1)\n(0,1,0)\n(1,1,1)\n"),
+    ("opt=value", ["simulate", "{ex3}", "--state=-1,1,-1", "--steps=2"], 0,
+     "(-1,1,-1)\n(0,1,0)\n(1,1,1)\n"),
+    ("short-option-attached", SIM + ["-1,1,-1", "-T2"], 0, "(-1,1,-1)\n(0,1,0)\n(1,1,1)\n"),
+    ("state-is-help", SIM + ["--help"], 1, ""),
+    ("short-option-negative", SIM + ["-1,1,-1", "-T", "-1"], 1, ""),
+    ("c0-leading-dash", HYB + ["--c0", "-0.5,0.5,0.5", "--t-end", "1"], 0,
+     HYB + ["--c0=-0.5,0.5,0.5", "--t-end=1"]),
+    ("c0-denormal", HYB + ["--c0", "-5e-324,0.5,0.5", "--t-end", "1"], 0,
+     HYB + ["--c0=-5e-324,0.5,0.5", "--t-end=1"]),
+    ("t-end-negative", HYB + ["--c0", "0.5,0.5,0.5", "--t-end", "-1"], 1, ""),
+    ("bad-display", SIM + ["-1,1,-1", "--display", "bogus"], 1, ""),
+    ("bad-preference", ["infer", "--csv", "{csv}", "--thresholds", "{thresholds}",
+                        "--preference", "bogus"], 1, ""),
+    ("steps-not-int", SIM + ["-1,1,-1", "--steps", "x"], 1, ""),
+    ("t-end-not-float", HYB + ["--c0", "0.5,0.5,0.5", "--t-end", "x"], 1, ""),
+    ("workers-0", ["portrait", "{ex3}", "--workers", "0"], 1, ""),
+    ("missing-required", ["simulate", "{ex3}"], 1, ""),
+    ("missing-value", SIM, 1, ""),
+    ("unknown-option", ["portrait", "{ex1}", "--wat"], 1, ""),
+    ("abbreviated-option", ["portrait", "{ex1}", "--sched", "g0,g1,g2,g3"], 1, ""),
+    ("flag-with-value", SIM + ["-1,1,-1", "--json=x"], 1, ""),
+    ("no-command", [], 1, ""),
+    ("unknown-command", ["bogus"], 1, ""),
+] + [(f"missing-{argv[0]}-{k}", argv, 1, "") for k, argv in enumerate(PATH_ARGUMENTS)]
+
+
+def compat_run(workspace, capsys, argv):
+    files = {key: workspace[key] for key in ("ex1", "ex3", "thresholds", "csv")}
+    files["rates"] = workspace["dir"] / "rates.json"
+    files["rates"].write_text(json.dumps(RATES))
+    files["missing"] = workspace["dir"] / "missing.json"
+    return run(capsys, *[a.format(**files) for a in argv])
+
+
+@pytest.mark.parametrize("case,argv,code,stdout", COMPAT, ids=[c[0] for c in COMPAT])
+def test_command_line_compatibility(workspace, capsys, case, argv, code, stdout):
+    got_code, out, _ = compat_run(workspace, capsys, argv)
+    if isinstance(stdout, list):
+        stdout = compat_run(workspace, capsys, stdout)[1]
+        assert stdout.startswith("{")
+    assert (got_code, out) == (code, stdout)
+
+
+@pytest.mark.parametrize("case,argv", [(c[0], c[1]) for c in COMPAT if c[2] == 1],
+                         ids=[c[0] for c in COMPAT if c[2] == 1])
+def test_usage_errors_print_one_error_line(workspace, capsys, case, argv):
+    code, _, err = compat_run(workspace, capsys, argv)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_help_lists_options(capsys):
+    code, out, err = run(capsys, "hybrid", "--help")
+    assert (code, err) == (0, "")
+    for option in ("--rates", "--thresholds", "--c0", "--t-end", "--output", "--csv-out",
+                   "--events-csv", "Initial concentrations, e.g. '0.5,1.2,0.5'."):
+        assert option in out
+
+
+@pytest.mark.parametrize("command", ["check", "hybrid"])
+def test_threshold_file_over_another_field_exits_1(workspace, capsys, command):
+    gf5 = workspace["dir"] / "gf5.json"
+    gf5.write_text(json.dumps({"format_version": 1, "field": 5, "genes": {
+        g: {"levels": [{"threshold": 1.0, "below_level": 0, "equal_level": 4}], "top_level": 4}
+        for g in ("g1", "g2", "g3")}}))
+    argv = {"check": ["check", "{csv}", "--thresholds", str(gf5), "--model", "{ex3}"],
+            "hybrid": ["hybrid", "{ex3}", "--rates", "{rates}", "--thresholds", str(gf5), *C0]}
+    code, out, err = compat_run(workspace, capsys, argv[command])
+    assert (code, out) == (1, "")
+    assert err == f"error: threshold file {gf5} is over GF(5), the model over GF(3)\n"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -353,7 +354,7 @@ def test_portrait_report_balanced_display():
 
 def test_transitions_dot_output():
     p = phase_portrait(build_example3())
-    dot = transitions_dot(p)
+    dot = "".join(transitions_dot(p))
     assert dot.startswith("digraph transitions {")
     assert '"(-1,1,-1)" -> "(0,1,0)";' in dot
     assert '"(-1,1,-1)" [shape=doublecircle];' in dot
@@ -366,9 +367,29 @@ def test_transitions_dot_one_balanced_gene():
     m = GsdsModel(gf5, ["g"], DependencyGraph(1, set()), [parse_poly("2*x1 + 1", 1, gf5)],
                   None, display="balanced")
     p = phase_portrait(m)
-    dot = transitions_dot(p)
+    dot = "".join(transitions_dot(p))
     assert dot == oracle_transitions_dot(p)
     assert '"(-1)" [shape=doublecircle];' in dot and '"(-1)" -> "(-1)";' in dot
+
+
+def test_transitions_dot_is_written_in_bounded_blocks(tmp_path):
+    # GF(2)^16 rotation: every state lies on a cycle, so both the double
+    # circles and the edges span 2^16 lines, about 9 MB of text
+    n = 16
+    m = GsdsModel(GF2, [f"g{i}" for i in range(n)],
+                  DependencyGraph(n, {((i + 1) % n, i) for i in range(n)}),
+                  [parse_poly(f"x{(i + 1) % n + 1}", n, GF2) for i in range(n)], None)
+    p = phase_portrait(m)
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "t.dot", "w") as fh:
+            fh.writelines(transitions_dot(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "t.dot").read_text()
+    assert text.count("\n") == 2 * 2**n + 3
+    assert peak < len(text) / 10
 
 
 def test_attractor_summary_dot_output():
@@ -383,6 +404,6 @@ def test_reports_are_deterministic_across_runs():
     outputs = []
     for _ in range(3):
         p = phase_portrait(m)
-        outputs.append((portrait_report(p), transitions_dot(p),
+        outputs.append((portrait_report(p), "".join(transitions_dot(p)),
                         attractor_summary_dot(p)))
     assert outputs[0] == outputs[1] == outputs[2]

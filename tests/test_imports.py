@@ -1,9 +1,14 @@
 """Import hygiene of the package modules, read with the stdlib ``ast``:
 no module imports a name it never uses, and none imports an
-underscore name from another package module."""
+underscore name from another package module; and ``import gsds.cli``
+loads nothing from outside the package and the standard library."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +54,16 @@ def test_the_checks_find_unused_and_private_imports():
               "from gsds.files import _DEPTH\nfrom ._x import y\nparse_poly(os.sep, y)\n")
     assert unused_imports(source) == ["json", "_rows", "_DEPTH"]
     assert private_imports(source) == ["_rows", "_DEPTH"]
+
+
+def test_cli_imports_only_the_package_and_the_standard_library():
+    # modules that site or .pth files load before the import are diffed away
+    code = ("import json, sys; before = set(sys.modules); import gsds.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+    assert "gsds.cli" in loaded
+    outside = [name for name in loaded if name.split(".")[0] != "gsds"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -11,13 +11,14 @@ import json
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationError,
-                  network, phase_portrait, trajectory)
+                  dynamics, network, phase_portrait, trajectory)
 from gsds.cli import main
 from gsds.dynamics import transitions_dot
 from gsds.network import RANGE_MAX_LINES, ValidationReport, save_model, validate_model
@@ -173,12 +174,17 @@ def test_validate_matches_exhaustive_loop(m):
 
 
 @kernel_settings
-@given(models(closed=True), st.booleans())
-def test_transitions_dot_matches_oracle(m, balanced):
+@given(models(closed=True), st.booleans(), st.integers(1, 40))
+def test_transitions_dot_matches_oracle(m, balanced, block):
+    # small blocks split the labels between several leading-gene prefixes
     if balanced and m.field.order in (3, 5):
         m = m.replace(display="balanced")
     p = phase_portrait(m)
-    assert transitions_dot(p) == oracle_transitions_dot(p)
+    with mock.patch.object(dynamics, "DOT_BLOCK_STATES", block):
+        blocks = list(transitions_dot(p))
+    assert "".join(blocks) == oracle_transitions_dot(p)
+    widest = max(block, max(map(len, m.state_sets), default=1))
+    assert all(b.count("\n") <= widest for b in blocks[1:])
 
 
 def test_failed_validation_reads_the_tables(monkeypatch):
@@ -323,7 +329,7 @@ def test_kernel_zero_gene_model(tmp_path, capsys):
     assert_kernel_matches_scalar(m)
     assert GlobalMap(m).truth_table() == ((),)
     assert phase_portrait(m).fixed_points() == [()]
-    assert transitions_dot(phase_portrait(m)) == oracle_transitions_dot(phase_portrait(m))
+    assert "".join(transitions_dot(phase_portrait(m))) == oracle_transitions_dot(phase_portrait(m))
     path = tmp_path / "empty.json"
     save_model(m, path)
     assert main(["portrait", str(path)]) == 0

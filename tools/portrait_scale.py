@@ -53,7 +53,7 @@ def main():
     report = portrait_report(portrait)
     end = perf_counter()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    transitions_dot(portrait)
+    "".join(transitions_dot(portrait))
     dot_end = perf_counter()
     attractor_summary_dot(portrait)
     summary_end = perf_counter()
