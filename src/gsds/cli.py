@@ -23,7 +23,7 @@ from .infer import StateSeries, TransitionData, infer_network, load_series, \
     series_to_dict, solution_space
 from .network import global_map, load_model, save_model, \
     trajectory, validate_model
-from .polyring import parse_poly
+from .polyring import parse_poly, render_polys
 from .translate import discretize_series, check_translated, load_thresholds
 
 
@@ -228,13 +228,8 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
         raise ValueError("provide a series file or --csv")
     if len(series.states) < 2:
         raise ValueError("the series must contain at least two states")
-    result = infer_network(
-        series.field,
-        series.states,
-        preference,
-        genes=series.genes,
-        display=series.display,
-    )
+    result = infer_network(series.field, series.states, preference, genes=series.genes,
+                           display=series.display)
     model = result.model
     report = {
         "format_version": FORMAT_VERSION,
@@ -243,7 +238,7 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
         "preference": preference,
         "transitions": len(series.states) - 1,
         "dimensions": result.dimensions,
-        "polynomials": {g: p.render() for g, p in zip(model.genes, result.coordinate_polys)},
+        "polynomials": dict(zip(model.genes, render_polys(result.coordinate_polys))),
         "edges": [[model.genes[a], model.genes[b]] for a, b in result.edges],
     }
     if member:

@@ -3,9 +3,9 @@
 A set of observed transitions is a *partially defined function*: outputs
 are known on some subset S of GF(q)^n.  Per coordinate, the interpolants
 form an affine space of dimension q^n - |S|: one particular solution
-(the observed table, zero off S, turned into its reduced polynomial by
-the exact transform ``polyring.table_poly``) plus the span of the
-indicator polynomials of the unspecified points, a basis of q^n - |S|
+(the observed table, zero off S, made a reduced polynomial by the exact
+transform ``polyring.table_polys``, one pass for every coordinate) plus
+the span of the indicators of the unspecified points, a basis of q^n - |S|
 polynomials built only when ``SolutionSpace.basis`` is first read.  The
 sparsest member with respect to variable support is found by searching
 variable subsets by size, then lexicographically.  A subset V admits an
@@ -33,7 +33,7 @@ from .errors import ContradictoryDataError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .network import DependencyGraph, GsdsModel
-from .polyring import Polynomial, indicator_poly, iter_points, poly_sum, table_poly
+from .polyring import Polynomial, indicator_poly, iter_points, poly_sum, table_poly, table_polys
 
 SPARSEST_MAX_VARS = 12
 CONSTRAINED_MAX_UNKNOWNS = 1 << 14
@@ -74,11 +74,9 @@ class TransitionData:
 
 
 def interpolate(data, coordinate):
-    """The canonical interpolant for one coordinate.
-
-    Exact on every observed input and zero on all unspecified points,
-    making it the canonical particular solution.
-    """
+    """The canonical interpolant for one coordinate: exact on every observed
+    input and zero on all unspecified points, the particular solution.
+    ``infer_network`` builds all coordinates' in one ``table_polys`` pass."""
     return table_poly(data.field, data.n, dict(data.coordinate_view(coordinate)))
 
 
@@ -267,22 +265,14 @@ def infer_network(field, series, preference="canonical", genes=None,
     n = data.n
     if genes is None:
         genes = [f"g{j + 1}" for j in range(n)]
-    polys = []
-    dimensions = []
-    for i in range(n):
-        if preference == "sparsest":
-            polys.append(sparsest_interpolate(data, i))
-        else:
-            polys.append(interpolate(data, i))
-        dimensions.append(field.order**n - len(data))
-    model = GsdsModel(
-        field,
-        genes,
-        DependencyGraph.from_supports(polys),
-        polys,
-        schedule=None,
-        display=display,
-    )
+    if preference == "sparsest":
+        polys = [sparsest_interpolate(data, i) for i in range(n)]
+    else:  # every coordinate's interpolant from one packed transform
+        states, images = zip(*data.pairs)
+        polys = table_polys(field, n, states, list(zip(*images)))
+    dimensions = [field.order**n - len(data)] * n
+    model = GsdsModel(field, genes, DependencyGraph.from_supports(polys), polys,
+                      schedule=None, display=display)
     return InferenceResult(model, tuple(polys), dimensions, preference)
 
 
@@ -315,9 +305,11 @@ def series_from_dict(d):
     field = Field(d["field"])
     display = check_display(field, d.get("display", "canonical"))
     states = [tuple(encode_level(field, display, v) for v in s) for s in d["states"]]
-    if not isinstance(d.get("genes", []), list):
-        raise ValueError("genes must be a list of names")
-    return StateSeries(field, states, d.get("genes"), display)
+    genes = d.get("genes")
+    names = {g for g in genes if isinstance(g, str)} if isinstance(genes, list) else None
+    if genes is not None and (names is None or {len(names), *map(len, states)} != {len(genes)}):
+        raise ValueError(f"genes must be distinct names, one per coordinate, got {genes!r}")
+    return StateSeries(field, states, genes, display)
 
 
 def save_series(series, path):

@@ -30,7 +30,7 @@ import sys
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level, format_state
 from .files import FORMAT_VERSION, document, load, write_json
-from .polyring import Polynomial, parse_poly, poly_table, probe_variable
+from .polyring import Polynomial, parse_poly, poly_table, probe_variable, render_polys
 
 RANGE_MAX_LINES = 10  # range violations listed per gene; the rest are counted
 
@@ -228,8 +228,13 @@ class GsdsModel:
 
 
 def apply_local(model, i, state):
-    """Apply gene i's local update: only coordinate i may change."""
-    return GlobalMap(model.replace(schedule=(i,)))(model.check_state(state))
+    """Apply gene i's local update: only coordinate i may change.  The
+    model's map runs with a fold of gene i alone; no model is built."""
+    if i not in range(model.n):
+        raise ValueError(f"{i!r} is not a gene index")
+    f = GlobalMap(model)
+    f._fold = [_reader(model, i)]
+    return f(model.check_state(state))
 
 
 # -- truth-table kernel ------------------------------------------------
@@ -367,6 +372,12 @@ def _spread(terms, total, top):
     return memoryview(acc.to_bytes(8 * width * size, order)).cast(fmt)[:total]
 
 
+def _reader(model, i):
+    """Gene i's fold entry: i, (support gene, its level positions), its table."""
+    support, table = _subcube_tables(model)[i]
+    return i, [(j, model._positions[j]) for j in support], table
+
+
 class GlobalMap:
     """The composed update map of a model, callable on states."""
 
@@ -387,9 +398,7 @@ class GlobalMap:
                 f"point has {len(state)} coordinates, polynomial has {m.n}"
             )
         if self._fold is None:
-            genes = [(i, [(j, m._positions[j]) for j in support], table)
-                     for i, (support, table) in enumerate(_subcube_tables(m))]
-            self._fold = genes if m.parallel else [genes[i] for i in m.schedule]
+            self._fold = [_reader(m, i) for i in (range(m.n) if m.parallel else m.schedule)]
         out = list(state)
         src = state if m.parallel else out
         for i, readers, table in self._fold:
@@ -550,7 +559,7 @@ def model_to_dict(model):
     d["edges"] = sorted(
         [model.genes[a], model.genes[b]] for a, b in model.graph.edges
     )
-    d["locals"] = {g: p.render() for g, p in zip(model.genes, model.local_polys)}
+    d["locals"] = dict(zip(model.genes, render_polys(model.local_polys)))
     d["schedule"] = (
         None if model.parallel else [model.genes[i] for i in model.schedule]
     )

@@ -6,7 +6,10 @@ using x^q = x to fold higher powers (e > 0 maps to ((e-1) mod (q-1)) + 1,
 which never collapses a positive power to x^0 and therefore preserves
 the value at 0).  Reduced polynomials are the canonical representatives
 of functions GF(q)^n -> GF(q): two polynomials are equal as functions
-iff their reduced forms are identical.
+iff their reduced forms are identical.  ``table_polys`` (values on points
+to polynomials, every column in one pass) and ``poly_table`` (values on a
+product of levels) are the one exact transform between tables and
+polynomials; ``render_polys`` writes a list of them with one sort.
 
 Variables are written x1 ... xn.  The concrete text syntax (used in
 model files and CLI output) is
@@ -201,28 +204,28 @@ class Polynomial:
     # -- rendering -----------------------------------------------------
 
     def render(self):
-        if self._text is None:  # terms are never written after construction
-            names = _factor_names(self.n_vars, self.field.order)
-            parts = []
-            # graded lexicographic, highest first; deterministic render order
-            # (the sort is stable under reverse=True, so ties keep lex order)
-            for exps in sorted(sorted(self.terms, reverse=True), key=sum, reverse=True):
-                factors = [row[e] for row, e in zip(names, exps) if e]
-                coeff = self.terms[exps]
-                if coeff != 1 or not factors:
-                    factors.insert(0, str(coeff))
-                parts.append("*".join(factors))
-            self._text = " + ".join(parts) or "0"
-        return self._text
+        return self._text or render_polys([self])[0]
 
 
-@functools.lru_cache(maxsize=64)
-def _factor_names(n_vars, q):
-    """names[j][e]: the factor x_(j+1)^e as rendered, for 1 <= e < q."""
-    return tuple(
-        ("", f"x{j}") + tuple(f"x{j}^{e}" for e in range(2, q))
-        for j in range(1, n_vars + 1)
-    )
+def render_polys(polys):
+    """The text of each polynomial, all over one ring, kept in its ``_text``:
+    the union of their monomials is sorted once (graded lexicographic, highest
+    first) and written once, and each text is that order filtered by its terms."""
+    polys = list(polys)
+    for p in polys[1:]:
+        polys[0]._check_compatible(p)
+    todo = [p for p in polys if p._text is None]
+    if todo:
+        # the sort is stable under reverse=True, so ties keep lex order
+        order = sorted(sorted({e for p in todo for e in p.terms}, reverse=True),
+                       key=sum, reverse=True)
+        names = [("", f"x{j}", *(f"x{j}^{e}" for e in range(2, todo[0].field.order)))
+                 for j in range(1, todo[0].n_vars + 1)]  # names[j-1][e]: x_j^e
+        monomials = ["*".join([row[x] for row, x in zip(names, e) if x]) for e in order]
+        for p in todo:
+            p._text = " + ".join([(m if c == 1 else f"{c}*{m}") if m else str(c) for m, c
+                                  in zip(monomials, map(p.terms.get, order)) if c]) or "0"
+    return [p._text for p in polys]
 
 
 def support_vars(poly, domain=None):
@@ -244,20 +247,6 @@ def support_vars(poly, domain=None):
     # only variables in the reduced-form support can influence values
     tabled = poly_table(poly, domain)
     return frozenset(v for v in poly.support() if probe_variable(tabled, v - 1, domain))
-
-
-@functools.lru_cache(maxsize=64)
-def _inverse_vandermonde(field):
-    """Row a of the inverse Vandermonde matrix: the pairs (e, the
-    multiplication row of L(a, e)) with L(a, e) != 0, where
-    L(a, e) = [e == 0] - a^(q-1-e), with 0^0 = 1 (also in GF(4)), are the
-    coefficients of the indicator 1 - (x - a)^(q-1)."""
-    q, mul = field.order, field.mul_rows
-    return tuple(
-        tuple((e, mul[c]) for e, c in enumerate(
-            field.sub(int(e == 0), field.pow_rows[a][q - 1 - e]) for e in range(q)) if c)
-        for a in range(q)
-    )
 
 
 def _reduced(field, n_vars, pairs):
@@ -317,20 +306,58 @@ def _along_axes(field, table, axes):
     return table
 
 
-def table_poly(field, n_vars, values):
-    """The reduced polynomial that is ``values[point]`` on the given
-    points of GF(q)^n and 0 elsewhere: the inverse Vandermonde matrix
-    applied along each axis of the sparse table, O(n q^(n+1)) at most."""
-    q = field.order
+def table_polys(field, n_vars, points, columns):
+    """The reduced polynomials, one per column, that are ``column[k]`` at
+    ``points[k]`` (distinct points of GF(q)^n) and 0 elsewhere: the inverse
+    Vandermonde matrix, L(a, e) = [e == 0] - a^(q-1-e) from the indicator
+    1 - (x - a)^(q-1), applied along each axis of one sparse table whose
+    entries pack the columns as the digits of an int, O(n q^(n+1)) at most.
+    In characteristic 2 a digit is a value of 1 or 2 bits added by xor; over
+    an odd prime, an integer below (q-1)(q(q-1))^n reduced mod q at the end."""
+    q, char2 = field.order, field.order in (2, 4)
+    width = q.bit_length() - 1 if char2 else ((q - 1) * (q * q - q) ** n_vars).bit_length()
+    # multiples(v)[c] = c * v; in GF(4) 2 = z and 3 = z + 1 act on the bit planes h z + l
+    if q == 4:
+        def multiples(v, lo=sum(1 << 2 * c for c in range(len(columns)))):
+            l, h = v & lo, v >> 1 & lo
+            return 0, v, (h ^ l) << 1 | h, l << 1 | (h ^ l)
+    else:
+        multiples = (lambda v: (0, v)) if char2 else (lambda v: range(0, q * v, v))
+    add, power = operator.xor if char2 else operator.add, field.pow_rows
+    rows = {a: [(e, c) for e in range(q) if (c := field.sub(int(e == 0), power[a][q - 1 - e]))]
+            for a in {a for p in points for a in p}}  # the leading digits that occur
     strides = [q ** (n_vars - 1 - j) for j in range(n_vars)]
-    table = {sum(a * s for a, s in zip(p, strides)): v for p, v in values.items() if v}
-    table = _along_axes(field, table, [(q, q, _inverse_vandermonde(field))] * n_vars)
-    terms = {tuple([idx // s % q for s in strides]): v for idx, v in table.items()}
-    return Polynomial._trusted(field, n_vars, terms)
+    table = {}
+    for p, *values in zip(points, *columns):
+        if packed := sum(v << width * c for c, v in enumerate(values)):
+            table[sum(map(operator.mul, p, strides))] = packed
+    top = q ** (n_vars - 1)  # the place of the leading digit
+    for _ in range(n_vars):
+        out = {}
+        get = out.get
+        for idx, v in table.items():
+            digit, rest = divmod(idx, top)
+            base, m = rest * q, multiples(v)
+            for e, c in rows[digit]:
+                out[base + e] = add(get(base + e, 0), m[c])
+        table = {k: v for k, v in out.items() if v}
+    mask, terms = (1 << width) - 1, [{} for _ in columns]
+    for idx, v in table.items():
+        exps = tuple([idx // s % q for s in strides])
+        for t in terms:
+            if c := (v & mask) % q:
+                t[exps] = c
+            v >>= width
+    return [Polynomial._trusted(field, n_vars, t) for t in terms]
+
+
+def table_poly(field, n_vars, values):
+    """``table_polys`` of the one column ``values``, a dict {point: value}."""
+    return table_polys(field, n_vars, list(values), [list(values.values())])[0]
 
 
 def poly_table(poly, levels):
-    """The forward direction of the exact transform of ``table_poly``:
+    """The forward direction of the exact transform of ``table_polys``:
     the polynomial's support variables (0-based) and its values on the
     product of their ``levels`` (one level list per variable), in
     product order.  The Vandermonde matrix over each support variable's

@@ -75,6 +75,31 @@ def oracle_table_poly(field, n, values):
     return result
 
 
+def oracle_axes_table_poly(field, n, values):
+    """A one-column table turned into its reduced polynomial by the
+    inverse Vandermonde matrix applied along each axis of the sparse
+    table, one field value per entry: the transform before the columns
+    were packed into one int."""
+    q = field.order
+    inverse = [
+        [(e, field.mul_rows[c]) for e, c in enumerate(
+            field.sub(int(e == 0), field.pow_rows[a][q - 1 - e]) for e in range(q)) if c]
+        for a in range(q)
+    ]
+    strides = [q ** (n - 1 - j) for j in range(n)]
+    table = {sum(a * s for a, s in zip(p, strides)): v for p, v in values.items() if v}
+    top = q ** (n - 1)
+    for _ in range(n):
+        out = {}
+        for idx, v in table.items():
+            digit, rest = divmod(idx, top)
+            for e, m in inverse[digit]:
+                out[rest * q + e] = field.add(out.get(rest * q + e, 0), m[v])
+        table = {k: v for k, v in out.items() if v}
+    terms = {tuple(idx // s % q for s in strides): v for idx, v in table.items()}
+    return Polynomial(field, n, terms)
+
+
 def oracle_add(a, b):
     """a + b: a copy of a's terms with each of b's terms merged in by a
     field method call, then the constructor."""
@@ -156,6 +181,23 @@ def oracle_render(poly):
         else:
             parts.append("*".join([str(coeff)] + factors))
     return " + ".join(parts)
+
+
+def oracle_sorted_render(poly):
+    """The text of one polynomial by two stable sorts of its own terms
+    (lexicographic, then by degree, both highest first) and factor names
+    read from a table: the rendering before polynomials were rendered
+    together."""
+    names = [("", f"x{j}") + tuple(f"x{j}^{e}" for e in range(2, poly.field.order))
+             for j in range(1, poly.n_vars + 1)]
+    parts = []
+    for exps in sorted(sorted(poly.terms, reverse=True), key=sum, reverse=True):
+        factors = [row[e] for row, e in zip(names, exps) if e]
+        coeff = poly.terms[exps]
+        if coeff != 1 or not factors:
+            factors.insert(0, str(coeff))
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
 
 
 def oracle_parse_poly(text, n_vars, field):

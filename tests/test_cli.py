@@ -630,6 +630,10 @@ MALFORMED = [
      "validate"),
     ("series-flat-states", "series", _replace("states", [0, 1]), "infer"),
     ("series-genes-string", "series", _replace("genes", "abc"), "infer"),
+    ("series-genes-ints", "series", _replace("genes", [1, 2, 3]), "infer"),
+    ("series-genes-too-few", "series", _replace("genes", ["a", "b"]), "infer"),
+    ("series-genes-too-many", "series", _replace("genes", ["a", "b", "c", "d"]), "infer"),
+    ("series-genes-repeated", "series", _replace("genes", ["a", "b", "a"]), "infer"),
     ("series-unknown-display", "series", _replace("display", "bogus"), "infer"),
     ("thresholds-genes-list", "thresholds", lambda d: {**d, "genes": list(d["genes"].values())},
      "discretize"),

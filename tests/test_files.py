@@ -72,7 +72,8 @@ def test_series_file_round_trip(tmp_path, encoding, data):
     field, display = Field(encoding[0]), encoding[1]
     n = data.draw(st.integers(1, 4))
     state = st.tuples(*[st.integers(0, field.order - 1)] * n)
-    genes = data.draw(st.none() | st.lists(st.text(min_size=1), min_size=n, max_size=n))
+    names = st.lists(st.text(min_size=1), min_size=n, max_size=n, unique=True)
+    genes = data.draw(st.none() | names)
     series = StateSeries(field, data.draw(st.lists(state)), genes, display)
     path = tmp_path / "series.json"
     save_series(series, path)

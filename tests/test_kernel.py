@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationError,
-                  dynamics, network, phase_portrait, trajectory)
+                  apply_local, dynamics, network, phase_portrait, trajectory)
 from gsds.cli import main
 from gsds.dynamics import transitions_dot
 from gsds.network import RANGE_MAX_LINES, ValidationReport, save_model, validate_model
@@ -135,6 +135,17 @@ def test_map_call_matches_oracle_on_the_full_field(m):
     f = GlobalMap(m)
     for p in iter_points(m.field, m.n):
         assert f(p) == oracle_global_map(m, p)
+
+
+@kernel_settings
+@given(models())
+def test_apply_local_matches_oracle_one_gene_word(m):
+    # each call reads gene i's subcube table; no model is built for the word
+    states = list(m.iter_states())
+    expected = [[oracle_global_map(m.replace(schedule=(i,)), s) for s in states]
+                for i in range(m.n)]
+    with mock.patch.object(GsdsModel, "__init__", side_effect=AssertionError("model built")):
+        assert [[apply_local(m, i, s) for s in states] for i in range(m.n)] == expected
 
 
 def test_map_call_coerces_levels_outside_the_field():

@@ -133,6 +133,12 @@ def test_apply_local_rejects_outside_states(example1):
         apply_local(example1, 0, (0, 0, 0, 2))
 
 
+@pytest.mark.parametrize("gene", [-1, 4, 9])
+def test_apply_local_rejects_genes_outside_the_model(example1, gene):
+    with pytest.raises(ValueError, match="not a gene"):
+        apply_local(example1, gene, (0, 0, 0, 0))
+
+
 # -- global map ---------------------------------------------------------------
 
 

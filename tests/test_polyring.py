@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from gsds import Field, FieldMismatchError, Polynomial, PolyParseError, polyring
 from gsds.polyring import (PARSE_MAX_DEPTH, indicator_poly, iter_points, parse_poly, poly_table,
-                           support_vars, table_poly)
+                           render_polys, support_vars, table_poly, table_polys)
 
-from oracles import (oracle_add, oracle_compose, oracle_mul, oracle_parse_poly, oracle_render,
-                     oracle_subcube_table)
+from oracles import (oracle_add, oracle_axes_table_poly, oracle_compose, oracle_mul,
+                     oracle_parse_poly, oracle_render, oracle_sorted_render, oracle_subcube_table)
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -607,6 +607,72 @@ def test_table_poly_inverts_the_full_field_table(poly):
     support, table = poly_table(poly, [field.elements()] * n)
     on_support = dict(zip(iter_points(field, len(support)), table))
     assert {p: on_support[tuple(p[j] for j in support)] for p in values} == values
+
+
+@st.composite
+def packed_tables(draw):
+    """No, some or all points of GF(q)^n in drawn order, q in {2, 3, 4, 5}
+    and n in 0 to 4, or GF(257) and n in 0 to 1, and 0 to 5 value columns
+    on them, some all zero.  All points only up to 257 of them."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5, 257])))
+    q = field.order
+    every = list(iter_points(field, draw(st.integers(0, 1 if q == 257 else 4))))
+    some = st.lists(st.sampled_from(every), unique=True, max_size=30)
+    every_order = st.permutations(every) if len(every) <= 257 else some
+    points = draw(st.one_of(st.just([]), some, every_order))
+    values = st.lists(st.integers(0, q - 1), min_size=len(points), max_size=len(points))
+    zeros = st.just([0] * len(points))
+    return field, len(every[0]), points, draw(st.lists(st.one_of(zeros, values), max_size=5))
+
+
+@arith_settings
+@given(packed_tables())
+def test_table_polys_match_the_one_column_transform(case):
+    field, n, points, columns = case
+    assert table_polys(field, n, points, columns) == [
+        oracle_axes_table_poly(field, n, dict(zip(points, column))) for column in columns]
+
+
+@st.composite
+def poly_lists(draw):
+    """Up to 6 polynomials over one ring: zero, constants, drawn terms with
+    coefficients of every value, and pairs on disjoint term sets; some of
+    them rendered already."""
+    field, n = draw(rings(5))
+    q = field.order
+    one = st.one_of(
+        st.just(Polynomial.zero(field, n)),
+        st.integers(1, q - 1).map(lambda c: Polynomial.constant(field, n, c)),
+        polys_in(field, n, 12),
+    )
+    polys = draw(st.lists(one, max_size=6))
+    whole = draw(polys_in(field, n, 12))
+    half = {e for e in whole.terms if draw(st.booleans())}
+    polys += [Polynomial(field, n, {e: c for e, c in whole.terms.items() if (e in half) == side})
+              for side in (True, False)]
+    order = draw(st.permutations(polys))
+    for p in order[: draw(st.integers(0, len(order)))]:
+        p.render()
+    return order
+
+
+@arith_settings
+@given(poly_lists())
+def test_render_polys_matches_the_one_polynomial_render(polys):
+    fresh = [Polynomial(p.field, p.n_vars, p.terms) for p in polys]
+    texts = render_polys(polys)
+    assert texts == [oracle_sorted_render(p) for p in fresh] == [oracle_render(p) for p in fresh]
+    assert [p.render() for p in polys] == texts == [p.render() for p in fresh]
+
+
+def test_render_polys_of_no_polynomials():
+    assert render_polys([]) == [] and render_polys(iter(())) == []
+
+
+@pytest.mark.parametrize("other", [Polynomial.zero(GF3, 2), Polynomial.zero(GF2, 3)])
+def test_render_polys_rejects_polynomials_of_different_rings(other):
+    with pytest.raises(FieldMismatchError):
+        render_polys([Polynomial.variable(GF2, 2, 1), other])
 
 
 def test_arithmetic_matches_oracle_on_dense_polynomials():

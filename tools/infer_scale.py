@@ -2,10 +2,11 @@
 
 Draws a series of distinct random states on GF(2)^12 (64 transitions)
 and one on GF(3)^8 (60 transitions), infers a model from each with
-``infer_network`` under the canonical and the sparsest preference,
-renders every inferred polynomial, saves each canonical model to a
-temporary file and times reading it back (``load_model``), validating
-it (``validate_model``) and iterating its map 1000 steps from the zero
+``infer_network`` under the canonical and the sparsest preference, and
+renders each model's polynomials with one ``render_polys`` call, as
+``gsds infer`` does.  Saves each canonical model to a temporary file
+and times reading it back (``load_model``), validating it
+(``validate_model``) and iterating its map 1000 steps from the zero
 state (``trajectory``).  Prints one line: the four inference times, the
 load, validate and trajectory times, and a digest of the rendered text,
 which two checkouts that infer the same polynomials share.  Uses the
@@ -25,6 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from gsds import (Field, infer_network, load_model, save_model, trajectory,  # noqa: E402
                   validate_model)
+from gsds.polyring import render_polys  # noqa: E402
 
 SERIES = ((2, 12, 64), (3, 8, 60))  # (q, genes, transitions)
 SEED = 0
@@ -67,7 +69,7 @@ def main():
         for preference in ("canonical", "sparsest"):
             start = perf_counter()
             result = infer_network(Field(q), series, preference)
-            texts = [p.render() for p in result.coordinate_polys]
+            texts = render_polys(result.coordinate_polys)
             elapsed = perf_counter() - start
             digest.update("\n".join(texts + [""]).encode())
             parts.append(f"GF({q})^{n} {preference} {elapsed:.2f} s")
