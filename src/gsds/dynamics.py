@@ -6,9 +6,11 @@ limit cycles, per-state transients, and basins of attraction.  State
 indexing is mixed-radix with gene 1 most significant, each state set
 ordered by canonical value, so indices, reports, and DOT output are
 deterministic.  The successor array and the schedule comparisons come
-from the bit-sliced truth-table kernel in :mod:`gsds.network`, which
-tabulates each local polynomial on its support subcube and updates
-per-level state bitsets; no state is evaluated term by term.
+from the bit-sliced kernel of :mod:`gsds.network`.  Only the image of
+the map is walked; every state then takes its basin and its transient
+(one step further out) from its successor in one gather, and the basin
+sizes and the transient histogram are counted over the image, weighted
+by in-degree.  Reports write states in bulk through one head/tail split.
 """
 
 import itertools
@@ -27,63 +29,55 @@ DOT_BLOCK_STATES = 1024  # bounds the text transitions_dot holds at once
 class PhasePortrait:
     """Complete description of a global map's functional digraph."""
 
-    def __init__(self, model, successor, attractors, transient, basin):
+    def __init__(self, model, successor, attractors, transient, basin, sizes, histogram):
         self.model = model
         self.successor = successor
         self.attractors = attractors  # list of cycles, each a state-index list
         self.transient = transient  # per-state distance to its attractor
         self.basin = basin  # per-state attractor id
-        self._sizes = None
+        self._sizes = sizes  # states per attractor id
+        self._histogram = histogram  # states per transient length 0, 1, ...
 
     @property
     def state_count(self):
         return len(self.successor)
 
     def basin_sizes(self):
-        if self._sizes is None:  # counted once for the report and the summary DOT
-            sizes = Counter(self.basin)
-            self._sizes = [sizes[aid] for aid in range(len(self.attractors))]
         return list(self._sizes)
 
     def max_transient(self):
-        return max(self.transient, default=0)
+        return len(self._histogram) - 1
 
     def transient_histogram(self):
-        return sorted(Counter(self.transient).items())
+        return list(enumerate(self._histogram))
 
     def fixed_points(self):
-        return [
-            self.model.state_at(cycle[0])
-            for cycle in self.attractors
-            if len(cycle) == 1
-        ]
+        fixed = [cycle[0] for cycle in self.attractors if len(cycle) == 1]
+        return _states_at(self.model, fixed, _LEVELS)
 
     def cycles(self):
-        return [
-            [self.model.state_at(i) for i in cycle] for cycle in self.attractors
-        ]
+        return _cycle_states(self, _LEVELS)
 
 
 def phase_portrait(model, limit=DEFAULT_STATE_LIMIT):
-    """Analyze the full state space of the model's global map.
-
-    Attractors are reported in ascending order of their minimal state
-    index, each cycle rotated to start at that index.
-    """
+    """Analyze the full state space of the model's global map.  Attractors
+    are reported in ascending order of their minimal state index, each
+    cycle rotated to start at that index."""
     size = model.state_count()
     if size > limit:
-        raise StateSpaceLimitError(
-            f"state space has {size} states, limit is {limit}"
-        )
+        raise StateSpaceLimitError(f"state space has {size} states, limit is {limit}")
     successor = global_map(model).successor_array()
     n = len(successor)
 
-    # Iterative successor-pointer traversal.  attr[v] is the visit mark:
+    # Iterative successor-pointer traversal of the image of the map: a
+    # walk from an image state stays in the image, and every cycle lies
+    # in it.  indeg[u] counts u's preimages.  attr[v] is the visit mark:
     # -1 unseen, -2 - start on the walk from start, else the attractor id.
+    indeg = Counter(successor)
     attr = [-1] * n
     transient = [0] * n
-    attractors = []
-    for start in range(n):
+    attractors, deepest = [], 0
+    for start in indeg:
         if attr[start] != -1:
             continue
         mark, path, v = -2 - start, [], start
@@ -104,15 +98,33 @@ def phase_portrait(model, limit=DEFAULT_STATE_LIMIT):
             depth += 1
             attr[node] = aid
             transient[node] = depth
+        deepest = max(deepest, depth)
 
     # renumber attractors by minimal state index
     order = sorted(range(len(attractors)), key=lambda a: attractors[a][0])
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     attractors = [attractors[a] for a in order]
-    basin = list(map(rank.__getitem__, attr))
-    return PhasePortrait(model, successor, attractors, transient, basin)
+
+    # Every state lies in its successor's basin, one step further out: give
+    # each image state its rank and its depth + 1, count its preimages
+    # there, and gather every state from its successor.  The cycle states
+    # then move from transient 1 to 0.
+    sizes, histogram = [0] * len(attractors), [0] * (deepest + 2)
+    for u, k in indeg.items():
+        aid, depth = rank[attr[u]], transient[u] + 1
+        attr[u], transient[u] = aid, depth
+        sizes[aid] += k
+        histogram[depth] += k
+    basin = list(map(attr.__getitem__, successor))
+    del indeg, attr  # four lists at the peak: successor, basin and two transients
+    transient = list(map(transient.__getitem__, successor))
+    for v in itertools.chain.from_iterable(attractors):
+        transient[v] = 0
+    cyclic = sum(map(len, attractors))
+    histogram[0], histogram[1] = cyclic, histogram[1] - cyclic
+    if not histogram[-1]:  # every state lies on a cycle
+        histogram.pop()
+    return PhasePortrait(model, successor, attractors, transient, basin, sizes, histogram)
 
 
 def fixed_points(model, **kwargs):
@@ -170,6 +182,44 @@ def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_
 
 # -- reports -------------------------------------------------------------
 
+# A state written three ways, each a start plus a piece per gene k at
+# level v: the canonical tuple, the display list and the quoted DOT label.
+_LEVELS = ((), lambda m, k, v: (v,))
+_DECODED = ([], lambda m, k, v: m.decode_state((v,)))
+_LABELS = ('"(', lambda m, k, v: m.format_level(v) + (')"' if k == m.n - 1 else ","))
+
+
+def _split(model, form, block):
+    """(head, tail, width) such that state i is written in ``form`` as
+    head[i // width] + tail[i % width].  The tail genes are the last one
+    and as many more as keep their level combinations at most ``block``."""
+    start, piece = ('"()"', None) if form is _LABELS and not model.n else form
+    k, width = model.n, 1
+    while k and (k == model.n or width * len(model.state_sets[k - 1]) <= block):
+        k -= 1
+        width *= len(model.state_sets[k])
+    parts = []
+    for genes, combos in ((range(k), [start]), (range(k, model.n), [start[:0]])):
+        for g in genes:
+            pieces = [piece(model, g, v) for v in model.state_sets[g]]
+            combos = [a + b for a in combos for b in pieces]
+        parts.append(combos)
+    return parts[0], parts[1], width
+
+
+def _states_at(model, indices, form):
+    """The state of each index written in ``form``, through a ``_split``
+    whose head and tail tables are both about sqrt(state count) long."""
+    head, tail, width = _split(model, form, model.state_count() ** 0.5)
+    return [head[a] + tail[b] for a, b in map(divmod, indices, itertools.repeat(width))]
+
+
+def _cycle_states(portrait, form):
+    """Each attractor's states written in ``form``, decoded in one pass."""
+    cycles = portrait.attractors
+    flat = iter(_states_at(portrait.model, itertools.chain.from_iterable(cycles), form))
+    return [list(itertools.islice(flat, len(cycle))) for cycle in cycles]
+
 
 def portrait_report(portrait):
     """JSON-ready summary: attractors, transient histogram, basin sizes."""
@@ -184,42 +234,18 @@ def portrait_report(portrait):
         "attractor_count": len(portrait.attractors),
         "max_transient": portrait.max_transient(),
         "attractors": [
-            {
-                "id": aid,
-                "length": len(cycle),
-                "states": [m.decode_state(m.state_at(i)) for i in cycle],
-                "basin_size": sizes[aid],
-            }
-            for aid, cycle in enumerate(portrait.attractors)
+            {"id": aid, "length": len(states), "states": states, "basin_size": sizes[aid]}
+            for aid, states in enumerate(_cycle_states(portrait, _DECODED))
         ],
-        "transient_histogram": [
-            [t, c] for t, c in portrait.transient_histogram()
-        ],
+        "transient_histogram": [[t, c] for t, c in portrait.transient_histogram()],
     }
-
-
-def _labels(model, genes, start):
-    """``start`` + the label text of each level combination of ``genes``."""
-    labels = [start]
-    for k in genes:
-        end = ')"' if k == model.n - 1 else ","
-        texts = [model.format_level(v) + end for v in model.state_sets[k]]
-        labels = [a + b for a in labels for b in texts]
-    return labels
 
 
 def transitions_dot(portrait):
     """DOT digraph of the full state transition graph, yielded as text
     blocks; attractor states are drawn as double circles.  A block has a
-    line for each state that shares one level of every leading gene; the
-    trailing genes are the last one and as many more as keep their level
-    combinations at most DOT_BLOCK_STATES."""
-    m = portrait.model
-    k, width = m.n, 1
-    while k and (k == m.n or width * len(m.state_sets[k - 1]) <= DOT_BLOCK_STATES):
-        k -= 1
-        width *= len(m.state_sets[k])
-    head, tail = _labels(m, range(k), '"(' if m.n else '"()"'), _labels(m, range(k, m.n), "")
+    line for each state of one head of ``_split``."""
+    head, tail, width = _split(portrait.model, _LABELS, DOT_BLOCK_STATES)
     yield "digraph transitions {\n  node [shape=circle];\n"
     starts = range(0, portrait.state_count, width)
     for h, s in zip(head, starts):  # a state lies on its attractor iff its transient is 0
@@ -234,16 +260,12 @@ def transitions_dot(portrait):
 
 def attractor_summary_dot(portrait):
     """DOT digraph with one subgraph per attractor cycle."""
-    m = portrait.model
     sizes = portrait.basin_sizes()
     lines = ["digraph attractors {", "  node [shape=doublecircle];"]
-    for aid, cycle in enumerate(portrait.attractors):
-        lines.append(
-            f'  subgraph cluster_{aid} {{ label="attractor {aid}: '
-            f'length {len(cycle)}, basin {sizes[aid]}";'
-        )
-        labels = [m.format_state(m.state_at(i)) for i in cycle]
-        lines += [f'    "{lab}";' for lab in labels]
-        lines += [f'    "{a}" -> "{b}";' for a, b in zip(labels, labels[1:] + labels[:1])]
+    for aid, labels in enumerate(_cycle_states(portrait, _LABELS)):
+        lines.append(f'  subgraph cluster_{aid} {{ label="attractor {aid}: '
+                     f'length {len(labels)}, basin {sizes[aid]}";')
+        lines += [f"    {lab};" for lab in labels]
+        lines += [f"    {a} -> {b};" for a, b in zip(labels, labels[1:] + labels[:1])]
         lines.append("  }")
     return "\n".join(lines) + "\n}\n"

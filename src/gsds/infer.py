@@ -305,6 +305,10 @@ def series_from_dict(d):
     field = Field(d["field"])
     display = check_display(field, d.get("display", "canonical"))
     states = [tuple(encode_level(field, display, v) for v in s) for s in d["states"]]
+    bad = next((i for i, s in enumerate(states) if len(s) != len(states[0])), None)
+    if bad is not None:
+        raise ValueError(f"state {bad} {d['states'][bad]} has {len(states[bad])} levels, "
+                         f"state 0 has {len(states[0])}")
     genes = d.get("genes")
     names = {g for g in genes if isinstance(g, str)} if isinstance(genes, list) else None
     if genes is not None and (names is None or {len(names), *map(len, states)} != {len(genes)}):

@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check results."""
 
 import itertools
+from collections import Counter
 
 from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samples
 from gsds.errors import PolyParseError, ZenoError
@@ -433,6 +434,47 @@ def oracle_phase_portrait(successor):
     order = sorted(range(len(attractors)), key=lambda a: attractors[a][0])
     remap = {old: new for new, old in enumerate(order)}
     return [attractors[a] for a in order], transient, [remap[a] for a in attr_of]
+
+
+def oracle_marker_portrait(successor):
+    """(attractors, transient, basin, basin sizes, transient histogram)
+    of a successor list by a walk from every state in index order, each
+    walk marking its states in one list, with the sizes and the histogram
+    counted over every state afterwards."""
+    n = len(successor)
+    attr = [-1] * n  # -1 unseen, -2 - start on the walk from start, else the attractor id
+    transient = [0] * n
+    attractors = []
+    for start in range(n):
+        if attr[start] != -1:
+            continue
+        mark, path, v = -2 - start, [], start
+        while attr[v] == -1:
+            attr[v] = mark
+            path.append(v)
+            v = successor[v]
+        aid, depth = attr[v], transient[v]
+        if aid == mark:
+            cut = path.index(v)
+            cycle, path = path[cut:], path[:cut]
+            rot = cycle.index(min(cycle))
+            aid, depth = len(attractors), 0
+            attractors.append(cycle[rot:] + cycle[:rot])
+            for node in cycle:
+                attr[node] = aid
+        for node in reversed(path):
+            depth += 1
+            attr[node] = aid
+            transient[node] = depth
+    order = sorted(range(len(attractors)), key=lambda a: attractors[a][0])
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    attractors = [attractors[a] for a in order]
+    basin = list(map(rank.__getitem__, attr))
+    sizes = Counter(basin)
+    return (attractors, transient, basin, [sizes[a] for a in range(len(attractors))],
+            sorted(Counter(transient).items()))
 
 
 def oracle_global_map(model, state):

@@ -635,6 +635,7 @@ MALFORMED = [
     ("series-genes-too-many", "series", _replace("genes", ["a", "b", "c", "d"]), "infer"),
     ("series-genes-repeated", "series", _replace("genes", ["a", "b", "a"]), "infer"),
     ("series-unknown-display", "series", _replace("display", "bogus"), "infer"),
+    ("series-unequal-states", "series", _replace("states", [[-1, 1, -1], [0, 1]]), "infer"),
     ("thresholds-genes-list", "thresholds", lambda d: {**d, "genes": list(d["genes"].values())},
      "discretize"),
     ("thresholds-unknown-display", "thresholds", _replace("display", "bogus"), "discretize"),
@@ -680,6 +681,14 @@ def test_malformed_file_exits_1_with_one_line(workspace, capsys, case, kind, cha
     assert err.startswith(f"error: malformed {kind} file ")
     assert str(path) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_series_state_of_another_length_is_named(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"field": 2, "states": [[0, 1], [1, 1, 0], [1, 0]]}))
+    code, out, err = run(capsys, "infer", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed series file {path}: state 1 [1, 1, 0] has 3 levels, state 0 has 2\n"
 
 
 # -- command-line compatibility --------------------------------------------------

@@ -18,11 +18,19 @@ from gsds import (
     phase_portrait,
     schedule_scan,
 )
-from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_dot
+from gsds.dynamics import (
+    _DECODED,
+    _LABELS,
+    _LEVELS,
+    _states_at,
+    attractor_summary_dot,
+    portrait_report,
+    transitions_dot,
+)
 from gsds.polyring import Polynomial, parse_poly, table_poly
 
 from conftest import build_example1, build_example3
-from oracles import oracle_phase_portrait, oracle_transitions_dot
+from oracles import oracle_marker_portrait, oracle_phase_portrait, oracle_transitions_dot
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -134,13 +142,18 @@ def test_portrait_matches_brute_force_oracle():
 
 @st.composite
 def functional_graphs(draw):
-    """Successor lists on 1 to 101 states: random maps, permutations
-    (cycles only, often many) and a path through every state that closes
-    onto itself, a long tail into one cycle or a self-loop."""
+    """Successor lists on 1 to 101 states: random maps, constant maps,
+    the identity, permutations (cycles only, often many) and a path
+    through every state that closes onto itself, a long tail into one
+    cycle or a self-loop."""
     n = draw(st.integers(1, 101))
-    kind = draw(st.sampled_from(["map", "permutation", "path"]))
+    kind = draw(st.sampled_from(["map", "constant", "identity", "permutation", "path"]))
     if kind == "map":
         return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    if kind == "constant":
+        return [draw(st.integers(0, n - 1))] * n
+    if kind == "identity":
+        return list(range(n))
     order = draw(st.permutations(range(n)))
     if kind == "permutation":
         return order
@@ -170,6 +183,16 @@ def test_portrait_matches_the_reference_traversal(successor):
     assert p.basin_sizes() == [basin.count(a) for a in range(len(attractors))]
     assert p.transient_histogram() == [
         (t, transient.count(t)) for t in sorted(set(transient))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(functional_graphs())
+def test_image_traversal_matches_the_marker_walk_over_every_state(successor):
+    p = phase_portrait(map_model(successor))
+    attractors, transient, basin, sizes, histogram = oracle_marker_portrait(successor)
+    assert (p.attractors, p.transient, p.basin) == (attractors, transient, basin)
+    assert (p.basin_sizes(), p.transient_histogram()) == (sizes, histogram)
+    assert p.max_transient() == max(transient)
 
 
 def test_portrait_invariants():
@@ -397,6 +420,32 @@ def test_attractor_summary_dot_output():
     dot = attractor_summary_dot(p)
     assert "attractor 0: length 1, basin 16" in dot
     assert '"(1,1,1,0)" -> "(1,1,1,0)"' in dot
+
+
+@st.composite
+def decode_cases(draw):
+    """A model over GF(2), GF(3), GF(4) or GF(5), each gene on a random
+    nonempty subset of the levels, balanced where the field allows, large
+    enough at full state sets to split its genes into head and tail; and
+    state indices that include the first and the last."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    field, n = Field(q), draw(st.integers(0, {2: 12, 3: 8, 4: 6, 5: 6}[q]))
+    sets = [draw(st.sets(st.integers(0, q - 1), min_size=1)) for _ in range(n)]
+    display = draw(st.sampled_from(["canonical", "balanced"])) if q in (3, 5) else "canonical"
+    model = GsdsModel(field, [f"g{i}" for i in range(n)], DependencyGraph(n, set()),
+                      [Polynomial(field, n, {})] * n, None, state_sets=sets, display=display)
+    last = model.state_count() - 1
+    return model, [0, last] + draw(st.lists(st.integers(0, last), max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(decode_cases())
+def test_bulk_decode_matches_state_at(case):
+    model, indices = case
+    states = [model.state_at(i) for i in indices]
+    assert _states_at(model, indices, _LEVELS) == states
+    assert _states_at(model, indices, _DECODED) == list(map(model.decode_state, states))
+    assert _states_at(model, indices, _LABELS) == [f'"{model.format_state(s)}"' for s in states]
 
 
 def test_reports_are_deterministic_across_runs():

@@ -1,12 +1,16 @@
-"""Time and peak memory of one large phase portrait.
+"""Time and peak memory of two large phase portraits.
 
 Builds a seeded random parallel model on GF(2)^22 whose genes each read
-three genes, runs ``phase_portrait``, ``portrait_report``,
-``transitions_dot`` and ``attractor_summary_dot`` on it with the gsds
-package of this checkout, and prints one line: the four times and the
-peak resident set size of the process.  The peak is read before the DOT
-text exists (``ru_maxrss`` is a maximum over the process's life), so it
-is the portrait's and the report's.  Run from anywhere:
+three genes, and a bijective sequential model on GF(2)^18 with
+``f_i = x_i + x_(i+1)*x_(i+2)`` (indices mod 18, updated in gene order),
+where every state has a preimage and lies on a cycle.  It runs
+``phase_portrait``, ``portrait_report``, ``transitions_dot`` and
+``attractor_summary_dot`` on each with the gsds package of this checkout,
+and prints one line per model: the four times and the peak resident set
+size of the process.  The peak is read before the DOT text exists
+(``ru_maxrss`` is a maximum over the process's life), so it is the
+portrait's and the report's; the smaller model runs first so that the
+larger one's peak is its own.  Run from anywhere:
 
     python3 tools/portrait_scale.py
 """
@@ -21,9 +25,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from gsds import DependencyGraph, Field, GsdsModel, phase_portrait  # noqa: E402
 from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_dot  # noqa: E402
-from gsds.polyring import Polynomial  # noqa: E402
+from gsds.polyring import Polynomial, parse_poly  # noqa: E402
 
 GENES, IN_DEGREE, TERMS, SEED = 22, 3, 4, 0
+BIJECTIVE_GENES = 18
 
 
 def scale_model():
@@ -45,8 +50,21 @@ def scale_model():
                      DependencyGraph(GENES, edges), polys, None)
 
 
-def main():
-    model = scale_model()
+def bijective_model():
+    """GF(2)^BIJECTIVE_GENES, f_i = x_i + x_(i+1)*x_(i+2), updated in gene
+    order: each update adds to x_i a function of the other genes, so it
+    and the composed map are bijections."""
+    n, field = BIJECTIVE_GENES, Field(2)
+    ring = [(i, (i + 1) % n, (i + 2) % n) for i in range(n)]
+    polys = [parse_poly(f"x{i + 1} + x{j + 1}*x{k + 1}", n, field) for i, j, k in ring]
+    edges = {(j, i) for inputs in ring for j in inputs for i in inputs[:1]}
+    return GsdsModel(field, [f"g{i + 1}" for i in range(n)],
+                     DependencyGraph(n, edges), polys, list(range(n)))
+
+
+def measure(title, model):
+    """One line: the times of the portrait, the report and both DOT
+    outputs of ``model``, and the peak RSS before the DOT text."""
     start = perf_counter()
     portrait = phase_portrait(model)
     middle = perf_counter()
@@ -57,11 +75,18 @@ def main():
     dot_end = perf_counter()
     attractor_summary_dot(portrait)
     summary_end = perf_counter()
-    print(f"Portrait at scale (GF(2)^{GENES}, in-degree {IN_DEGREE}, parallel, seed {SEED}): "
-          f"{report['attractor_count']} attractors; portrait {middle - start:.2f} s, "
-          f"report {end - middle:.2f} s, transitions DOT {dot_end - end:.2f} s, "
-          f"summary DOT {summary_end - dot_end:.2f} s, "
-          f"peak RSS before the DOT text {peak_mb:.0f} MB")
+    return (f"{title}: {report['attractor_count']} attractors; portrait {middle - start:.2f} s, "
+            f"report {end - middle:.2f} s, transitions DOT {dot_end - end:.2f} s, "
+            f"summary DOT {summary_end - dot_end:.2f} s, "
+            f"peak RSS before the DOT text {peak_mb:.0f} MB")
+
+
+def main():
+    bijective = measure(f"Bijective portrait (GF(2)^{BIJECTIVE_GENES}, x_i + x_(i+1)*x_(i+2), "
+                        f"sequential)", bijective_model())
+    print(measure(f"Portrait at scale (GF(2)^{GENES}, in-degree {IN_DEGREE}, parallel, "
+                  f"seed {SEED})", scale_model()))
+    print(bijective)
 
 
 if __name__ == "__main__":
