@@ -124,11 +124,17 @@ DISPLAY = _arg("--display", choices=["canonical", "balanced"],
 
 
 def _thresholds(path, genes, model):
-    """The threshold file's map, which must be over the model's field."""
+    """The threshold file's map, which must be over the model's field and
+    discretize each gene into its state set."""
     tmap, _ = load_thresholds(path, genes)
     if tmap.field != model.field:
         raise FieldMismatchError(f"threshold file {path} is over {tmap.field!r}, "
                                  f"the model over {model.field!r}")
+    for name, g, values in zip(genes, tmap.genes, model.state_sets):
+        for level in g.band_levels + g.equal_levels:
+            if level not in values:
+                raise ValueError(f"threshold file {path}: gene {name!r} discretizes to level "
+                                 f"{model.format_level(level)}, outside its state set")
     return tmap
 
 

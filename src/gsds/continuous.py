@@ -108,9 +108,10 @@ class RatePolicy:
             ) from None
 
     def check_coverage(self, model):
-        for j, values in enumerate(model.state_sets):
+        for name, table, values in zip(model.genes, self.rates, model.state_sets):
             for v in values:
-                self.slope(j, v)
+                if v not in table:
+                    raise ValueError(f"no rate for gene {name!r} at level {model.format_level(v)}")
 
 
 class HybridEvent:
@@ -266,7 +267,9 @@ def rates_from_dict(d, model):
     floor = d.get("floor_at_zero", True)
     if not isinstance(floor, bool):
         raise ValueError(f"floor_at_zero must be true or false, not {floor!r}")
-    return RatePolicy(rates, floor_at_zero=floor)
+    policy = RatePolicy(rates, floor_at_zero=floor)
+    policy.check_coverage(model)
+    return policy
 
 
 def load_rates(path, model):

@@ -144,11 +144,7 @@ def compare_schedules(model, word_a, word_b):
     """First state (in index order) where the two composed maps differ,
     or None when they agree everywhere: the lowest bit set in any XOR of
     the two maps' image bitsets."""
-    fa, fb = _word_map(model, word_a), _word_map(model, word_b)
-    a, b = fa.image_bits(), fb.image_bits()
-    if a is None:  # a local polynomial leaves its levels: compare tables
-        pairs = zip(model.iter_states(), fa.truth_table(), fb.truth_table())
-        return next((s for s, x, y in pairs if x != y), None)
+    a, b = _word_map(model, word_a).image_bits(), _word_map(model, word_b).image_bits()
     diff = 0
     for x, y in zip(itertools.chain(*a), itertools.chain(*b)):
         diff |= x ^ y
@@ -171,12 +167,8 @@ def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_
             )
         words = itertools.permutations(range(model.n))
     classes = {}  # insertion order is the order of first appearance
-    for word in words:
-        word = tuple(word)
-        # whether image_bits is None does not depend on the word, so the
-        # keys of one scan are all of one kind
-        f = _word_map(model, word)
-        classes.setdefault(f.image_bits() or f.truth_table(), []).append(word)
+    for word in map(tuple, words):
+        classes.setdefault(_word_map(model, word).image_bits(), []).append(word)
     return list(classes.values())
 
 

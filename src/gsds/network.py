@@ -233,8 +233,8 @@ def apply_local(model, i, state):
     if i not in range(model.n):
         raise ValueError(f"{i!r} is not a gene index")
     f = GlobalMap(model)
-    f._fold = [_reader(model, i)]
-    return f(model.check_state(state))
+    f._fold = _readers(model, [i])
+    return f(state)
 
 
 # -- truth-table kernel ------------------------------------------------
@@ -265,16 +265,20 @@ def _subcube_tables(model):
     return model._tables
 
 
+def _tables_in_levels(model):
+    """The subcube tables, once every table value has a position in its
+    gene's levels, whatever the word; else ModelValidationError."""
+    tables = _subcube_tables(model)
+    if not all(pos.keys() >= set(t) for pos, (_, t) in zip(model._positions, tables)):
+        raise ModelValidationError(validate_model(model))
+    return tables
+
+
 def _fold_bits(model):
     """Each gene's level bitsets of the images of the model's map over
-    its state space; None when any local polynomial, updated by the word
-    or not, leaves its gene's levels (only a model failing range
-    validation has one), so None does not depend on the word.  A parallel
-    map reads the input bitsets; a word updates them in order."""
-    levels, position = model.state_sets, model._positions
-    tables = _subcube_tables(model)
-    if not all(pos.keys() >= set(t) for pos, (_, t) in zip(position, tables)):
-        return None
+    its state space.  A parallel map reads the input bitsets; a word
+    updates them in order."""
+    levels, position, tables = model.state_sets, model._positions, _tables_in_levels(model)
     total = model.state_count()
     full = (1 << total) - 1
     src = []
@@ -372,10 +376,10 @@ def _spread(terms, total, top):
     return memoryview(acc.to_bytes(8 * width * size, order)).cast(fmt)[:total]
 
 
-def _reader(model, i):
-    """Gene i's fold entry: i, (support gene, its level positions), its table."""
-    support, table = _subcube_tables(model)[i]
-    return i, [(j, model._positions[j]) for j in support], table
+def _readers(model, word):
+    """Per entry i of ``word``: i, (support gene, its level positions), its table."""
+    tables = _tables_in_levels(model)
+    return [(i, [(j, model._positions[j]) for j in tables[i][0]], tables[i][1]) for i in word]
 
 
 class GlobalMap:
@@ -386,30 +390,25 @@ class GlobalMap:
         self._fold = None  # per word entry: gene, (support gene, positions), table
 
     def __call__(self, state):
-        """The image of ``state``: each updated gene's value is read from its
-        subcube table, at the mixed-radix position of its support levels.
-        A parallel map reads the input state, a word the state it updates.
-        A level outside a state set has no position; the gene's polynomial
-        is evaluated there instead, on levels coerced into the field (a
-        threshold map over another field can give any int)."""
+        """The image of ``state``, which must lie in the model's state space:
+        each updated gene's value is read from its subcube table, at the
+        mixed-radix position of its support levels.  A parallel map reads
+        the input state, a word the state it updates.  The first call
+        raises ModelValidationError for a model whose local polynomials
+        leave their genes' levels."""
         m = self.model
         if len(state) != m.n:
-            raise FieldMismatchError(
-                f"point has {len(state)} coordinates, polynomial has {m.n}"
-            )
+            raise FieldMismatchError(f"point has {len(state)} coordinates, polynomial has {m.n}")
+        m.check_state(state)
         if self._fold is None:
-            self._fold = [_reader(m, i) for i in (range(m.n) if m.parallel else m.schedule)]
+            self._fold = _readers(m, range(m.n) if m.parallel else m.schedule)
         out = list(state)
         src = state if m.parallel else out
         for i, readers, table in self._fold:
             index = 0
-            try:
-                for j, position in readers:
-                    index = index * len(position) + position[src[j]]
-            except KeyError:
-                out[i] = m.local_polys[i].eval(list(map(m.field.coerce, src)))
-            else:
-                out[i] = table[index]
+            for j, position in readers:
+                index = index * len(position) + position[src[j]]
+            out[i] = table[index]
         return tuple(out)
 
     def coordinate_polys(self):
@@ -426,32 +425,27 @@ class GlobalMap:
     def truth_table(self):
         """The image of every state, in index order."""
         m = self.model
-        bits = _fold_bits(m)
-        if bits is None:  # the map leaves the state space
-            return tuple(map(self, m.iter_states()))
         total, top = m.state_count(), m.field.order - 1
-        columns = [_spread(_planes(v, gene), total, top).tolist() for v, gene in zip(m.state_sets, bits)]
+        columns = [_spread(_planes(v, gene), total, top).tolist()
+                   for v, gene in zip(m.state_sets, _fold_bits(m))]
         return tuple(zip(*columns)) if columns else ((),)
 
     def successor_array(self):
         """State index of the image of every state, in index order."""
         m, total = self.model, self.model.state_count()
-        bits = _fold_bits(m)
-        if bits is None:
-            raise ModelValidationError(validate_model(m))
-        terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), bits)
+        terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), _fold_bits(m))
                  for c, b in _planes(range(len(gene)), gene)]
         return _spread(terms, total, total - 1).tolist()
 
     def image_bits(self):
         """Per gene, the bitset of each level: bit s is set when the image of
-        state s holds it.  None when a local polynomial leaves its levels."""
-        bits = _fold_bits(self.model)
-        return None if bits is None else tuple(map(tuple, bits))
+        state s holds it."""
+        return tuple(map(tuple, _fold_bits(self.model)))
 
 
 def global_map(model, validate=True):
-    """The model's composed map; validates the model first by default."""
+    """The model's composed map; validates the model first by default.  A
+    map leaving its levels raises ModelValidationError at first use anyway."""
     if validate:
         report = validate_model(model)
         if not report.valid:

@@ -365,6 +365,52 @@ def test_check_with_fewer_csv_genes_than_model_genes_exits_1(workspace, capsys):
     assert err == "error: point has 2 coordinates, polynomial has 3\n"
 
 
+def outside_level_files(tmp_path):
+    """A GF(3) model whose gene a keeps the levels {0, 1}, with f_a = x1 and
+    f_b = x1 + x2, and a threshold file sending a to level 2 above 1.0."""
+    from gsds import DependencyGraph, Field, GsdsModel
+    from gsds.polyring import parse_poly
+
+    field = Field(3)
+    m = GsdsModel(field, ["a", "b"], DependencyGraph(2, {(0, 1)}),
+                  [parse_poly("x1", 2, field), parse_poly("x1 + x2", 2, field)], None,
+                  state_sets=[(0, 1), (0, 1, 2)])
+    paths = {k: tmp_path / f"{k}.json" for k in ("model", "th", "rates")}
+    save_model(m, paths["model"])
+    paths["th"].write_text(json.dumps({"format_version": 1, "field": 3, "genes": {
+        "a": {"levels": [{"threshold": 1.0, "below_level": 0}], "top_level": 2},
+        "b": {"levels": [{"threshold": 1.0, "below_level": 0}], "top_level": 1}}}))
+    paths["rates"].write_text(json.dumps({"format_version": 1, "rates": {
+        g: {"0": -1.0, "1": 1.0, "2": 1.0} for g in ("a", "b")}}))
+    paths["csv"] = tmp_path / "samples.csv"
+    paths["csv"].write_text("t,a,b\n0,1.5,0.5\n1,1.5,1.5\n2,0.5,0.5\n")
+    return paths
+
+
+@pytest.mark.parametrize("command", ["check", "hybrid"])
+def test_thresholds_outside_a_state_set_exit_1(tmp_path, capsys, command):
+    # the map is defined on the model's state space only: a threshold file
+    # that discretizes into a level a gene lacks is rejected where it enters
+    p = outside_level_files(tmp_path)
+    argv = {"check": ["check", p["csv"], "--thresholds", p["th"], "--model", p["model"]],
+            "hybrid": ["hybrid", p["model"], "--rates", p["rates"], "--thresholds", p["th"],
+                       "--c0", "1.5,0.5", "--t-end", "3"]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: threshold file {p['th']}: gene 'a' discretizes to level 2, "
+                   f"outside its state set\n")
+
+
+def test_rates_file_missing_a_level_names_gene_and_display_level(workspace, capsys):
+    path = workspace["dir"] / "rates.json"
+    path.write_text(json.dumps({**RATES, "rates": {**RATES["rates"], "g2": {"0": 0.0, "1": 1.0}}}))
+    code, out, err = run(capsys, "hybrid", workspace["ex3"], "--rates", path,
+                         "--thresholds", workspace["thresholds"], "--c0", "0.5,0.5,0.5",
+                         "--t-end", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed rates file {path}: no rate for gene 'g2' at level -1\n"
+
+
 # -- infer -----------------------------------------------------------------------
 
 
@@ -646,6 +692,8 @@ MALFORMED = [
     ("rates-table-list", "rates", lambda d: {**d, "rates": {**d["rates"], "g2": [1.0]}},
      "hybrid"),
     ("rates-floor-string", "rates", _replace("floor_at_zero", "no"), "hybrid"),
+    ("rates-missing-level", "rates",
+     lambda d: {**d, "rates": {**d["rates"], "g2": {"-1": -1.0, "0": 0.0}}}, "hybrid"),
 ]
 
 

@@ -1,3 +1,4 @@
+import ast
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from gsds.translate import GeneThresholds, ThresholdMap, check_translated, discr
 
 from conftest import EX3_ROWS, EX3_TIMES, build_example3
 from oracles import oracle_hybrid_simulate, oracle_sectional_value
+from test_kernel import models
 
 GF2 = Field(2)
 
@@ -289,7 +291,7 @@ def test_hybrid_rejects_bad_inputs():
         hybrid_simulate(m, rates, one_threshold_map(1), [0.0], 0.0)
     with pytest.raises(ValueError):
         hybrid_simulate(m, rates, one_threshold_map(1), [0.0, 0.0], 1.0)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^no rate for gene 'g' at level 1$"):
         hybrid_simulate(m, RatePolicy([{0: -1.0}]), one_threshold_map(1), [0.0], 1.0)
 
 
@@ -450,3 +452,46 @@ def test_crossing_that_rounds_to_now_adds_no_phase():
 @example(ROUNDS_TO_NOW)
 def test_simulator_matches_the_per_event_loop(case):
     assert run_outcome(hybrid_simulate, case) == run_outcome(oracle_hybrid_simulate, case)
+
+
+@st.composite
+def state_space_cases(draw):
+    """Models over GF(2)-GF(5) with restricted state sets that their
+    polynomials stay in, parallel or sequential, with threshold band and
+    equal levels drawn from the whole field and a rate at every level of
+    the field."""
+    model = draw(models(closed=True))
+    level = st.integers(0, model.field.order - 1)
+    genes = []
+    for _ in range(model.n):
+        cuts = sorted(draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+                                    min_size=1, max_size=2, unique=True)))
+        band = draw(st.lists(level, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        equal = draw(st.lists(level, min_size=len(cuts), max_size=len(cuts)))
+        genes.append(GeneThresholds(cuts, band, equal))
+    slope = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    rates = RatePolicy([{v: draw(slope) for v in model.field.elements()}
+                        for _ in range(model.n)])
+    c0 = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                       min_size=model.n, max_size=model.n))
+    return model, rates, ThresholdMap(model.field, genes), c0, draw(st.floats(0.1, 6.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_space_cases())
+def test_hybrid_states_lie_in_the_state_space(case):
+    # the map call refuses the first discretized state outside the state
+    # space, before a phase or a slope is taken from it
+    model = case[0]
+    try:
+        result = hybrid_simulate(*case, max_events=400)
+    except ValueError as exc:
+        text = str(exc)
+        assert text.startswith("state (") and text.endswith(") is outside the model's state space")
+        assert not model.contains_state(ast.literal_eval(text[len("state "):text.index(" is")]))
+        return
+    except ZenoError:  # every state the run reached went through the map call
+        return
+    states = [s for _, _, s in result.phases]
+    states += [s for e in result.events for s in (e.old_state, e.new_state)]
+    assert all(map(model.contains_state, states))

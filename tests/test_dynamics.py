@@ -10,6 +10,7 @@ from gsds import (
     DependencyGraph,
     Field,
     GsdsModel,
+    ModelValidationError,
     StateSpaceLimitError,
     compare_schedules,
     cycles,
@@ -17,6 +18,7 @@ from gsds import (
     global_map,
     phase_portrait,
     schedule_scan,
+    validate_model,
 )
 from gsds.dynamics import (
     _DECODED,
@@ -298,6 +300,12 @@ def models_with_words(draw):
 @given(models_with_words())
 def test_schedule_comparison_matches_fold(case):
     m, words = case
+    if validate_model(m).range:  # the maps leave the state space
+        for scan in (lambda: schedule_scan(m, words), lambda: schedule_scan(m),
+                     lambda: compare_schedules(m, words[0], words[1])):
+            with pytest.raises(ModelValidationError):
+                scan()
+        return
     states = list(m.iter_states())
 
     def classes(word_list):

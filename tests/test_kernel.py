@@ -123,18 +123,31 @@ def test_successor_array_matches_scalar_map(m):
 @given(models())
 def test_truth_table_matches_scalar_map(m):
     f, full = GlobalMap(m), GlobalMap(full_field_copy(m))
-    assert f.truth_table() == tuple(oracle_global_map(m, s) for s in m.iter_states())
+    if validate_model(m).range:  # the map leaves the state space
+        with pytest.raises(ModelValidationError):
+            f.truth_table()
+    else:
+        assert f.truth_table() == tuple(oracle_global_map(m, s) for s in m.iter_states())
     assert full.truth_table() == tuple(oracle_global_map(m, p) for p in iter_points(m.field, m.n))
 
 
 @kernel_settings
 @given(models())
 def test_map_call_matches_oracle_on_the_full_field(m):
-    # points of the full field include levels outside the state sets, and
-    # models that are not closed map into them
-    f = GlobalMap(m)
+    # the map is defined on the state space of a model that stays in it:
+    # a point of the full field outside the state sets raises ValueError,
+    # and a model that is not closed refuses every state of its space
+    f, closed = GlobalMap(m), not validate_model(m).range
     for p in iter_points(m.field, m.n):
-        assert f(p) == oracle_global_map(m, p)
+        if not m.contains_state(p):
+            with pytest.raises(ValueError) as err:
+                f(p)
+            assert str(err.value) == f"state {p} is outside the model's state space"
+        elif closed:
+            assert f(p) == oracle_global_map(m, p)
+        else:
+            with pytest.raises(ModelValidationError):
+                f(p)
 
 
 @kernel_settings
@@ -142,23 +155,30 @@ def test_map_call_matches_oracle_on_the_full_field(m):
 def test_apply_local_matches_oracle_one_gene_word(m):
     # each call reads gene i's subcube table; no model is built for the word
     states = list(m.iter_states())
+    if validate_model(m).range:  # one gene leaving its levels refuses every word
+        for i in range(m.n):
+            with pytest.raises(ModelValidationError):
+                apply_local(m, i, states[0])
+        return
     expected = [[oracle_global_map(m.replace(schedule=(i,)), s) for s in states]
                 for i in range(m.n)]
     with mock.patch.object(GsdsModel, "__init__", side_effect=AssertionError("model built")):
         assert [[apply_local(m, i, s) for s in states] for i in range(m.n)] == expected
 
 
-def test_map_call_coerces_levels_outside_the_field():
-    # a threshold map over a larger field can discretize to a level the
-    # model's field lacks: a prime field reduces it, as its arithmetic on
-    # ints does, and GF(4) rejects it with one error instead of an IndexError
+def test_map_call_rejects_levels_outside_the_field():
+    # a level the model's field lacks lies outside every state set: the
+    # call raises one ValueError naming the state, over a prime field and
+    # over GF(4) alike, and neither reduces nor evaluates it
     f3, f4 = Field(3), Field(4)
     m = GsdsModel(f3, ["g1", "g2"], DependencyGraph(2, {(0, 1), (1, 0)}),
                   [parse_poly("x2", 2, f3), parse_poly("x1^2 + 1", 2, f3)], None)
-    assert GlobalMap(m)((4, 5)) == GlobalMap(m)((1, 2)) == (2, 2)
+    assert GlobalMap(m)((1, 2)) == (2, 2)
     m4 = GsdsModel(f4, ["g1"], DependencyGraph(1, {(0, 0)}), [parse_poly("x1^2", 1, f4)], None)
-    with pytest.raises(ValueError):
-        GlobalMap(m4)((5,))
+    for f, state in ((GlobalMap(m), (4, 5)), (GlobalMap(m), (1, -1)), (GlobalMap(m4), (5,))):
+        with pytest.raises(ValueError) as err:
+            f(state)
+        assert str(err.value) == f"state {state} is outside the model's state space"
 
 
 @kernel_settings
@@ -415,15 +435,16 @@ def test_full_support_gene_peak_memory_near_result_size(monkeypatch, gather):
 
 def test_word_omitting_an_out_of_range_gene():
     # gene 2 maps into level 2, outside its state set {0, 1}; the word
-    # never updates it, yet the kernel declines the whole model
+    # never updates it, yet every bulk method and the call decline the
+    # whole model with its validation report
     m = random_model(Field(3), 3, (0, 1), seed=6)
     polys = m.local_polys[:2] + (Polynomial.constant(Field(3), 3, 2),)
     m = GsdsModel(m.field, m.genes, m.graph, polys, (0, 1), state_sets=[(0, 1, 2)] * 2 + [(0, 1)])
     f = GlobalMap(m)
-    assert f.image_bits() is None
-    assert f.truth_table() == tuple(oracle_global_map(m, s) for s in m.iter_states())
-    with pytest.raises(ModelValidationError):
-        f.successor_array()
+    for method in (f.image_bits, f.truth_table, f.successor_array, lambda: f((0, 0, 0))):
+        with pytest.raises(ModelValidationError) as err:
+            method()
+        assert err.value.report.range[0] == (2, (0, 0, 0), 2)
 
 
 def test_trajectory_reads_the_tables(monkeypatch):
@@ -449,8 +470,8 @@ def test_trajectory_reads_the_tables(monkeypatch):
 
 def test_check_translated_on_levels_outside_a_state_set():
     # gene 0 keeps levels {0, 1}, but its thresholds discretize high
-    # concentrations to 2; gene 1 reads x1, so its value at such a state
-    # comes from its polynomial, not from its table
+    # concentrations to 2: the map refuses the first such state, while
+    # samples that stay in the state space check as the oracle does
     field = Field(3)
     polys = [parse_poly("x2^2", 2, field), parse_poly("x1 + 2*x2 + x1*x2", 2, field)]
     m = GsdsModel(field, ["a", "b"], DependencyGraph(2, {(0, 1), (1, 0)}), polys, (1, 0),
@@ -460,8 +481,11 @@ def test_check_translated_on_levels_outside_a_state_set():
     rng = random.Random(4)
     samples = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(60)]
     pairs = list(zip(samples, samples[1:]))
-    result = check_translated(GlobalMap(m), pairs, tmap)
-    expected = check_translated(lambda s: oracle_global_map(m, s), pairs, tmap)
-    assert result.checked == expected.checked == 59
-    assert result.counterexamples == expected.counterexamples
-    assert any(state[0] == 2 for _, state, _, _ in result.counterexamples)
+    first = next(tuple(int(c > 1) + int(c > 2) for c in x) for x, _ in pairs if x[0] > 2)
+    with pytest.raises(ValueError, match=rf"^state \({first[0]}, {first[1]}\) is outside"):
+        check_translated(GlobalMap(m), pairs, tmap)
+    inside = [(x, y) for x, y in pairs if x[0] <= 2]
+    result = check_translated(GlobalMap(m), inside, tmap)
+    expected = check_translated(lambda s: oracle_global_map(m, s), inside, tmap)
+    assert result.checked == expected.checked == len(inside)
+    assert result.counterexamples == expected.counterexamples and expected.counterexamples

@@ -19,6 +19,7 @@ from gsds.network import load_model, model_from_dict, model_to_dict, save_model
 from gsds.polyring import Polynomial, iter_points, parse_poly
 
 from conftest import build_example1, build_example3
+from test_kernel import full_field_copy
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -184,9 +185,13 @@ def test_global_map_requires_valid_model(example2):
 
 
 def test_parallel_model_global_map(example2):
-    f = global_map(example2, validate=False)
+    # example 2 leaves g2's levels, so its map is refused at first use
+    with pytest.raises(ModelValidationError):
+        global_map(example2, validate=False)((1, 0, 1))
     # all coordinates update simultaneously from the same input
-    assert f((1, 0, 1)) == tuple(p.eval((1, 0, 1)) for p in example2.local_polys)
+    f = global_map(full_field_copy(example2), validate=False)
+    for state in iter_points(GF3, 3):
+        assert f(state) == tuple(p.eval(state) for p in example2.local_polys)
 
 
 def test_global_map_rejects_states_of_the_wrong_length(example2, example3):
@@ -377,9 +382,11 @@ def test_example2_model_file_round_trip(tmp_path, example2):
     path = tmp_path / "fsm.json"
     save_model(example2, path)
     m = load_model(path)
-    f1 = global_map(example2, validate=False)
-    f2 = global_map(m, validate=False)
-    for state in example2.iter_states():
+    assert (m.state_sets, m.local_polys, m.graph) == (
+        example2.state_sets, example2.local_polys, example2.graph)
+    f1 = global_map(full_field_copy(example2), validate=False)
+    f2 = global_map(full_field_copy(m), validate=False)
+    for state in iter_points(GF3, 3):
         assert f1(state) == f2(state)
 
 
