@@ -26,7 +26,7 @@ import bisect
 import csv
 
 from .errors import ContinuityError, ZenoError
-from .files import FORMAT_VERSION, document, load
+from .files import FORMAT_VERSION, document, finite, load
 from .network import global_map
 from .translate import discretize
 
@@ -154,7 +154,7 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
     roots of the linear segments; simultaneous crossings are processed
     together, logged in ascending (gene, threshold) order.
     """
-    if t_end <= 0:
+    if finite(t_end, "t_end") <= 0:
         raise ValueError("t_end must be positive")
     n = model.n
     if len(c0) != n or tmap.n != n:
@@ -178,7 +178,7 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
                else r for r in rising]
 
     t = 0.0
-    conc = [float(c) for c in c0]
+    conc = [finite(c, "c0") for c in c0]
     state = discretize(tmap, conc)
     slopes = slopes_for(state, conc)
     events = []
@@ -262,7 +262,8 @@ def rates_from_dict(d, model):
         if table is None:
             raise ValueError(f"rates missing for gene {name!r}")
         rates.append(
-            {model.encode_level(int(k)): float(v) for k, v in table.items()}
+            {model.encode_level(int(k)): finite(v, f"rate of gene {name!r} at level {k}")
+             for k, v in table.items()}
         )
     floor = d.get("floor_at_zero", True)
     if not isinstance(floor, bool):
@@ -308,6 +309,7 @@ def load_samples_csv(path):
         repeated = sorted({g for g in genes if genes.count(g) > 1})
         if repeated:
             raise ValueError(f"sample CSV repeats gene column(s) {', '.join(repeated)}")
+        columns = [f"sample CSV {path} column {g!r}" for g in ["t", *genes]]
         times = []
         rows = []
         for row in reader:
@@ -315,8 +317,9 @@ def load_samples_csv(path):
                 continue
             if len(row) != len(genes) + 1:
                 raise ValueError(f"row {row!r} does not match the header")
-            times.append(float(row[0]))
-            rows.append(tuple(float(v) for v in row[1:]))
+            t, *values = map(finite, row, columns)
+            times.append(t)
+            rows.append(tuple(values))
     return genes, times, rows
 
 

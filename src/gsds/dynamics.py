@@ -2,19 +2,17 @@
 
 The global map induces a functional digraph on the state space (every
 state has exactly one successor); its analysis yields fixed points,
-limit cycles, per-state transients, and basins of attraction.  State
-indexing is mixed-radix with gene 1 most significant, each state set
-ordered by canonical value, so indices, reports, and DOT output are
-deterministic.  The successor array and the schedule comparisons come
-from the bit-sliced kernel of :mod:`gsds.network`.  Only the image of
-the map is walked; every state then takes its basin and its transient
-(one step further out) from its successor in one gather, and the basin
-sizes and the transient histogram are counted over the image, weighted
-by in-degree.  Reports write states in bulk through one head/tail split.
+limit cycles, basin sizes and the transient histogram.  State indexing
+is mixed-radix with gene 1 most significant, each state set ordered by
+canonical value, so indices, reports, and DOT output are deterministic.
+The successor array and the schedule comparisons come from the
+bit-sliced kernel of :mod:`gsds.network`.  Only the image of the map is
+walked, and the basin sizes and the transient histogram are counted
+over it, weighted by in-degree; a state's transient is its number of
+``successor`` steps to a cycle.  Reports write states in bulk.
 """
 
 import itertools
-import operator
 from collections import Counter
 
 from .errors import StateSpaceLimitError
@@ -29,12 +27,10 @@ DOT_BLOCK_STATES = 1024  # bounds the text transitions_dot holds at once
 class PhasePortrait:
     """Complete description of a global map's functional digraph."""
 
-    def __init__(self, model, successor, attractors, transient, basin, sizes, histogram):
+    def __init__(self, model, successor, attractors, sizes, histogram):
         self.model = model
         self.successor = successor
         self.attractors = attractors  # list of cycles, each a state-index list
-        self.transient = transient  # per-state distance to its attractor
-        self.basin = basin  # per-state attractor id
         self._sizes = sizes  # states per attractor id
         self._histogram = histogram  # states per transient length 0, 1, ...
 
@@ -74,8 +70,7 @@ def phase_portrait(model, limit=DEFAULT_STATE_LIMIT):
     # in it.  indeg[u] counts u's preimages.  attr[v] is the visit mark:
     # -1 unseen, -2 - start on the walk from start, else the attractor id.
     indeg = Counter(successor)
-    attr = [-1] * n
-    transient = [0] * n
+    attr, transient = [-1] * n, [0] * n
     attractors, deepest = [], 0
     for start in indeg:
         if attr[start] != -1:
@@ -100,31 +95,21 @@ def phase_portrait(model, limit=DEFAULT_STATE_LIMIT):
             transient[node] = depth
         deepest = max(deepest, depth)
 
-    # renumber attractors by minimal state index
-    order = sorted(range(len(attractors)), key=lambda a: attractors[a][0])
-    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
-    attractors = [attractors[a] for a in order]
-
-    # Every state lies in its successor's basin, one step further out: give
-    # each image state its rank and its depth + 1, count its preimages
-    # there, and gather every state from its successor.  The cycle states
-    # then move from transient 1 to 0.
+    # Every state lies in its successor's basin, one step further out:
+    # count each image state's preimages there by walk id, then renumber
+    # the attractors by minimal state index.  The cycle states then move
+    # from transient 1 to 0.
     sizes, histogram = [0] * len(attractors), [0] * (deepest + 2)
     for u, k in indeg.items():
-        aid, depth = rank[attr[u]], transient[u] + 1
-        attr[u], transient[u] = aid, depth
-        sizes[aid] += k
-        histogram[depth] += k
-    basin = list(map(attr.__getitem__, successor))
-    del indeg, attr  # four lists at the peak: successor, basin and two transients
-    transient = list(map(transient.__getitem__, successor))
-    for v in itertools.chain.from_iterable(attractors):
-        transient[v] = 0
+        sizes[attr[u]] += k
+        histogram[transient[u] + 1] += k
+    order = sorted(range(len(attractors)), key=lambda a: attractors[a][0])
+    attractors, sizes = [attractors[a] for a in order], [sizes[a] for a in order]
     cyclic = sum(map(len, attractors))
     histogram[0], histogram[1] = cyclic, histogram[1] - cyclic
     if not histogram[-1]:  # every state lies on a cycle
         histogram.pop()
-    return PhasePortrait(model, successor, attractors, transient, basin, sizes, histogram)
+    return PhasePortrait(model, successor, attractors, sizes, histogram)
 
 
 def fixed_points(model, **kwargs):
@@ -135,16 +120,11 @@ def cycles(model, **kwargs):
     return phase_portrait(model, **kwargs).cycles()
 
 
-def _word_map(model, word):
-    """The map composed along ``word``; rebuilding rejects a non-gene."""
-    return GlobalMap(model.replace(schedule=tuple(word)))
-
-
 def compare_schedules(model, word_a, word_b):
     """First state (in index order) where the two composed maps differ,
     or None when they agree everywhere: the lowest bit set in any XOR of
     the two maps' image bitsets."""
-    a, b = _word_map(model, word_a).image_bits(), _word_map(model, word_b).image_bits()
+    a, b = GlobalMap(model, word_a).image_bits(), GlobalMap(model, word_b).image_bits()
     diff = 0
     for x, y in zip(itertools.chain(*a), itertools.chain(*b)):
         diff |= x ^ y
@@ -168,7 +148,7 @@ def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_
         words = itertools.permutations(range(model.n))
     classes = {}  # insertion order is the order of first appearance
     for word in map(tuple, words):
-        classes.setdefault(_word_map(model, word).image_bits(), []).append(word)
+        classes.setdefault(GlobalMap(model, word).image_bits(), []).append(word)
     return list(classes.values())
 
 
@@ -239,10 +219,13 @@ def transitions_dot(portrait):
     line for each state of one head of ``_split``."""
     head, tail, width = _split(portrait.model, _LABELS, DOT_BLOCK_STATES)
     yield "digraph transitions {\n  node [shape=circle];\n"
+    on_cycle = bytearray(portrait.state_count)
+    for v in itertools.chain.from_iterable(portrait.attractors):
+        on_cycle[v] = 1
     starts = range(0, portrait.state_count, width)
-    for h, s in zip(head, starts):  # a state lies on its attractor iff its transient is 0
-        on_cycle = map(operator.not_, portrait.transient[s:s + width])
-        yield "".join([f"  {h}{t} [shape=doublecircle];\n" for t in itertools.compress(tail, on_cycle)])
+    for h, s in zip(head, starts):
+        cyclic = itertools.compress(tail, on_cycle[s:s + width])
+        yield "".join([f"  {h}{t} [shape=doublecircle];\n" for t in cyclic])
     succ = portrait.successor
     for h, s in zip(head, starts):
         yield "".join([f"  {h}{t} -> {head[a]}{tail[b]};\n" for t, (a, b) in zip(

@@ -2,8 +2,10 @@
 files.
 
 Every file kind is one JSON object with a ``format_version`` (1 when
-absent).  ``write_json`` writes every file and JSON report,
-``document`` is the one version check, and ``load`` reads every file.
+absent).  ``write_json`` writes every file and JSON report, with no NaN
+or infinity in it, ``document`` is the one version check, and ``load``
+reads every file.  ``finite`` is the one check of a real number read
+from a file or the command line.
 A document of the wrong shape surfaces as a TypeError, AttributeError
 or KeyError while it is interpreted; ``load`` turns these, bad or too
 deeply nested JSON and bad values into one ValueError that names the
@@ -12,6 +14,7 @@ gains that prefix.
 """
 
 import json
+import math
 import sys
 from itertools import accumulate, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -19,9 +22,10 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from .errors import PolyParseError, UnsupportedEncodingError
 
 FORMAT_VERSION = 1
-# The stdlib C encoder, with a newline in the item separator and no indent
+# The stdlib C encoder, with a newline in the item separator, no indent
+# and no NaN or infinity (ValueError)
 _ENCODER_ARGS = (json.JSONEncoder().default, encode_basestring_ascii, None,
-                 ": ", ",\n", False, False, True)
+                 ": ", ",\n", False, False, False)
 _DEPTH = {"[": 1, "{": 1, "\n": -1}
 
 
@@ -32,7 +36,7 @@ def dumps(data):
     structure: the text is cut before each bracket, and each piece's
     newlines indented to the depth after it."""
     if c_make_encoder is None:
-        return json.dumps(data, indent=2)
+        return json.dumps(data, indent=2, allow_nan=False)
     text = "".join(c_make_encoder({}, *_ENCODER_ARGS)(data, 0))
     escaped = "\\" in text
     if escaped:  # hide escaped backslashes and quotes from the split
@@ -59,6 +63,15 @@ def write_json(data, path=None):
         return
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def finite(value, what):
+    """``value`` as a float, once it is neither NaN nor infinite; else
+    ValueError naming ``what``."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, not {x}")
+    return x
 
 
 def document(d, kind):

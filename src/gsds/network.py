@@ -171,13 +171,11 @@ class GsdsModel:
 
     def replace(self, schedule=None, display=None):
         """This model with its schedule word or display mode replaced."""
-        other = GsdsModel(
+        return GsdsModel(
             self.field, self.genes, self.graph, self.local_polys,
             self.schedule if schedule is None else schedule,
             state_sets=self.state_sets, display=display or self.display,
         )
-        other._tables = self._tables  # same polynomials and state sets
-        return other
 
     # -- state space ---------------------------------------------------
 
@@ -228,13 +226,8 @@ class GsdsModel:
 
 
 def apply_local(model, i, state):
-    """Apply gene i's local update: only coordinate i may change.  The
-    model's map runs with a fold of gene i alone; no model is built."""
-    if i not in range(model.n):
-        raise ValueError(f"{i!r} is not a gene index")
-    f = GlobalMap(model)
-    f._fold = _readers(model, [i])
-    return f(state)
+    """Apply gene i's local update: only coordinate i may change."""
+    return GlobalMap(model, (i,))(state)
 
 
 # -- truth-table kernel ------------------------------------------------
@@ -258,8 +251,8 @@ def _strides(levels):
 
 def _subcube_tables(model):
     """Each local polynomial's ``poly_table`` over the state sets, kept on
-    the model (and its replacements) so that validation, the bitset fold
-    and the map call tabulate once."""
+    the model so that validation, the bitset fold and the map call of
+    every word tabulate once."""
     if not model._tables:
         model._tables.extend(poly_table(p, model.state_sets) for p in model.local_polys)
     return model._tables
@@ -274,10 +267,10 @@ def _tables_in_levels(model):
     return tables
 
 
-def _fold_bits(model):
-    """Each gene's level bitsets of the images of the model's map over
-    its state space.  A parallel map reads the input bitsets; a word
-    updates them in order."""
+def _fold_bits(model, word):
+    """Each gene's level bitsets of the images of the model's map composed
+    along ``word`` over its state space.  The parallel map (word None)
+    reads the input bitsets; a word updates them in order."""
     levels, position, tables = model.state_sets, model._positions, _tables_in_levels(model)
     total = model.state_count()
     full = (1 << total) - 1
@@ -289,8 +282,8 @@ def _fold_bits(model):
             period *= 2
         first &= full
         src.append([first << (p * stride) for p in range(len(values))])
-    bits = list(src) if model.parallel else src
-    for i in range(model.n) if model.parallel else model.schedule:
+    bits = list(src) if word is None else src
+    for i in range(model.n) if word is None else word:
         support, table = tables[i]
         slots = [position[i][v] for v in table]
         rows = [src[j] for j in support]
@@ -383,11 +376,16 @@ def _readers(model, word):
 
 
 class GlobalMap:
-    """The composed update map of a model, callable on states."""
+    """A model's update map composed along ``word``, by default its schedule
+    (None on a parallel model: the parallel map), callable on states."""
 
-    def __init__(self, model):
+    def __init__(self, model, word=None):
         self.model = model
+        self.word = model.schedule if word is None else tuple(word)
         self._fold = None  # per word entry: gene, (support gene, positions), table
+        for i in self.word or ():
+            if i not in range(model.n):
+                raise ValueError(f"word entry {i!r} is not a gene index")
 
     def __call__(self, state):
         """The image of ``state``, which must lie in the model's state space:
@@ -396,14 +394,14 @@ class GlobalMap:
         the input state, a word the state it updates.  The first call
         raises ModelValidationError for a model whose local polynomials
         leave their genes' levels."""
-        m = self.model
+        m, word = self.model, self.word
         if len(state) != m.n:
             raise FieldMismatchError(f"point has {len(state)} coordinates, polynomial has {m.n}")
         m.check_state(state)
         if self._fold is None:
-            self._fold = _readers(m, range(m.n) if m.parallel else m.schedule)
+            self._fold = _readers(m, range(m.n) if word is None else word)
         out = list(state)
-        src = state if m.parallel else out
+        src = state if word is None else out
         for i, readers, table in self._fold:
             index = 0
             for j, position in readers:
@@ -413,12 +411,12 @@ class GlobalMap:
 
     def coordinate_polys(self):
         """The parallel coordinate functions F1..Fn as reduced polynomials:
-        the local polynomials composed along the schedule."""
+        the local polynomials composed along the word."""
         m = self.model
-        if m.parallel:
+        if self.word is None:
             return m.local_polys
         coords = [Polynomial.variable(m.field, m.n, j + 1) for j in range(m.n)]
-        for i in m.schedule:
+        for i in self.word:
             coords[i] = m.local_polys[i].compose(coords)
         return tuple(coords)
 
@@ -427,20 +425,21 @@ class GlobalMap:
         m = self.model
         total, top = m.state_count(), m.field.order - 1
         columns = [_spread(_planes(v, gene), total, top).tolist()
-                   for v, gene in zip(m.state_sets, _fold_bits(m))]
+                   for v, gene in zip(m.state_sets, _fold_bits(m, self.word))]
         return tuple(zip(*columns)) if columns else ((),)
 
     def successor_array(self):
         """State index of the image of every state, in index order."""
         m, total = self.model, self.model.state_count()
-        terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), _fold_bits(m))
+        bits = _fold_bits(m, self.word)
+        terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), bits)
                  for c, b in _planes(range(len(gene)), gene)]
         return _spread(terms, total, total - 1).tolist()
 
     def image_bits(self):
         """Per gene, the bitset of each level: bit s is set when the image of
         state s holds it."""
-        return tuple(map(tuple, _fold_bits(self.model)))
+        return tuple(map(tuple, _fold_bits(self.model, self.word)))
 
 
 def global_map(model, validate=True):

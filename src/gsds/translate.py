@@ -36,7 +36,7 @@ import itertools
 
 from .errors import FieldMismatchError
 from .ffield import Field, check_display, decode_level, encode_level
-from .files import FORMAT_VERSION, document, load, write_json
+from .files import FORMAT_VERSION, document, finite, load, write_json
 
 DEFAULT_EPS = 1e-9
 SEARCH_MAX_CANDIDATES = 1 << 20
@@ -260,9 +260,9 @@ def thresholds_from_dict(d, gene_names=None):
             if "equal_level" in lv else band_levels[k + 1]
             for k, lv in enumerate(levels)
         ]
-        thresholds = [lv["threshold"] for lv in levels]
+        thresholds = [finite(lv["threshold"], f"threshold of gene {name!r}") for lv in levels]
         genes.append(GeneThresholds(thresholds, band_levels, equal_levels))
-    eps = d.get("eps", DEFAULT_EPS)
+    eps = finite(d.get("eps", DEFAULT_EPS), "eps")
     return ThresholdMap(field, genes, eps=eps, display=display), names
 
 

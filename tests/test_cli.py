@@ -837,3 +837,92 @@ def test_threshold_file_over_another_field_exits_1(workspace, capsys, command):
     code, out, err = compat_run(workspace, capsys, argv[command])
     assert (code, out) == (1, "")
     assert err == f"error: threshold file {gf5} is over GF(5), the model over GF(3)\n"
+
+
+# -- non-finite reals -------------------------------------------------------------
+
+ZERO_RATES = {"format_version": 1, "rates": {g: {"-1": 0.0, "0": 0.0, "1": 0.0}
+                                             for g in ("g1", "g2", "g3")}}
+
+
+def _threshold_doc(threshold=None, eps=None):
+    """The example thresholds with g2's threshold or the eps replaced."""
+    def change(d):
+        g2 = d["genes"]["g2"]
+        if threshold is not None:
+            g2 = {**g2, "levels": [{**g2["levels"][0], "threshold": threshold}]}
+        return {**d, "genes": {**d["genes"], "g2": g2}, **({} if eps is None else {"eps": eps})}
+    return change
+
+
+# (case, changed file kind, change, argv, the error after "error: ")
+NON_FINITE = [
+    *[(f"csv-nan-{cmd}", "csv", "0.78,nan,1.25", argv,
+       "sample CSV {csv} column 'g2' must be a finite number, not nan")
+      for cmd, argv in (
+          ("fit", ["fit", "{csv}"]),
+          ("discretize", ["discretize", "{csv}", "--thresholds", "{thresholds}"]),
+          ("check", ["check", "{csv}", "--thresholds", "{thresholds}", "--model", "{ex3}"]),
+          ("infer", ["infer", "--csv", "{csv}", "--thresholds", "{thresholds}"]))],
+    ("csv-time-infinity", "csv", None, ["fit", "{csv}"],
+     "sample CSV {csv} column 't' must be a finite number, not inf"),
+    ("threshold-nan", "thresholds", _threshold_doc(threshold=math.nan),
+     ["discretize", "{csv}", "--thresholds", "{thresholds}"],
+     "malformed thresholds file {thresholds}: threshold of gene 'g2' must be a finite "
+     "number, not nan"),
+    ("threshold-infinity", "thresholds", _threshold_doc(threshold=-math.inf), HYB + C0,
+     "malformed thresholds file {thresholds}: threshold of gene 'g2' must be a finite "
+     "number, not -inf"),
+    ("eps-nan", "thresholds", _threshold_doc(eps=math.nan),
+     ["discretize", "{csv}", "--thresholds", "{thresholds}"],
+     "malformed thresholds file {thresholds}: eps must be a finite number, not nan"),
+    ("eps-infinity", "thresholds", _threshold_doc(eps=math.inf),
+     ["check", "{csv}", "--thresholds", "{thresholds}", "--model", "{ex3}"],
+     "malformed thresholds file {thresholds}: eps must be a finite number, not inf"),
+    ("rate-nan", "rates", lambda d: {**d, "rates": {**d["rates"], "g2": {
+        "-1": 0.0, "0": math.nan, "1": 0.0}}}, HYB + C0,
+     "malformed rates file {rates}: rate of gene 'g2' at level 0 must be a finite "
+     "number, not nan"),
+    ("c0-nan", None, None, HYB + ["--c0", "0.5,nan,0.5", "--t-end", "1"],
+     "c0 must be a finite number, not nan"),
+    ("c0-infinity", None, None, HYB + ["--c0", "0.5,0.5,-inf", "--t-end", "1"],
+     "c0 must be a finite number, not -inf"),
+    ("t-end-infinity", None, None, HYB + ["--c0", "0.5,0.5,0.5", "--t-end", "inf"],
+     "t_end must be a finite number, not inf"),
+    ("t-end-nan", None, None, HYB + ["--c0", "0.5,0.5,0.5", "--t-end", "nan"],
+     "t_end must be a finite number, not nan"),
+]
+
+
+@pytest.mark.parametrize("case,kind,change,argv,message", NON_FINITE,
+                         ids=[c[0] for c in NON_FINITE])
+def test_non_finite_input_exits_1_with_one_line(workspace, capsys, case, kind, change,
+                                                argv, message):
+    # the rates are all 0, so a run that took a non-finite time or level
+    # would end without events instead of looping to the event limit
+    files = {key: workspace[key] for key in ("ex3", "thresholds", "csv")}
+    files["rates"] = workspace["dir"] / "rates.json"
+    files["rates"].write_text(json.dumps(ZERO_RATES))
+    if kind == "csv":
+        files["csv"] = workspace["dir"] / f"{case}.csv"
+        files["csv"].write_text(workspace["csv"].read_text().replace("1.5,1.2,1.5", change)
+                                if change else "t,g1,g2,g3\n0,1,1,1\ninf,1,1,1\n")
+    elif kind:
+        doc = json.loads(files[kind].read_text())
+        files[kind] = workspace["dir"] / f"{case}.json"
+        files[kind].write_text(json.dumps(change(doc)))
+    code, out, err = run(capsys, *[a.format(**files) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == "error: " + message.format(**files) + "\n"
+
+
+def test_fit_that_overflows_exits_1_with_one_line(tmp_path, capsys):
+    # finite samples whose slope is -inf and intercept NaN: the report
+    # cannot be written as JSON, so nothing is
+    path, output = tmp_path / "huge.csv", tmp_path / "fit.json"
+    path.write_text("t,g\n0,1e308\n1,-1e308\n")
+    code, out, err = run(capsys, "fit", path, "-o", output)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.count("\n") == 1
+    assert not output.exists()

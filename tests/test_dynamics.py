@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -133,13 +134,11 @@ def test_portrait_matches_brute_force_oracle():
             assert m.state_at(p.successor[i]) == succ[s]
         # attractor cycles as sets
         assert {frozenset(m.state_at(i) for i in c) for c in p.attractors} == cyc_sets
-        # transients and basins
-        for i, s in enumerate(m.iter_states()):
-            assert p.transient[i] == transient[s]
-            cycle_states = frozenset(
-                m.state_at(j) for j in p.attractors[p.basin[i]]
-            )
-            assert cycle_states == attr_state[s]
+        # basin sizes and the transient histogram
+        sizes = Counter(attr_state.values())
+        assert p.basin_sizes() == [
+            sizes[frozenset(m.state_at(i) for i in c)] for c in p.attractors]
+        assert p.transient_histogram() == sorted(Counter(transient.values()).items())
 
 
 @st.composite
@@ -181,7 +180,7 @@ def test_portrait_matches_the_reference_traversal(successor):
     p = phase_portrait(map_model(successor))
     attractors, transient, basin = oracle_phase_portrait(successor)
     assert p.successor == successor
-    assert (p.attractors, p.transient, p.basin) == (attractors, transient, basin)
+    assert p.attractors == attractors
     assert p.basin_sizes() == [basin.count(a) for a in range(len(attractors))]
     assert p.transient_histogram() == [
         (t, transient.count(t)) for t in sorted(set(transient))]
@@ -192,7 +191,7 @@ def test_portrait_matches_the_reference_traversal(successor):
 def test_image_traversal_matches_the_marker_walk_over_every_state(successor):
     p = phase_portrait(map_model(successor))
     attractors, transient, basin, sizes, histogram = oracle_marker_portrait(successor)
-    assert (p.attractors, p.transient, p.basin) == (attractors, transient, basin)
+    assert p.attractors == attractors
     assert (p.basin_sizes(), p.transient_histogram()) == (sizes, histogram)
     assert p.max_transient() == max(transient)
 
@@ -201,12 +200,16 @@ def test_portrait_invariants():
     p = phase_portrait(build_example3())
     n = p.state_count
     assert sum(p.basin_sizes()) == n
-    for cycle in p.attractors:
-        for i in cycle:
-            assert p.transient[i] == 0
+    # a state's transient is the number of successor steps to a cycle state
+    on_cycle = set(itertools.chain.from_iterable(p.attractors))
+    transients = Counter()
     for i in range(n):
-        if p.transient[i] > 0:
-            assert p.transient[i] == 1 + p.transient[p.successor[i]]
+        steps = 0
+        while i not in on_cycle:
+            i, steps = p.successor[i], steps + 1
+        transients[steps] += 1
+    assert p.transient_histogram() == sorted(transients.items())
+    assert transients[0] == len(on_cycle)
     # attractors sorted by minimal state index, rotated to start there
     mins = [c[0] for c in p.attractors]
     assert mins == sorted(mins)
@@ -272,8 +275,11 @@ def test_non_interacting_vertices_commute():
 
 
 def test_compare_schedules_rejects_bad_word():
-    with pytest.raises(ValueError):
-        compare_schedules(build_example1(), (0, 9), (0, 1))
+    for words in (((0, 9), (0, 1)), ((0, 1), (-1,))):
+        with pytest.raises(ValueError, match="is not a gene index"):
+            compare_schedules(build_example1(), *words)
+    with pytest.raises(ValueError, match="is not a gene index"):
+        schedule_scan(build_example1(), [(0, 1), (4,)])
 
 
 @st.composite

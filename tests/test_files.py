@@ -16,6 +16,7 @@ from gsds import DependencyGraph, Field, GeneThresholds, GsdsModel, ThresholdMap
 from gsds.continuous import RatePolicy, load_rates, rates_to_dict
 from gsds.errors import UnsupportedEncodingError
 from gsds.ffield import check_display, decode_level, encode_level
+from gsds import files
 from gsds.files import write_json
 from gsds.infer import StateSeries, load_series, save_series, series_from_dict
 from gsds.network import load_model, save_model
@@ -137,13 +138,38 @@ json_values = st.recursive(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(json_values)
 def test_write_json_is_the_stdlib_indented_dump(tmp_path, capsys, data):
-    want = json.dumps(data, indent=2) + "\n"
     path = tmp_path / "out.json"
+    path.unlink(missing_ok=True)
+    try:
+        want = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # a NaN or an infinity: nothing is written
+        for target in (path, None):
+            with pytest.raises(ValueError):
+                write_json(data, target)
+        assert not path.exists() and capsys.readouterr().out == ""
+        return
     write_json(data, path)
     assert path.read_bytes() == want.encode("ascii")
     capsys.readouterr()
     write_json(data)
     assert capsys.readouterr().out == want
+
+
+
+@pytest.mark.parametrize("encoder", [files.c_make_encoder, None], ids=["c", "fallback"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, {"k": [1.0, math.nan]}])
+def test_dumps_refuses_nan_and_infinity(monkeypatch, encoder, value):
+    monkeypatch.setattr(files, "c_make_encoder", encoder)
+    with pytest.raises(ValueError):
+        files.dumps(value)
+    assert files.dumps([1e308, -0.0]) == "[\n  1e+308,\n  -0.0\n]"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", math.nan, -math.inf])
+def test_finite_names_the_input(value):
+    with pytest.raises(ValueError, match=r"^threshold of gene 'g1' must be a finite number, not "):
+        files.finite(value, "threshold of gene 'g1'")
+    assert files.finite("-2.5e3", "x") == -2500.0
 
 
 # -- display modes -------------------------------------------------------------

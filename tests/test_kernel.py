@@ -11,6 +11,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -116,7 +117,10 @@ def test_successor_array_matches_scalar_map(m):
     assert f.successor_array() == expected
     p = phase_portrait(m)
     assert p.successor == expected
-    assert (p.attractors, p.transient, p.basin) == oracle_phase_portrait(expected)
+    attractors, transient, basin = oracle_phase_portrait(expected)
+    assert p.attractors == attractors
+    assert p.basin_sizes() == [basin.count(a) for a in range(len(attractors))]
+    assert p.transient_histogram() == sorted(Counter(transient).items())
 
 
 @kernel_settings
@@ -148,6 +152,27 @@ def test_map_call_matches_oracle_on_the_full_field(m):
         else:
             with pytest.raises(ModelValidationError):
                 f(p)
+
+
+@kernel_settings
+@given(st.data())
+def test_word_map_matches_the_model_with_that_schedule(data):
+    # GlobalMap(m, word) builds no model; the model rebuilt with the word
+    # as its schedule is the oracle, parallel models included
+    m = data.draw(models(closed=True) | models())
+    word = data.draw(st.lists(st.integers(0, m.n - 1), max_size=2 * m.n))
+    oracle, states = GlobalMap(m.replace(schedule=word)), list(m.iter_states())
+    with mock.patch.object(GsdsModel, "__init__", side_effect=AssertionError("model built")):
+        f = GlobalMap(m, word)
+        assert f.coordinate_polys() == oracle.coordinate_polys()
+        if validate_model(m).range:  # the maps leave the state space
+            for method in (f.image_bits, f.successor_array, lambda: f(states[0])):
+                with pytest.raises(ModelValidationError):
+                    method()
+            return
+        assert f.successor_array() == oracle.successor_array()
+        assert f.image_bits() == oracle.image_bits()
+        assert [f(s) for s in states] == [oracle(s) for s in states]
 
 
 @kernel_settings
