@@ -273,7 +273,11 @@ def fit(csv_file, output):
         raise ValueError("need at least two samples to fit")
     report = {"format_version": FORMAT_VERSION, "genes": {}}
     for j, name in enumerate(genes):
-        curve = fit_from_samples(times, [r[j] for r in rows])
+        try:
+            curve = fit_from_samples(times, [r[j] for r in rows])
+        except ValueError as exc:  # the times, or a slope or intercept that overflows
+            raise ValueError(f"sample CSV {csv_file} column {name!r} cannot be fitted: "
+                             f"{exc}") from None
         report["genes"][name] = {
             "breakpoints": list(curve.breakpoints),
             "segments": [[a, b] for a, b in curve.segments],

@@ -24,9 +24,10 @@ time point.
 
 import bisect
 import csv
+import itertools
 
 from .errors import ContinuityError, ZenoError
-from .files import FORMAT_VERSION, document, finite, load
+from .files import FORMAT_VERSION, document, finite, finite_all, load
 from .network import global_map
 from .translate import discretize
 
@@ -40,8 +41,9 @@ class SectionalLinear:
     __slots__ = ("breakpoints", "segments", "outside_mode")
 
     def __init__(self, breakpoints, segments, outside_mode="zero"):
-        breakpoints = tuple(float(t) for t in breakpoints)
+        breakpoints = finite_all(breakpoints, "a breakpoint")
         segments = tuple((float(a), float(b)) for a, b in segments)
+        finite_all(itertools.chain.from_iterable(segments), "a segment's slope or intercept")
         if len(breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
         if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
@@ -97,6 +99,7 @@ class RatePolicy:
     def __init__(self, rates, floor_at_zero=True):
         # rates: one {level: slope} dict per gene
         self.rates = [dict(r) for r in rates]
+        finite_all(itertools.chain.from_iterable(map(dict.values, self.rates)), "a rate")
         self.floor_at_zero = floor_at_zero
 
     def slope(self, gene, level):

@@ -25,7 +25,7 @@ DOT_BLOCK_STATES = 1024  # bounds the text transitions_dot holds at once
 
 
 class PhasePortrait:
-    """Complete description of a global map's functional digraph."""
+    """A global map's functional digraph; ``successor`` is the kernel's read-only buffer."""
 
     def __init__(self, model, successor, attractors, sizes, histogram):
         self.model = model

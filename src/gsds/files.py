@@ -5,7 +5,8 @@ Every file kind is one JSON object with a ``format_version`` (1 when
 absent).  ``write_json`` writes every file and JSON report, with no NaN
 or infinity in it, ``document`` is the one version check, and ``load``
 reads every file.  ``finite`` is the one check of a real number read
-from a file or the command line.
+from a file or the command line, and ``finite_all`` of a sequence of
+them passed to a constructor.
 A document of the wrong shape surfaces as a TypeError, AttributeError
 or KeyError while it is interpreted; ``load`` turns these, bad or too
 deeply nested JSON and bad values into one ValueError that names the
@@ -16,7 +17,7 @@ gains that prefix.
 import json
 import math
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, filterfalse, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import PolyParseError, UnsupportedEncodingError
@@ -72,6 +73,15 @@ def finite(value, what):
     if not math.isfinite(x):
         raise ValueError(f"{what} must be a finite number, not {x}")
     return x
+
+
+def finite_all(values, what):
+    """``values`` as a tuple of floats, checked in one C-level pass; else
+    ``finite``'s ValueError for the first NaN or infinity."""
+    values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        finite(next(filterfalse(math.isfinite, values)), what)
+    return values
 
 
 def document(d, kind):

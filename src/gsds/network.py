@@ -140,10 +140,7 @@ class GsdsModel:
             if len(set(s)) != len(s):
                 raise ValueError(f"gene {name!r} has duplicate levels in its state set")
         if schedule is not None:
-            schedule = tuple(schedule)
-            for i in schedule:
-                if not 0 <= i < n:
-                    raise ValueError(f"schedule entry {i} is not a gene index")
+            schedule = _word(schedule, n, "schedule")
         check_display(field, display)
         self.field = field
         self.genes = tuple(genes)
@@ -223,6 +220,16 @@ class GsdsModel:
 
     def format_state(self, state):
         return format_state(self.field, self.display, state)
+
+
+def _word(entries, n, what):
+    """``entries`` as a tuple, once each is an int (not a bool) below ``n``;
+    else ValueError naming the first other entry as a ``what`` entry."""
+    word = tuple(entries)
+    for i in word:
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"{what} entry {i!r} is not a gene index")
+    return word
 
 
 def apply_local(model, i, state):
@@ -381,11 +388,8 @@ class GlobalMap:
 
     def __init__(self, model, word=None):
         self.model = model
-        self.word = model.schedule if word is None else tuple(word)
+        self.word = model.schedule if word is None else _word(word, model.n, "word")
         self._fold = None  # per word entry: gene, (support gene, positions), table
-        for i in self.word or ():
-            if i not in range(model.n):
-                raise ValueError(f"word entry {i!r} is not a gene index")
 
     def __call__(self, state):
         """The image of ``state``, which must lie in the model's state space:
@@ -421,20 +425,20 @@ class GlobalMap:
         return tuple(coords)
 
     def truth_table(self):
-        """The image of every state, in index order."""
+        """The image of every state, in index order, zipped from native-int columns."""
         m = self.model
         total, top = m.state_count(), m.field.order - 1
-        columns = [_spread(_planes(v, gene), total, top).tolist()
+        columns = [_spread(_planes(v, gene), total, top)
                    for v, gene in zip(m.state_sets, _fold_bits(m, self.word))]
         return tuple(zip(*columns)) if columns else ((),)
 
     def successor_array(self):
-        """State index of the image of every state, in index order."""
+        """State index of each state's image, in index order: a read-only memoryview."""
         m, total = self.model, self.model.state_count()
         bits = _fold_bits(m, self.word)
         terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), bits)
                  for c, b in _planes(range(len(gene)), gene)]
-        return _spread(terms, total, total - 1).tolist()
+        return _spread(terms, total, total - 1)
 
     def image_bits(self):
         """Per gene, the bitset of each level: bit s is set when the image of

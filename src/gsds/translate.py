@@ -36,7 +36,7 @@ import itertools
 
 from .errors import FieldMismatchError
 from .ffield import Field, check_display, decode_level, encode_level
-from .files import FORMAT_VERSION, document, finite, load, write_json
+from .files import FORMAT_VERSION, document, finite, finite_all, load, write_json
 
 DEFAULT_EPS = 1e-9
 SEARCH_MAX_CANDIDATES = 1 << 20
@@ -48,7 +48,7 @@ class GeneThresholds:
     __slots__ = ("thresholds", "band_levels", "equal_levels")
 
     def __init__(self, thresholds, band_levels, equal_levels=None):
-        thresholds = tuple(float(t) for t in thresholds)
+        thresholds = finite_all(thresholds, "a threshold")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError(f"thresholds must be strictly increasing: {thresholds}")
         band_levels = tuple(band_levels)
@@ -85,7 +85,7 @@ class ThresholdMap:
     def __init__(self, field, genes, eps=DEFAULT_EPS, display="canonical"):
         self.field = field
         self.genes = tuple(genes)
-        self.eps = float(eps)
+        self.eps = finite(eps, "eps")
         self.display = check_display(field, display)
         for g in self.genes:
             for level in g.band_levels + g.equal_levels:
@@ -262,8 +262,7 @@ def thresholds_from_dict(d, gene_names=None):
         ]
         thresholds = [finite(lv["threshold"], f"threshold of gene {name!r}") for lv in levels]
         genes.append(GeneThresholds(thresholds, band_levels, equal_levels))
-    eps = finite(d.get("eps", DEFAULT_EPS), "eps")
-    return ThresholdMap(field, genes, eps=eps, display=display), names
+    return ThresholdMap(field, genes, eps=d.get("eps", DEFAULT_EPS), display=display), names
 
 
 def save_thresholds(tmap, gene_names, path, display="canonical"):

@@ -917,12 +917,13 @@ def test_non_finite_input_exits_1_with_one_line(workspace, capsys, case, kind, c
 
 
 def test_fit_that_overflows_exits_1_with_one_line(tmp_path, capsys):
-    # finite samples whose slope is -inf and intercept NaN: the report
-    # cannot be written as JSON, so nothing is
+    # finite samples whose slope is -inf and intercept NaN: the curve is
+    # refused, naming the column, so no report is written
     path, output = tmp_path / "huge.csv", tmp_path / "fit.json"
     path.write_text("t,g\n0,1e308\n1,-1e308\n")
     code, out, err = run(capsys, "fit", path, "-o", output)
     assert (code, out) == (1, "")
-    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err == (f"error: sample CSV {path} column 'g' cannot be fitted: a segment's "
+                   f"slope or intercept must be a finite number, not -inf\n")
     assert err.count("\n") == 1
     assert not output.exists()

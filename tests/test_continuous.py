@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 
 import pytest
@@ -181,6 +182,19 @@ def test_fit_rejects_bad_input():
         fit_from_samples([0, 0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_from_samples([0, 1], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_curves_and_rates_must_be_finite(bad):
+    # a fit through a NaN sample used to return the segments ((nan, nan),)
+    cases = [(lambda: SectionalLinear([0.0, bad], [(1.0, 0.0)]), "a breakpoint"),
+             (lambda: SectionalLinear([0.0, 1.0], [(bad, 0.0)]), "a segment's slope or intercept"),
+             (lambda: fit_from_samples([0, 1], [0, bad]), "a segment's slope or intercept"),
+             (lambda: RatePolicy([{0: 1.0, 1: bad}]), "a rate")]
+    for build, what in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"{what} must be a finite number, not {bad}"
 
 
 # -- hybrid simulation ---------------------------------------------------------

@@ -179,7 +179,7 @@ def map_model(successor):
 def test_portrait_matches_the_reference_traversal(successor):
     p = phase_portrait(map_model(successor))
     attractors, transient, basin = oracle_phase_portrait(successor)
-    assert p.successor == successor
+    assert list(p.successor) == successor
     assert p.attractors == attractors
     assert p.basin_sizes() == [basin.count(a) for a in range(len(attractors))]
     assert p.transient_histogram() == [

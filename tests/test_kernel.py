@@ -114,9 +114,9 @@ def reference_validate(model):
 def test_successor_array_matches_scalar_map(m):
     f = GlobalMap(m)
     expected = [m.state_index(oracle_global_map(m, s)) for s in m.iter_states()]
-    assert f.successor_array() == expected
+    assert list(f.successor_array()) == expected
     p = phase_portrait(m)
-    assert p.successor == expected
+    assert list(p.successor) == expected
     attractors, transient, basin = oracle_phase_portrait(expected)
     assert p.attractors == attractors
     assert p.basin_sizes() == [basin.count(a) for a in range(len(attractors))]
@@ -345,8 +345,8 @@ def assert_kernel_matches_scalar(m):
     images = [oracle_global_map(m, s) for s in m.iter_states()]
     successor = [m.state_index(image) for image in images]
     assert f.truth_table() == tuple(images)
-    assert f.successor_array() == successor
-    assert phase_portrait(m).successor == successor
+    assert list(f.successor_array()) == successor
+    assert list(phase_portrait(m).successor) == successor
     return images
 
 
@@ -401,10 +401,28 @@ def test_successor_array_peak_memory_near_result_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # small ints are shared; every larger entry is its own object
-    size = sys.getsizeof(result) + sum(sys.getsizeof(v) for v in result if v > 256)
+    # the reference is the size of the same indices as a list: small ints
+    # are shared, every larger entry is its own object
+    values = list(result)
+    size = sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values if v > 256)
     assert len(result) == 1 << 18
     assert peak <= 2 * size
+
+
+def test_portrait_footprint_per_state():
+    # the portrait keeps the kernel's buffer of native ints; a list of
+    # boxed ints costs about 36 bytes per state
+    m = random_model(Field(2), 16, None, seed=16)
+    network._subcube_tables(m)
+    tracemalloc.start()
+    try:
+        p = phase_portrait(m)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.state_count == 1 << 16
+    assert retained <= 8 * p.state_count
+    assert peak < 40 * p.state_count
 
 
 def full_support_model(field, n, schedule, seed=0):
@@ -426,7 +444,7 @@ def test_portrait_tabulates_without_evaluating(monkeypatch):
     calls = []
     evaluate = Polynomial.eval
     monkeypatch.setattr(Polynomial, "eval", lambda self, point: calls.append(point) or evaluate(self, point))
-    assert phase_portrait(m).successor == expected
+    assert list(phase_portrait(m).successor) == expected
     assert calls == []
 
 
@@ -452,9 +470,10 @@ def test_full_support_gene_peak_memory_near_result_size(monkeypatch, gather):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    size = sys.getsizeof(result) + sum(sys.getsizeof(v) for v in result if v > 256)
+    values = list(result)  # the reference size is that of the indices as a list
+    size = sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values if v > 256)
     m = f.model
-    assert result == [m.state_index(oracle_global_map(m, s)) for s in m.iter_states()]
+    assert values == [m.state_index(oracle_global_map(m, s)) for s in m.iter_states()]
     assert peak <= 2 * size
 
 

@@ -7,6 +7,7 @@ from gsds import (
     DependencyGraph,
     Field,
     FieldMismatchError,
+    GlobalMap,
     GsdsModel,
     ModelValidationError,
     apply_local,
@@ -138,6 +139,18 @@ def test_apply_local_rejects_outside_states(example1):
 def test_apply_local_rejects_genes_outside_the_model(example1, gene):
     with pytest.raises(ValueError, match="not a gene"):
         apply_local(example1, gene, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("entry", [1.0, True, "1", None])
+def test_word_entries_must_be_ints(example1, entry):
+    # 1.0 and True equal the gene index 1 but are not ints: the schedule of
+    # a model and the word of a map refuse them with one ValueError each
+    with pytest.raises(ValueError) as err:
+        example1.replace(schedule=(0, entry))
+    assert str(err.value) == f"schedule entry {entry!r} is not a gene index"
+    with pytest.raises(ValueError) as err:
+        GlobalMap(example1, (0, entry))
+    assert str(err.value) == f"word entry {entry!r} is not a gene index"
 
 
 # -- global map ---------------------------------------------------------------

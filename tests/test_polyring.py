@@ -330,12 +330,14 @@ def test_reduced_form_bijection_exhaustive(q, n):
     # interpolate each truth table and check the round trip and uniqueness
     field = Field(q)
     points = list(iter_points(field, n))
+    # scaled[k][v]: v times the indicator of points[k], built once
+    scaled = [[indicator_poly(field, point).scale(v) for v in range(q)] for point in points]
     seen = {}
     for outputs in itertools.product(range(q), repeat=len(points)):
         poly = Polynomial.zero(field, n)
-        for point, value in zip(points, outputs):
+        for terms, value in zip(scaled, outputs):
             if value:
-                poly = poly + indicator_poly(field, point).scale(value)
+                poly = poly + terms[value]
         assert tuple(poly.eval(p) for p in points) == outputs
         key = frozenset(poly.terms.items())
         assert key not in seen or seen[key] == outputs

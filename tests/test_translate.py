@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -34,6 +35,17 @@ GF3 = Field(3)
 def test_thresholds_must_increase():
     with pytest.raises(ValueError):
         GeneThresholds([1.0, 1.0], [0, 1, 2], [0, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_thresholds_and_eps_must_be_finite(bad):
+    # a NaN threshold used to pass the order check and send 0.5 to level 0
+    with pytest.raises(ValueError) as err:
+        GeneThresholds([0.5, bad], [0, 1, 1])
+    assert str(err.value) == f"a threshold must be a finite number, not {bad}"
+    with pytest.raises(ValueError) as err:
+        ThresholdMap(GF2, [GeneThresholds([1.0], [0, 1])], eps=bad)
+    assert str(err.value) == f"eps must be a finite number, not {bad}"
 
 
 def test_level_counts_checked():

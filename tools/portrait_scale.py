@@ -7,14 +7,21 @@ where every state has a preimage and lies on a cycle.  It runs
 ``phase_portrait``, ``portrait_report``, ``transitions_dot`` and
 ``attractor_summary_dot`` on each with the gsds package of this checkout,
 and prints one line per model: the four times and the peak resident set
-size of the process.  The peak is read before the DOT text exists
-(``ru_maxrss`` is a maximum over the process's life), so it is the
-portrait's and the report's; the smaller model runs first so that the
-larger one's peak is its own.  Run from anywhere:
+size of the process.  The peak is read after the report is written as
+``files.dumps`` writes it and before the DOT text exists, so it is the
+portrait's and the written report's, as of ``gsds portrait``.
+``ru_maxrss`` is a maximum over the process's life: the GF(2)^22 model
+runs first so that its peak is its own, and the bijective model's peak
+is the larger of its own and the first's (its 67 MB report makes it the
+larger).  No DOT text is joined: one SHA-256 reads, for each model, the
+written report, each transitions DOT block as it is yielded and the
+summary DOT, and a last line prints its first 16 hex digits, which two
+checkouts that write the same bytes share.  Run from anywhere:
 
     python3 tools/portrait_scale.py
 """
 
+import hashlib
 import os
 import random
 import resource
@@ -25,6 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from gsds import DependencyGraph, Field, GsdsModel, phase_portrait  # noqa: E402
 from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_dot  # noqa: E402
+from gsds.files import dumps  # noqa: E402
 from gsds.polyring import Polynomial, parse_poly  # noqa: E402
 
 GENES, IN_DEGREE, TERMS, SEED = 22, 3, 4, 0
@@ -62,31 +70,36 @@ def bijective_model():
                      DependencyGraph(n, edges), polys, list(range(n)))
 
 
-def measure(title, model):
+def measure(title, model, digest):
     """One line: the times of the portrait, the report and both DOT
-    outputs of ``model``, and the peak RSS before the DOT text."""
+    outputs of ``model``, and the peak RSS before the DOT text.  Feeds
+    the written report and both DOT outputs to ``digest``."""
     start = perf_counter()
     portrait = phase_portrait(model)
     middle = perf_counter()
     report = portrait_report(portrait)
     end = perf_counter()
+    digest.update(dumps(report).encode())
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    "".join(transitions_dot(portrait))
+    dot_start = perf_counter()
+    for block in transitions_dot(portrait):
+        digest.update(block.encode())
     dot_end = perf_counter()
-    attractor_summary_dot(portrait)
+    digest.update(attractor_summary_dot(portrait).encode())
     summary_end = perf_counter()
     return (f"{title}: {report['attractor_count']} attractors; portrait {middle - start:.2f} s, "
-            f"report {end - middle:.2f} s, transitions DOT {dot_end - end:.2f} s, "
+            f"report {end - middle:.2f} s, transitions DOT {dot_end - dot_start:.2f} s, "
             f"summary DOT {summary_end - dot_end:.2f} s, "
-            f"peak RSS before the DOT text {peak_mb:.0f} MB")
+            f"peak RSS with the written report, before the DOT text {peak_mb:.0f} MB")
 
 
 def main():
-    bijective = measure(f"Bijective portrait (GF(2)^{BIJECTIVE_GENES}, x_i + x_(i+1)*x_(i+2), "
-                        f"sequential)", bijective_model())
+    digest = hashlib.sha256()
     print(measure(f"Portrait at scale (GF(2)^{GENES}, in-degree {IN_DEGREE}, parallel, "
-                  f"seed {SEED})", scale_model()))
-    print(bijective)
+                  f"seed {SEED})", scale_model(), digest))
+    print(measure(f"Bijective portrait (GF(2)^{BIJECTIVE_GENES}, x_i + x_(i+1)*x_(i+2), "
+                  f"sequential)", bijective_model(), digest))
+    print(f"Portrait bytes (both reports and DOT outputs): sha256 {digest.hexdigest()[:16]}")
 
 
 if __name__ == "__main__":
