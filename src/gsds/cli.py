@@ -1,16 +1,16 @@
 """Command-line front end for the pipeline.
 
-Commands: validate, simulate, portrait, infer, fit, discretize, check,
-hybrid.  Exit codes: 0 success, 2 model validation failure, 3
-contradictory transition data, 4 compatibility failure, 1 anything
-else, usage errors included.  All output is deterministic for identical
-inputs and flags.  One stdlib ``argparse`` parser, built at import,
-reads every command line.
+Exit codes: 0 success, 2 model validation failure, 3 contradictory
+transition data, 4 compatibility failure, 1 anything else, including a
+usage error, which prints one line.  Output is deterministic for
+identical inputs and flags.  ``_read`` reads each command line in one
+pass over the parameters that ``@_command`` declares, as argparse would:
+a value may begin with ``-``, there is no ``-h`` and no abbreviation.
 """
 
-import argparse
 import functools
 import os
+import re
 import sys
 
 from .continuous import fit_from_samples, hybrid_simulate, load_rates, load_samples_csv, \
@@ -28,61 +28,89 @@ from .translate import discretize_series, check_translated, load_thresholds
 
 
 def _existing(path):
-    """A path argument, checked for existence while the line is parsed."""
+    """A path argument, checked for existence while the line is read."""
     if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+        raise ValueError(f"path {path!r} does not exist")
     return path
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise ValueError (exit 1), not exit 2."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
 def _arg(*flags, **kwargs):
+    """An ``add_argument`` parameter (long form last), with argparse's ``dest`` and ``default``."""
+    kwargs.setdefault("dest", flags[-1].lstrip("-").replace("-", "_"))
+    kwargs.setdefault("default", False if "action" in kwargs else None)
     return flags, kwargs
 
 
 HELP = _arg("--help", action="help", help="Show this message and exit.")
-PARSER = _Parser(prog="gsds", description="Gene-network dynamical systems over finite fields.",
-                 add_help=False, allow_abbrev=False)
-PARSER.add_argument(*HELP[0], **HELP[1])
-COMMANDS = PARSER.add_subparsers(dest="command", metavar="COMMAND", required=True)
-VALUE_OPTIONS = {}  # command -> {option string taking a value: its long form}
+COMMANDS = {}  # name -> (function, parameters, option string or 0 (the positional) -> keywords)
+VALUE = re.compile(r"\Z|[^-]|-\Z|-\d+$|-\d*\.\d+$|[^ ]* ")  # never read as an option string
 
 
 def _command(*params):
-    """Add the decorated function to the parser as the command of its
-    name, with one ``add_argument`` call per ``_arg`` in ``params``."""
+    """Register the decorated function as the command of its name."""
     def add(fn):
-        sub = COMMANDS.add_parser(fn.__name__, help=fn.__doc__, description=fn.__doc__,
-                                  add_help=False, allow_abbrev=False)
-        for flags, kwargs in (*params, HELP):
-            sub.add_argument(*flags, **kwargs)
-        sub.set_defaults(run=fn)
-        VALUE_OPTIONS[fn.__name__] = {f: flags[-1] for flags, kw in params
-                                      if "action" not in kw and flags[0].startswith("-")
-                                      for f in flags}
+        COMMANDS[fn.__name__] = fn, params, {flag if flag[0] == "-" else 0: kw
+                                             for flags, kw in (*params, HELP) for flag in flags}
         return fn
     return add
 
 
-def _joined(argv):
-    """``argv`` with each option that takes a value joined to the next
-    token as ``--long-form=value``, so that the value may begin with ``-``."""
-    out, valued, tokens = [], None, iter(argv)
+def _read(argv):
+    """The command function and its keyword arguments for ``argv``, read in
+    one pass as argparse would, or the help printer for ``--help`` in option
+    position.  Usage errors raise ValueError; unknown tokens do after the pass."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv[:1] == ["--help"]:
+            return _help, {}
+        raise ValueError(f"the first argument must be --help or one of {', '.join(COMMANDS)}")
+    fn, params, options = COMMANDS[argv[0]]
+    args = {kw["dest"]: kw["default"] for _, kw in params}
+    extra, tokens, positional, dashed = [], iter(argv[1:]), 0, False
     for token in tokens:
-        if valued is None:
-            valued = VALUE_OPTIONS.get(token)
-        elif token in valued:
-            value = next(tokens, None)
-            token = token if value is None else f"{valued[token]}={value}"
-        elif token == "--":
-            return out + [token, *tokens]
-        out.append(token)
-    return out
+        flag, eq, value = token.partition("=")
+        if token in options:
+            flag, value = token, None
+        elif not (eq and flag in options):
+            flag, value = token[:2], token[2:]  # a short option with its value attached
+        if dashed or flag not in options:
+            if not (dashed or VALUE.match(token)):  # "--", or an unknown option
+                dashed = token == "--"
+                extra += [] if dashed else [token]
+                continue
+            flag, value, positional = positional, token, None
+        kw = options.get(flag)
+        if kw is None:
+            extra.append(token)
+        elif "action" not in kw:
+            if value is None and (value := next(tokens, None)) is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+            try:
+                args[kw["dest"]] = value = kw.get("type", str)(value)
+                if value not in kw.get("choices", (value,)):
+                    raise ValueError(f"invalid choice {value!r}")
+            except ValueError as exc:
+                raise ValueError(f"argument {flag or kw['dest']}: {exc}") from None
+        elif value is not None:
+            raise ValueError(f"argument {flag}: ignored explicit argument {value!r}")
+        elif kw is HELP[1]:
+            return _help, {"command": argv[0]}
+        else:
+            args[kw["dest"]] = True
+    missing = [flags[-1] for flags, kw in params if args[kw["dest"]] is None and (
+        kw.get("required") or flags[0][0] != "-" and kw.get("nargs") != "?")]
+    if missing or extra:
+        raise ValueError(" ".join(["missing:", *missing] if missing else ["unknown:", *extra]))
+    return fn, args
+
+
+def _help(command=None):
+    """Print the commands, or one command's parameters, with their help texts."""
+    fn, params, _ = COMMANDS.get(command) or (main, [((name,), {"help": c[0].__doc__})
+                                                     for name, c in COMMANDS.items()], None)
+    print(f"usage: gsds {command or 'COMMAND'} [ARGUMENTS]\n\n{fn.__doc__}\n")
+    for flags, kw in (*params, HELP):
+        arg = "" if "action" in kw or flags[0][0] != "-" else kw.get("metavar", kw["dest"].upper())
+        print(f"  {' '.join((', '.join(flags), arg)):<30}{kw.get('help', '') % kw}".rstrip())
 
 
 def _with_overrides(model, display=None, schedule=None):
@@ -278,10 +306,7 @@ def fit(csv_file, output):
         except ValueError as exc:  # the times, or a slope or intercept that overflows
             raise ValueError(f"sample CSV {csv_file} column {name!r} cannot be fitted: "
                              f"{exc}") from None
-        report["genes"][name] = {
-            "breakpoints": list(curve.breakpoints),
-            "segments": [[a, b] for a, b in curve.segments],
-        }
+        report["genes"][name] = {"breakpoints": curve.breakpoints, "segments": curve.segments}
     _report(report, output)
 
 
@@ -355,13 +380,8 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
         "format_version": FORMAT_VERSION,
         "t_end": result.t_end,
         "genes": list(model.genes),
-        "trajectories": {
-            name: {
-                "breakpoints": list(tr.breakpoints),
-                "segments": [[a, b] for a, b in tr.segments],
-            }
-            for name, tr in zip(model.genes, result.trajectories)
-        },
+        "trajectories": {name: {"breakpoints": tr.breakpoints, "segments": tr.segments}
+                         for name, tr in zip(model.genes, result.trajectories)},
         "events": [
             {
                 "time": e.time,
@@ -373,10 +393,7 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
             }
             for e in result.events
         ],
-        "phases": [
-            [t0, t1, decode(s)]
-            for t0, t1, s in result.phases
-        ],
+        "phases": [[t0, t1, decode(s)] for t0, t1, s in result.phases],
     }
     _report(report, output)
     if csv_out:  # each breakpoint takes the value of the segment on its left
@@ -390,13 +407,10 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
 
 
 def main(argv=None):
-    """Entry point with the documented exit-code contract."""
+    """Gene-network dynamical systems over finite fields; returns the exit code."""
     try:
-        args = vars(PARSER.parse_args(_joined(sys.argv[1:] if argv is None else argv)))
-        del args["command"]
-        args.pop("run")(**args)
-    except SystemExit as exc:  # --help printed the help
-        return exc.code
+        fn, args = _read(sys.argv[1:] if argv is None else argv)
+        fn(**args)
     except ModelValidationError as exc:
         print("validation failed:", file=sys.stderr)
         for line in exc.report.lines():
@@ -410,8 +424,8 @@ def main(argv=None):
         for idx, state, expected, actual in exc.check.counterexamples:
             print(f"  pair {idx}: f{state} = {expected}, observed {actual}", file=sys.stderr)
         return 4
-    except (GsdsError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GsdsError, OSError, ValueError, KeyError) as exc:  # a KeyError's str() is a repr
+        print(f"error: {exc.args[0] if type(exc) is KeyError else exc}", file=sys.stderr)
         return 1
     return 0
 

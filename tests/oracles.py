@@ -1,8 +1,13 @@
 """Independent reference implementations used to cross-check results."""
 
+import argparse
+import contextlib
+import functools
+import io
 import itertools
 from collections import Counter
 
+from gsds.cli import COMMANDS, HELP
 from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samples
 from gsds.errors import PolyParseError, ZenoError
 from gsds.ffield import GF4_MUL
@@ -653,3 +658,61 @@ def oracle_sectional_value(curve, t):
             lo = mid + 1
     a, b = curve.segments[lo]
     return a * t + b
+
+
+class _OracleArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, not SystemExit(2)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+@functools.cache
+def _oracle_cli_parser():
+    """The stdlib argparse parser for the command table of ``gsds.cli``,
+    as the front end built it before it read command lines itself."""
+    parser = _OracleArgumentParser(prog="gsds", add_help=False, allow_abbrev=False)
+    parser.add_argument(*HELP[0], action="help")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (fn, params, _) in COMMANDS.items():
+        sub = commands.add_parser(name, add_help=False, allow_abbrev=False)
+        for flags, kwargs in params:
+            if flags[0][0] != "-":  # argparse names a positional's dest itself
+                kwargs = {k: v for k, v in kwargs.items() if k != "dest"}
+            sub.add_argument(*flags, **kwargs)
+        sub.add_argument(*HELP[0], action="help")
+        sub.set_defaults(run=fn)
+    return parser
+
+
+def _oracle_joined(argv):
+    """``argv`` with each option that takes a value joined to the next
+    token as ``--long-form=value``, so that the value may begin with ``-``."""
+    valued_options = {name: {f: flags[-1] for flags, kw in params
+                             if "action" not in kw and flags[0].startswith("-") for f in flags}
+                      for name, (_, params, _) in COMMANDS.items()}
+    out, valued, tokens = [], None, iter(argv)
+    for token in tokens:
+        if valued is None:
+            valued = valued_options.get(token)
+        elif token in valued:
+            value = next(tokens, None)
+            token = token if value is None else f"{valued[token]}={value}"
+        elif token == "--":
+            return out + [token, *tokens]
+        out.append(token)
+    return out
+
+
+def oracle_read(argv):
+    """argparse's reading of a gsds command line: ``(function, keyword
+    arguments)``, or ``"help"`` for a line that prints the help; a usage
+    error raises ValueError."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = vars(_oracle_cli_parser().parse_args(_oracle_joined(argv)))
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+    del args["command"]
+    return args.pop("run"), args

@@ -4,11 +4,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsds.cli import main
+from gsds.cli import COMMANDS as TABLE, HELP, _help, _read, main
 from gsds.infer import load_series, save_series
 from gsds.network import RANGE_MAX_LINES, save_model
 
+from oracles import oracle_read
 from conftest import (
     EX3_ROWS,
     EX3_TIMES,
@@ -790,6 +793,7 @@ COMPAT = [
     ("flag-with-value", SIM + ["-1,1,-1", "--json=x"], 1, ""),
     ("no-command", [], 1, ""),
     ("unknown-command", ["bogus"], 1, ""),
+    ("unknown-gene", ["portrait", "{ex3}", "--schedule", "g1,,g9"], 1, ""),
 ] + [(f"missing-{argv[0]}-{k}", argv, 1, "") for k, argv in enumerate(PATH_ARGUMENTS)]
 
 
@@ -818,12 +822,89 @@ def test_usage_errors_print_one_error_line(workspace, capsys, case, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_unknown_gene_is_named_without_quotes(workspace, capsys):
+    code, out, err = compat_run(workspace, capsys, ["portrait", "{ex3}", "--schedule", "g1,,g9"])
+    assert (code, out, err) == (1, "", "error: unknown gene 'g9'\n")
+
+
+def test_option_value_may_be_a_double_dash(workspace, capsys):
+    # "--" after an option that takes a value is that value, not the end of the options
+    code, out, err = compat_run(workspace, capsys, SIM + ["--"])
+    assert (code, out, err) == (1, "", "error: state '--' does not have 3 coordinates\n")
+
+
+# Tokens for drawn command lines: paths that exist and do not, numbers,
+# choices, and values that begin with "-", "--help" among them; not "--"
+# as an option's value, which argparse read as an empty list
+EXISTING, MISSING = __file__, __file__ + ".missing"
+VALUES = st.sampled_from([EXISTING, MISSING, "0", "3", " 7", "2.5", "-1", "-0.5,0.5,0.5",
+                          "x", "", "-", "-T", "--state", "--help", "canonical", "balanced",
+                          "sparsest"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line over one command's parameter table: options in long,
+    "=" and attached short forms, repeated, unknown or abbreviated options,
+    flags given a value, values and positionals that may be missing, "--"."""
+    name = draw(st.sampled_from(sorted(TABLE)))
+    params = (*TABLE[name][1], HELP)
+
+    @st.composite
+    def piece(draw):
+        flags, kw = draw(st.sampled_from(params))
+        flag, value = draw(st.sampled_from(flags)), draw(VALUES)
+        if flag[0] != "-" or draw(st.integers(0, 9)) == 0:  # a positional, or a stray value
+            return [value]
+        if "action" in kw:  # a flag, sometimes given a value
+            return draw(st.sampled_from([[flag], [flag], [f"{flag}={value}"]]))
+        forms = [[flag, value], [f"{flags[-1]}={value}"], [flag]]  # the last: no value
+        if flag[1] != "-" and value:
+            forms.append([flag + value])
+        return draw(st.sampled_from(forms + [["--wat"], ["--wat=1"], ["-x"], [flags[-1][:-1]]]))
+
+    tokens = [token for p in draw(st.lists(piece(), max_size=6)) for token in p]
+    valued = {flag for flags, kw in params if "action" not in kw for flag in flags}
+    if draw(st.booleans()) and not (tokens and tokens[-1] in valued):
+        # "--" before a last positional, and maybe more; never as an option's value
+        more = draw(st.lists(piece(), max_size=2))
+        tokens += ["--", draw(VALUES)] + [token for p in more for token in p]
+    head = draw(st.sampled_from([[name]] * 8 + [["--help"], ["bogus"], None]))
+    return [] if head is None else head + tokens
+
+
+def reading(read, argv):
+    """What a reader makes of a command line: (function, keyword
+    arguments), "help", or "error" for a one-line usage error."""
+    try:
+        got = read(argv)
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        return "error"
+    return "help" if got[0] is _help or got == "help" else got
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+def test_reader_reads_command_lines_as_argparse(argv):
+    assert reading(_read, argv) == reading(oracle_read, argv)
+
+
 def test_help_lists_options(capsys):
     code, out, err = run(capsys, "hybrid", "--help")
     assert (code, err) == (0, "")
     for option in ("--rates", "--thresholds", "--c0", "--t-end", "--output", "--csv-out",
                    "--events-csv", "Initial concentrations, e.g. '0.5,1.2,0.5'."):
         assert option in out
+
+
+@pytest.mark.parametrize("command", sorted(TABLE))
+def test_help_lists_every_parameter(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: gsds {command} ") and TABLE[command][0].__doc__ in out
+    for flags, kw in (*TABLE[command][1], HELP):
+        assert all(flag in out for flag in flags) and kw.get("help", "") % kw in out
 
 
 @pytest.mark.parametrize("command", ["check", "hybrid"])

@@ -1,7 +1,8 @@
 """Import hygiene of the package modules, read with the stdlib ``ast``:
 no module imports a name it never uses, and none imports an
 underscore name from another package module; and ``import gsds.cli``
-loads nothing from outside the package and the standard library."""
+loads nothing from outside the package and the standard library, and
+neither ``argparse`` nor ``gettext``."""
 
 import ast
 import json
@@ -67,3 +68,4 @@ def test_cli_imports_only_the_package_and_the_standard_library():
     outside = [name for name in loaded if name.split(".")[0] != "gsds"
                and name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+    assert "argparse" not in loaded and "gettext" not in loaded
