@@ -12,6 +12,7 @@ import functools
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .continuous import fit_from_samples, hybrid_simulate, load_rates, load_samples_csv, \
     save_events_csv, save_samples_csv
@@ -138,8 +139,8 @@ def _parse_state(model, text):
 
 
 def _report(data, path=None):
-    """Print ``data`` as JSON, and write the same text to ``path``."""
-    text = dumps(data) + "\n"
+    """Print ``data`` as JSON (a str is JSON text), and write the same to ``path``."""
+    text = (data if isinstance(data, str) else dumps(data)) + "\n"
     sys.stdout.write(text)
     if path:
         with open(path, "w") as fh:
@@ -357,6 +358,40 @@ def check(csv_file, thresholds_file, model_file):
         raise CompatibilityError(result)
 
 
+# the hybrid report's items, indented as json.dumps(indent=2) indents them
+_SEGMENT = "[\n          %r,\n          %r\n        ]"
+_CURVE = '%s: {\n      "breakpoints": %s,\n      "segments": %s\n    }'
+_EVENT = ('{\n      "time": %s,\n      "gene": %s,\n      "threshold": %r,\n      "kind": "%s",'
+          '\n      "old_state": %s,\n      "new_state": %s\n    }')
+_PHASE = "[\n      %s,\n      %s,\n      %s\n    ]"
+
+
+def _lay(items, depth, brackets="[]"):
+    """The JSON array (or object) at ``depth`` of item texts whose inner lines are indented."""
+    inner = "\n  " + "  " * depth
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{'  ' * depth}{brackets[1]}" if body else brackets
+
+
+def _hybrid_json(model, result):
+    """The hybrid report, byte for byte ``json.dumps(oracle_hybrid_report(...), indent=2)``
+    (see the tests).  Every phase bound and event time is a breakpoint of the run, shared by
+    all genes, so each time is formatted once; each distinct state is laid out once."""
+    breakpoints = result.trajectories[0].breakpoints
+    at = dict(zip(breakpoints, map(float.__repr__, breakpoints)))  # a breakpoint's JSON text
+    names = list(map(encode_basestring_ascii, model.genes))
+    state = functools.cache(lambda s: _lay(map(str, model.decode_state(s)), 3))
+    points = _lay(at.values(), 3)
+    curves = (_CURVE % (name, points, _lay(map(_SEGMENT.__mod__, tr.segments), 3))
+              for name, tr in zip(names, result.trajectories))
+    events = (_EVENT % (at[e.time], names[e.gene], e.threshold, e.kind, state(e.old_state),
+                        state(e.new_state)) for e in result.events)
+    phases = (_PHASE % (at[t0], at[t1], state(s)) for t0, t1, s in result.phases)
+    return (f'{{\n  "format_version": {FORMAT_VERSION},\n  "t_end": {result.t_end!r},\n'
+            f'  "genes": {_lay(names, 1)},\n  "trajectories": {_lay(curves, 1, "{}")},\n'
+            f'  "events": {_lay(events, 1)},\n  "phases": {_lay(phases, 1)}\n}}')
+
+
 @_command(
     _arg("model_file", type=_existing),
     _arg("--rates", dest="rates_file", type=_existing, required=True),
@@ -375,27 +410,7 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
     tmap = _thresholds(thresholds_file, list(model.genes), model)
     start = [float(v) for v in c0.replace("(", "").replace(")", "").split(",")]
     result = hybrid_simulate(model, rates, tmap, start, t_end)
-    decode = functools.cache(model.decode_state)  # a run visits few states
-    report = {
-        "format_version": FORMAT_VERSION,
-        "t_end": result.t_end,
-        "genes": list(model.genes),
-        "trajectories": {name: {"breakpoints": tr.breakpoints, "segments": tr.segments}
-                         for name, tr in zip(model.genes, result.trajectories)},
-        "events": [
-            {
-                "time": e.time,
-                "gene": model.genes[e.gene],
-                "threshold": e.threshold,
-                "kind": e.kind,
-                "old_state": decode(e.old_state),
-                "new_state": decode(e.new_state),
-            }
-            for e in result.events
-        ],
-        "phases": [[t0, t1, decode(s)] for t0, t1, s in result.phases],
-    }
-    _report(report, output)
+    _report(_hybrid_json(model, result), output)
     if csv_out:  # each breakpoint takes the value of the segment on its left
         times = result.trajectories[0].breakpoints
         columns = [[a * t + b for (a, b), t in zip(tr.segments[:1] + tr.segments, times)]

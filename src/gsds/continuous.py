@@ -25,6 +25,7 @@ time point.
 import bisect
 import csv
 import itertools
+from operator import le, mul, sub, truediv
 
 from .errors import ContinuityError, ZenoError
 from .files import FORMAT_VERSION, document, finite, finite_all, load
@@ -46,7 +47,7 @@ class SectionalLinear:
         finite_all(itertools.chain.from_iterable(segments), "a segment's slope or intercept")
         if len(breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
-        if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
+        if any(map(le, breakpoints[1:], breakpoints)):
             raise ValueError(f"breakpoints must be strictly increasing: {breakpoints}")
         if len(segments) != len(breakpoints) - 1:
             raise ValueError(
@@ -56,10 +57,10 @@ class SectionalLinear:
         if outside_mode not in ("zero", "extend-last"):
             raise ValueError(f"unknown outside_mode {outside_mode!r}")
         for (a0, b0), (a1, b1), t in zip(segments, segments[1:], breakpoints[1:]):
-            left, right = a0 * t + b0, a1 * t + b1
-            scale = max(1.0, abs(a0 * t), abs(b0), abs(a1 * t), abs(b1))
-            if abs(left - right) > CONTINUITY_TOL * scale:
-                raise ContinuityError(t, right - left)
+            at0, at1 = a0 * t, a1 * t
+            gap = at1 + b1 - (at0 + b0)
+            if abs(gap) > CONTINUITY_TOL * max(1.0, abs(at0), abs(b0), abs(at1), abs(b1)):
+                raise ContinuityError(t, gap)
         self.breakpoints = breakpoints
         self.segments = segments
         self.outside_mode = outside_mode
@@ -78,18 +79,16 @@ class SectionalLinear:
 
 def fit_from_samples(times, values, outside_mode="zero"):
     """The piecewise-linear interpolant through consecutive samples."""
-    times = [float(t) for t in times]
-    values = [float(v) for v in values]
+    times = list(map(float, times))
+    values = list(map(float, values))
     if len(times) != len(values):
         raise ValueError("times and values differ in length")
     if len(times) < 2:
         raise ValueError("need at least two samples")
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if any(map(le, times[1:], times)):
         raise ValueError(f"sample times must be strictly increasing: {times}")
-    segments = []
-    for k in range(len(times) - 1):
-        a = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
-        segments.append((a, values[k] - a * times[k]))
+    slopes = list(map(truediv, map(sub, values[1:], values), map(sub, times[1:], times)))
+    segments = tuple(zip(slopes, map(sub, values, map(mul, slopes, times))))
     return SectionalLinear(times, segments, outside_mode)
 
 
@@ -186,7 +185,7 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
     slopes = slopes_for(state, conc)
     events = []
     phases = []
-    breakpoints = [0.0]
+    breakpoints = [0.0]  # every phase bound and event time is one: cli's report relies on it
     columns = [[c] for c in conc]  # concentration at each breakpoint
 
     while True:

@@ -28,6 +28,9 @@ FORMAT_VERSION = 1
 _ENCODER_ARGS = (json.JSONEncoder().default, encode_basestring_ascii, None,
                  ": ", ",\n", False, False, False)
 _DEPTH = {"[": 1, "{": 1, "\n": -1}
+_HIDE = ("\\\\", "\x01"), ('\\"', "\x02")  # escaped backslashes and quotes
+_CUT = ("[]", "\x03"), ("{}", "\x04"), ("[", "\x05[\n"), ("{", "\x05{\n"), ("]", "\x05\n]"), \
+    ("}", "\x05\n}")
 
 
 def dumps(data):
@@ -35,25 +38,34 @@ def dumps(data):
     escapes strings to printable ASCII, so control characters are free as
     markers and, with the strings set aside, every newline and bracket is
     structure: the text is cut before each bracket, and each piece's
-    newlines indented to the depth after it."""
+    newlines indented to the depth after it.  Each intermediate text is
+    released once the next one exists."""
     if c_make_encoder is None:
         return json.dumps(data, indent=2, allow_nan=False)
     text = "".join(c_make_encoder({}, *_ENCODER_ARGS)(data, 0))
-    escaped = "\\" in text
-    if escaped:  # hide escaped backslashes and quotes from the split
-        text = text.replace("\\\\", "\x01").replace('\\"', "\x02")
+    hidden = _HIDE if "\\" in text else ()
+    for old, new in hidden:
+        text = text.replace(old, new)
     parts = text.split('"')
-    head, *pieces = ("\x00".join(parts[0::2]).replace("[]", "\x03").replace("{}", "\x04")
-                     .replace("[", "\x05[\n").replace("{", "\x05{\n")
-                     .replace("]", "\x05\n]").replace("}", "\x05\n}")).split("\x05")
-    firsts = map(str.__getitem__, pieces, repeat(0))
-    depths = list(accumulate(map(_DEPTH.__getitem__, firsts)))
+    del text
+    text = "\x00".join(parts[0::2])  # the structure, with a marker for each string
+    parts[0::2] = [""] * ((len(parts) + 1) // 2)
+    for old, new in _CUT:
+        text = text.replace(old, new)
+    head, *pieces = text.split("\x05")
+    del text
+    depths = list(accumulate(map(_DEPTH.__getitem__, map(str.__getitem__, pieces, repeat(0)))))
     indents = ["\n" + "  " * d for d in range(max(depths, default=0) + 1)]
-    skeleton = head + "".join(
-        map(str.replace, pieces, repeat("\n"), map(indents.__getitem__, depths)))
-    parts[0::2] = skeleton.replace("\x03", "[]").replace("\x04", "{}").split("\x00")
+    pieces[:] = map(str.replace, pieces, repeat("\n"), map(indents.__getitem__, depths))
+    text = head + "".join(pieces)
+    del pieces
+    parts[0::2] = text.split("\x00")
+    del text
     text = '"'.join(parts)
-    return text.replace("\x02", '\\"').replace("\x01", "\\\\") if escaped else text
+    del parts
+    for old, new in (*_CUT[:2], *hidden[::-1]):  # the empty containers, and the escapes
+        text = text.replace(new, old)
+    return text
 
 
 def write_json(data, path=None):

@@ -10,6 +10,7 @@ from collections import Counter
 from gsds.cli import COMMANDS, HELP
 from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samples
 from gsds.errors import PolyParseError, ZenoError
+from gsds.files import FORMAT_VERSION
 from gsds.ffield import GF4_MUL
 from gsds.network import global_map
 from gsds.polyring import Polynomial, poly_sum
@@ -581,6 +582,30 @@ def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS)
         fit_from_samples(breakpoints, columns[j]) for j in range(n)
     )
     return HybridResult(trajectories, events, phases, t_end)
+
+
+def oracle_hybrid_report(model, result):
+    """The ``gsds hybrid`` report as a dict: ``json.dumps(report, indent=2,
+    allow_nan=False)`` is the text the command writes."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "t_end": result.t_end,
+        "genes": list(model.genes),
+        "trajectories": {name: {"breakpoints": tr.breakpoints, "segments": tr.segments}
+                         for name, tr in zip(model.genes, result.trajectories)},
+        "events": [
+            {
+                "time": e.time,
+                "gene": model.genes[e.gene],
+                "threshold": e.threshold,
+                "kind": e.kind,
+                "old_state": model.decode_state(e.old_state),
+                "new_state": model.decode_state(e.new_state),
+            }
+            for e in result.events
+        ],
+        "phases": [[t0, t1, model.decode_state(s)] for t0, t1, s in result.phases],
+    }
 
 
 class OracleField:

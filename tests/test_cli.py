@@ -4,14 +4,19 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsds.cli import COMMANDS as TABLE, HELP, _help, _read, main
+from gsds import DependencyGraph, Field, GsdsModel, RatePolicy
+from gsds.cli import COMMANDS as TABLE, HELP, _help, _hybrid_json, _read, main
+from gsds.continuous import hybrid_simulate
+from gsds.errors import ZenoError
 from gsds.infer import load_series, save_series
 from gsds.network import RANGE_MAX_LINES, save_model
+from gsds.polyring import Polynomial, parse_poly
+from gsds.translate import GeneThresholds, ThresholdMap
 
-from oracles import oracle_read
+from oracles import oracle_hybrid_report, oracle_read
 from conftest import (
     EX3_ROWS,
     EX3_TIMES,
@@ -533,6 +538,88 @@ def test_hybrid_large_magnitudes(workspace, capsys):
                          "--thresholds", th_path, "--c0", "0", "--t-end", "3e7")
     assert (code, err) == (0, "")
     assert len(json.loads(out)["events"]) == 90
+
+
+# gene names with every character JSON escapes or nests on, and non-ASCII text
+NAMES = st.text(st.sampled_from('g"\\[]{},: \x00\n\u00e9\u2192\u65e5') | st.characters(),
+                min_size=1, max_size=5)
+
+
+@st.composite
+def hybrid_runs(draw):
+    """Hybrid runs over GF(2), GF(3) in balanced display and GF(5), with
+    1-4 genes wired completely (so every model validates), parallel or
+    sequential.  Thresholds, initial vectors and rates lie on a coarse grid,
+    so crossings coincide and a run may start on a threshold; rates may be
+    zero, and decaying genes hit the floor when it is on."""
+    q, display = draw(st.sampled_from([(2, "canonical"), (3, "balanced"), (5, "canonical")]))
+    field, n = Field(q), draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, q - 1)] * n)
+    polys = [Polynomial(field, n, draw(st.dictionaries(exps, st.integers(1, q - 1), max_size=3)))
+             for _ in range(n)]
+    model = GsdsModel(field, draw(st.lists(NAMES, min_size=n, max_size=n, unique=True)),
+                      DependencyGraph(n, {(a, b) for a in range(n) for b in range(n)}), polys,
+                      draw(st.none() | st.permutations(range(n))), display=display)
+    level, genes = st.integers(0, q - 1), []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.sampled_from([1.0, 0.5, 1.5, 2.5]), min_size=1,
+                                    max_size=min(q - 1, 3), unique=True)))
+        genes.append(GeneThresholds(cuts, draw(st.lists(level, min_size=len(cuts) + 1,
+                                                         max_size=len(cuts) + 1)),
+                                    draw(st.lists(level, min_size=len(cuts), max_size=len(cuts)))))
+    slope = st.sampled_from([1.0, -1.0, 0.0, 0.5, -0.5, 1.5, -2.0])
+    rates = RatePolicy([{v: draw(slope) for v in range(q)} for _ in range(n)],
+                       floor_at_zero=draw(st.booleans()))
+    c0 = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 0.0, 2.5]) | st.floats(0.0, 3.0),
+                       min_size=n, max_size=n))
+    t_end = draw(st.sampled_from([8.0, 0.25]) | st.floats(0.01, 8.0))
+    return model, rates, ThresholdMap(field, genes), c0, t_end
+
+
+# two toggles cross 1.0 together and hit the floor together; a third gene
+# sits on its threshold at rate 0
+TOGGLES = (GsdsModel(Field(2), ['"a\\', "\u65e5[]{}", "z"], DependencyGraph(3, {(0, 0), (1, 1)}),
+                     [parse_poly(p, 3, Field(2)) for p in ("x1 + 1", "x2 + 1", "0")], [0, 1, 2]),
+           RatePolicy([{0: -1.0, 1: 1.0}] * 2 + [{0: 0.0, 1: 0.0}]),
+           ThresholdMap(Field(2), [GeneThresholds([1.0], [0, 1], [1])] * 3), [0.5, 0.5, 1.0], 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hybrid_runs())
+@example(TOGGLES)
+def test_hybrid_report_is_the_oracle_dict_dumped(case):
+    try:
+        result = hybrid_simulate(*case, max_events=400)
+    except ZenoError:
+        return
+    expected = json.dumps(oracle_hybrid_report(case[0], result), indent=2, allow_nan=False)
+    assert _hybrid_json(case[0], result) == expected
+
+
+def test_hybrid_output_file_is_stdout(workspace, capsys):
+    rates = workspace["dir"] / "rates.json"
+    rates.write_text(json.dumps(RATES))
+    out_path = workspace["dir"] / "report.json"
+    code, out, err = run(capsys, "hybrid", workspace["ex3"], "--rates", rates,
+                         "--thresholds", workspace["thresholds"], "--c0", "0.5,0.5,0.5",
+                         "--t-end", "10", "-o", out_path)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["events"]) == 312
+    assert out_path.read_text() == out
+
+
+def test_hybrid_that_overflows_exits_1_with_one_line(workspace, capsys):
+    # the concentrations overflow to inf before t_end, and so does the fitted slope
+    rates = workspace["dir"] / "rates.json"
+    rates.write_text(json.dumps({"format_version": 1, "rates": {
+        g: {"-1": 1e308, "0": 1e308, "1": 1e308} for g in ("g1", "g2", "g3")}}))
+    out_path = workspace["dir"] / "report.json"
+    code, out, err = run(capsys, "hybrid", workspace["ex3"], "--rates", rates,
+                         "--thresholds", workspace["thresholds"], "--c0", "1e308,1e308,1e308",
+                         "--t-end", "10", "-o", out_path)
+    assert (code, out) == (1, "")
+    assert err == "error: a segment's slope or intercept must be a finite number, not inf\n"
+    assert not out_path.exists()
 
 
 # -- misc -------------------------------------------------------------------------
