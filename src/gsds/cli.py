@@ -8,18 +8,20 @@ pass over the parameters that ``@_command`` declares, as argparse would:
 a value may begin with ``-``, there is no ``-h`` and no abbreviation.
 """
 
+import contextlib
 import functools
+import itertools
+import json
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .continuous import fit_from_samples, hybrid_simulate, load_rates, load_samples_csv, \
     save_events_csv, save_samples_csv
 from .dynamics import attractor_summary_dot, phase_portrait, portrait_report, transitions_dot
 from .errors import CompatibilityError, ContradictoryDataError, FieldMismatchError, \
     GsdsError, ModelValidationError
-from .files import FORMAT_VERSION, dumps
+from .files import FORMAT_VERSION
 from .infer import StateSeries, TransitionData, infer_network, load_series, \
     series_to_dict, solution_space
 from .network import global_map, load_model, save_model, \
@@ -139,12 +141,15 @@ def _parse_state(model, text):
 
 
 def _report(data, path=None):
-    """Print ``data`` as JSON (a str is JSON text), and write the same to ``path``."""
-    text = (data if isinstance(data, str) else dumps(data)) + "\n"
-    sys.stdout.write(text)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+    """Print ``data`` and write the same to ``path``: a dict as indented JSON, a str
+    or an iterable of str blocks as JSON text, each block as it comes."""
+    if isinstance(data, dict):
+        data = json.dumps(data, indent=2, allow_nan=False)
+    with open(path, "w") if path else contextlib.nullcontext() as fh:
+        for block in itertools.chain([data] if isinstance(data, str) else data, ["\n"]):
+            sys.stdout.write(block)
+            if fh:
+                fh.write(block)
 
 
 SCHEDULE = _arg("--schedule", help="Override the schedule word, e.g. 'g3,g2,g1,g0'.")
@@ -379,7 +384,7 @@ def _hybrid_json(model, result):
     all genes, so each time is formatted once; each distinct state is laid out once."""
     breakpoints = result.trajectories[0].breakpoints
     at = dict(zip(breakpoints, map(float.__repr__, breakpoints)))  # a breakpoint's JSON text
-    names = list(map(encode_basestring_ascii, model.genes))
+    names = list(map(json.encoder.encode_basestring_ascii, model.genes))
     state = functools.cache(lambda s: _lay(map(str, model.decode_state(s)), 3))
     points = _lay(at.values(), 3)
     curves = (_CURVE % (name, points, _lay(map(_SEGMENT.__mod__, tr.segments), 3))

@@ -25,6 +25,7 @@ time point.
 import bisect
 import csv
 import itertools
+import math
 from operator import le, mul, sub, truediv
 
 from .errors import ContinuityError, ZenoError
@@ -58,8 +59,8 @@ class SectionalLinear:
             raise ValueError(f"unknown outside_mode {outside_mode!r}")
         for (a0, b0), (a1, b1), t in zip(segments, segments[1:], breakpoints[1:]):
             at0, at1 = a0 * t, a1 * t
-            gap = at1 + b1 - (at0 + b0)
-            if abs(gap) > CONTINUITY_TOL * max(1.0, abs(at0), abs(b0), abs(at1), abs(b1)):
+            gap, scale = at1 + b1 - (at0 + b0), max(1.0, abs(at0), abs(b0), abs(at1), abs(b1))
+            if not abs(gap) <= CONTINUITY_TOL * scale < math.inf:  # false if a*t overflows
                 raise ContinuityError(t, gap)
         self.breakpoints = breakpoints
         self.segments = segments

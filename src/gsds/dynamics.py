@@ -13,6 +13,7 @@ over it, weighted by in-degree; a state's transient is its number of
 """
 
 import itertools
+import json
 from collections import Counter
 
 from .errors import StateSpaceLimitError
@@ -21,7 +22,7 @@ from .network import GlobalMap, global_map
 
 DEFAULT_STATE_LIMIT = 1 << 24
 DEFAULT_PERM_VERTEX_LIMIT = 8
-DOT_BLOCK_STATES = 1024  # bounds the text transitions_dot holds at once
+DOT_BLOCK_STATES = 1024  # bounds the text transitions_dot and portrait_report hold at once
 
 
 class PhasePortrait:
@@ -155,17 +156,22 @@ def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_
 # -- reports -------------------------------------------------------------
 
 # A state written three ways, each a start plus a piece per gene k at
-# level v: the canonical tuple, the display list and the quoted DOT label.
-_LEVELS = ((), lambda m, k, v: (v,))
-_DECODED = ([], lambda m, k, v: m.decode_state((v,)))
-_LABELS = ('"(', lambda m, k, v: m.format_level(v) + (')"' if k == m.n - 1 else ","))
+# level v, or a whole text when there are no genes: the canonical tuple,
+# the report's indented JSON list and the quoted DOT label.
+_LEVELS = ((), lambda m, k, v: (v,), ())
+_TEXT = ("[", lambda m, k, v: "\n          " + m.format_level(v)
+         + ("\n        ]" if k == m.n - 1 else ","), "[]")
+_LABELS = ('"(', lambda m, k, v: m.format_level(v) + (')"' if k == m.n - 1 else ","), '"()"')
+# an attractor of the report, around its states
+_OPEN = '{\n      "id": %d,\n      "length": %d,\n      "states": [\n        '
+_CLOSE = '\n      ],\n      "basin_size": %d\n    }'
 
 
 def _split(model, form, block):
     """(head, tail, width) such that state i is written in ``form`` as
     head[i // width] + tail[i % width].  The tail genes are the last one
     and as many more as keep their level combinations at most ``block``."""
-    start, piece = ('"()"', None) if form is _LABELS and not model.n else form
+    start, piece = form[:2] if model.n else (form[2], None)
     k, width = model.n, 1
     while k and (k == model.n or width * len(model.state_sets[k - 1]) <= block):
         k -= 1
@@ -194,23 +200,31 @@ def _cycle_states(portrait, form):
 
 
 def portrait_report(portrait):
-    """JSON-ready summary: attractors, transient histogram, basin sizes."""
+    """The JSON report of attractors, transient histogram and basin sizes,
+    yielded as text blocks of at most ``DOT_BLOCK_STATES`` attractor states,
+    byte for byte ``json.dumps(oracle_portrait_report(...), indent=2)`` (see the tests)."""
     m = portrait.model
-    sizes = portrait.basin_sizes()
-    return {
-        "format_version": FORMAT_VERSION,
-        "field": m.field.order,
-        "genes": list(m.genes),
-        "display": m.display,
-        "state_count": portrait.state_count,
-        "attractor_count": len(portrait.attractors),
-        "max_transient": portrait.max_transient(),
-        "attractors": [
-            {"id": aid, "length": len(states), "states": states, "basin_size": sizes[aid]}
-            for aid, states in enumerate(_cycle_states(portrait, _DECODED))
-        ],
-        "transient_histogram": [[t, c] for t, c in portrait.transient_histogram()],
-    }
+    genes, hist = (json.dumps(x, indent=2).replace("\n", "\n  ")
+                   for x in (list(m.genes), portrait.transient_histogram()))
+    yield (f'{{\n  "format_version": {FORMAT_VERSION},\n  "field": {m.field.order},\n'
+           f'  "genes": {genes},\n  "display": "{m.display}",\n'
+           f'  "state_count": {portrait.state_count},\n'
+           f'  "attractor_count": {len(portrait.attractors)},\n'
+           f'  "max_transient": {portrait.max_transient()},\n  "attractors": [\n    ')
+    head, tail, width = _split(m, _TEXT, portrait.state_count ** 0.5)
+    parts, room = [], DOT_BLOCK_STATES
+    for aid, (cycle, size) in enumerate(zip(portrait.attractors, portrait.basin_sizes())):
+        lead, s = (",\n    " if aid else "") + _OPEN % (aid, len(cycle)), 0
+        while s < len(cycle):  # the cycle's states, cut where a block is full
+            chunk = cycle[s:s + room]
+            parts += lead, ",\n        ".join(
+                [head[a] + tail[b] for a, b in map(divmod, chunk, itertools.repeat(width))])
+            lead, s, room = ",\n        ", s + len(chunk), room - len(chunk)
+            if not room:
+                yield "".join(parts)
+                parts, room = [], DOT_BLOCK_STATES
+        parts.append(_CLOSE % size)
+    yield "".join(parts) + f'\n  ],\n  "transient_histogram": {hist}\n}}'
 
 
 def transitions_dot(portrait):

@@ -319,6 +319,29 @@ def oracle_transitions_dot(portrait):
     return "\n".join(lines) + "\n"
 
 
+def oracle_portrait_report(portrait):
+    """The ``gsds portrait`` report as a dict, each state decoded from
+    ``state_at``: ``json.dumps(report, indent=2)`` is the text the command
+    writes."""
+    m = portrait.model
+    sizes = portrait.basin_sizes()
+    return {
+        "format_version": FORMAT_VERSION,
+        "field": m.field.order,
+        "genes": list(m.genes),
+        "display": m.display,
+        "state_count": portrait.state_count,
+        "attractor_count": len(portrait.attractors),
+        "max_transient": portrait.max_transient(),
+        "attractors": [
+            {"id": aid, "length": len(cycle),
+             "states": [m.decode_state(m.state_at(i)) for i in cycle], "basin_size": sizes[aid]}
+            for aid, cycle in enumerate(portrait.attractors)
+        ],
+        "transient_histogram": [[t, c] for t, c in portrait.transient_histogram()],
+    }
+
+
 def oracle_solve_linear(field, rows, rhs):
     """One solution of A x = b (free unknowns 0) or None, by reduced
     row-echelon form with one field method call per entry."""

@@ -226,6 +226,19 @@ def test_portrait_writes_files(workspace, capsys):
     assert "attractor 0" in summary_out.read_text()
 
 
+def test_portrait_json_file_is_stdout(tmp_path, capsys, monkeypatch):
+    # a GF(3)^4 rotation: cycles of up to 4 states, written in blocks of 3
+    n, field = 4, Field(3)
+    m = GsdsModel(field, [f"g{i}" for i in range(n)],
+                  DependencyGraph(n, {((i + 1) % n, i) for i in range(n)}),
+                  [parse_poly(f"x{(i + 1) % n + 1}", n, field) for i in range(n)], None)
+    save_model(m, tmp_path / "rot.json")
+    monkeypatch.setattr("gsds.dynamics.DOT_BLOCK_STATES", 3)
+    code, out, _ = run(capsys, "portrait", tmp_path / "rot.json", "--json", tmp_path / "r.json")
+    assert code == 0 and json.loads(out)["attractor_count"] == 24
+    assert (tmp_path / "r.json").read_bytes() == out.encode()
+
+
 def test_portrait_byte_identical_across_workers(workspace, capsys):
     outputs = []
     for workers in (1, 2, 8):

@@ -73,6 +73,15 @@ def test_continuity_tolerance_scales_with_the_terms():
         SectionalLinear([0, 1, 2], [(1.0, 0.0), (1.0, 2e-9)])
 
 
+@pytest.mark.parametrize("segments", [
+    [(1e10, 0.0), (2e10, 0.0)],  # both sides' a*t overflow: the gap is NaN
+    [(1e10, 0.0), (0.0, 0.0)],  # one side overflows: the gap and the scale are inf
+], ids=["both-sides", "one-side"])
+def test_continuity_check_rejects_an_overflowing_breakpoint(segments):
+    with pytest.raises(ContinuityError):
+        SectionalLinear([0, 1e300, 2e300], segments)
+
+
 def test_discontinuity_rejected_with_gap():
     with pytest.raises(ContinuityError) as err:
         SectionalLinear([0, 1, 2], [(1, 0), (1, 1)])

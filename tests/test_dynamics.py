@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -21,19 +22,25 @@ from gsds import (
     schedule_scan,
     validate_model,
 )
+from gsds import dynamics
 from gsds.dynamics import (
-    _DECODED,
     _LABELS,
     _LEVELS,
+    _TEXT,
     _states_at,
     attractor_summary_dot,
     portrait_report,
     transitions_dot,
 )
-from gsds.polyring import Polynomial, parse_poly, table_poly
+from gsds.polyring import Polynomial, parse_poly, table_poly, table_polys
 
 from conftest import build_example1, build_example3
-from oracles import oracle_marker_portrait, oracle_phase_portrait, oracle_transitions_dot
+from oracles import (
+    oracle_marker_portrait,
+    oracle_phase_portrait,
+    oracle_portrait_report,
+    oracle_transitions_dot,
+)
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -373,7 +380,7 @@ def test_schedule_scan_vertex_limit():
 
 def test_portrait_report_shape():
     p = phase_portrait(build_example1())
-    report = portrait_report(p)
+    report = json.loads("".join(portrait_report(p)))
     assert report["state_count"] == 16
     assert report["attractor_count"] == 1
     assert report["max_transient"] == 3
@@ -384,7 +391,7 @@ def test_portrait_report_shape():
 
 def test_portrait_report_balanced_display():
     p = phase_portrait(build_example3())
-    report = portrait_report(p)
+    report = json.loads("".join(portrait_report(p)))
     flat = [v for a in report["attractors"] for s in a["states"] for v in s]
     assert -1 in flat and 2 not in flat
 
@@ -458,7 +465,8 @@ def test_bulk_decode_matches_state_at(case):
     model, indices = case
     states = [model.state_at(i) for i in indices]
     assert _states_at(model, indices, _LEVELS) == states
-    assert _states_at(model, indices, _DECODED) == list(map(model.decode_state, states))
+    assert _states_at(model, indices, _TEXT) == [  # as the report indents a state
+        json.dumps(model.decode_state(s), indent=2).replace("\n", "\n        ") for s in states]
     assert _states_at(model, indices, _LABELS) == [f'"{model.format_state(s)}"' for s in states]
 
 
@@ -467,6 +475,45 @@ def test_reports_are_deterministic_across_runs():
     outputs = []
     for _ in range(3):
         p = phase_portrait(m)
-        outputs.append((portrait_report(p), "".join(transitions_dot(p)),
+        outputs.append(("".join(portrait_report(p)), "".join(transitions_dot(p)),
                         attractor_summary_dot(p)))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@st.composite
+def report_cases(draw):
+    """A valid model over GF(2), GF(3), GF(4) or GF(5) with 0 to 6 genes,
+    each on a random nonempty subset of the levels, balanced where the
+    field allows, with gene names that JSON must escape; its map sends
+    each state to a random state or permutes the states (cycles only,
+    often long ones).  And a block size of 1 to 3 states, or the default."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    field, n = Field(q), draw(st.integers(0, {2: 6, 3: 4, 4: 3, 5: 3}[q]))
+    sets = [sorted(draw(st.sets(st.integers(0, q - 1), min_size=1))) for _ in range(n)]
+    display = draw(st.sampled_from(["canonical", "balanced"])) if q in (3, 5) else "canonical"
+    names = draw(st.lists(st.text(alphabet='g"\\\n/é☃𝄞'), min_size=n, max_size=n, unique=True))
+    states = list(itertools.product(*sets))
+    if draw(st.booleans()):
+        images = draw(st.permutations(states))
+    else:
+        images = [draw(st.sampled_from(states)) for _ in states]
+    polys = table_polys(field, n, states, [[s[i] for s in images] for i in range(n)]) if n else []
+    model = GsdsModel(field, names, DependencyGraph(n, set(itertools.product(range(n), repeat=2))),
+                      polys, None, state_sets=sets, display=display)
+    return model, draw(st.sampled_from([1, 2, 3, dynamics.DOT_BLOCK_STATES]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_cases())
+def test_portrait_report_is_the_oracle_dict_dumped(case):
+    model, block = case
+    p = phase_portrait(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "DOT_BLOCK_STATES", block)
+        blocks = list(portrait_report(p))
+    assert "".join(blocks) == json.dumps(oracle_portrait_report(p), indent=2)
+    # between the head and the last block, each block holds `block` states
+    states = sum(map(len, p.attractors))
+    assert len(blocks) == 2 + states // block
+    assert [text.count("\n        [") for text in blocks[1:]] == [block] * (len(blocks) - 2) + [
+        states % block]

@@ -17,6 +17,7 @@ from gsds.continuous import RatePolicy, load_rates, rates_to_dict
 from gsds.errors import UnsupportedEncodingError
 from gsds.ffield import check_display, decode_level, encode_level
 from gsds import files
+from gsds.cli import _report
 from gsds.files import write_json
 from gsds.infer import StateSeries, load_series, save_series, series_from_dict
 from gsds.network import load_model, save_model
@@ -156,13 +157,15 @@ def test_write_json_is_the_stdlib_indented_dump(tmp_path, capsys, data):
 
 
 
-@pytest.mark.parametrize("encoder", [files.c_make_encoder, None], ids=["c", "fallback"])
+@pytest.mark.parametrize("writer", [write_json, _report], ids=["write_json", "report"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, {"k": [1.0, math.nan]}])
-def test_dumps_refuses_nan_and_infinity(monkeypatch, encoder, value):
-    monkeypatch.setattr(files, "c_make_encoder", encoder)
+def test_writers_refuse_nan_and_infinity(tmp_path, capsys, writer, value):
+    path = tmp_path / "out.json"
     with pytest.raises(ValueError):
-        files.dumps(value)
-    assert files.dumps([1e308, -0.0]) == "[\n  1e+308,\n  -0.0\n]"
+        writer({"v": value}, path)
+    assert not path.exists() and capsys.readouterr().out == ""
+    writer({"v": [1e308, -0.0]}, path)
+    assert path.read_text() == '{\n  "v": [\n    1e+308,\n    -0.0\n  ]\n}\n'
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", math.nan, -math.inf])

@@ -7,16 +7,15 @@ where every state has a preimage and lies on a cycle.  It runs
 ``phase_portrait``, ``portrait_report``, ``transitions_dot`` and
 ``attractor_summary_dot`` on each with the gsds package of this checkout,
 and prints one line per model: the four times and the peak resident set
-size of the process.  The peak is read after the report is written as
-``files.dumps`` writes it and before the DOT text exists, so it is the
-portrait's and the written report's, as of ``gsds portrait``.
-``ru_maxrss`` is a maximum over the process's life: the GF(2)^22 model
-runs first so that its peak is its own, and the bijective model's peak
-is the larger of its own and the first's (its 67 MB report makes it the
-larger).  No DOT text is joined: one SHA-256 reads, for each model, the
-written report, each transitions DOT block as it is yielded and the
-summary DOT, and a last line prints its first 16 hex digits, which two
-checkouts that write the same bytes share.  Run from anywhere:
+size.  Each model runs in a Python process of its own, so the peak
+(``ru_maxrss``, a maximum over a process's life) is that model's alone.
+The peak is read after the report's blocks are written and before the
+DOT text exists, so it is the portrait's and the written report's, as
+of ``gsds portrait``.  Nothing is joined: each model's process writes
+its report and transitions DOT blocks as they are yielded, and then the
+summary DOT, to a pipe, where one SHA-256 reads both models' bytes in
+turn; a last line prints its first 16 hex digits, which two checkouts
+that write the same bytes share.  Run from anywhere:
 
     python3 tools/portrait_scale.py
 """
@@ -25,6 +24,7 @@ import hashlib
 import os
 import random
 import resource
+import subprocess
 import sys
 from time import perf_counter
 
@@ -32,7 +32,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from gsds import DependencyGraph, Field, GsdsModel, phase_portrait  # noqa: E402
 from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_dot  # noqa: E402
-from gsds.files import dumps  # noqa: E402
 from gsds.polyring import Polynomial, parse_poly  # noqa: E402
 
 GENES, IN_DEGREE, TERMS, SEED = 22, 3, 4, 0
@@ -70,35 +69,55 @@ def bijective_model():
                      DependencyGraph(n, edges), polys, list(range(n)))
 
 
-def measure(title, model, digest):
+def measure(title, model, out):
     """One line: the times of the portrait, the report and both DOT
-    outputs of ``model``, and the peak RSS before the DOT text.  Feeds
-    the written report and both DOT outputs to ``digest``."""
+    outputs of ``model``, and the peak RSS of this process before the DOT
+    text.  Writes the report and both DOT outputs to ``out`` as their
+    blocks are yielded."""
     start = perf_counter()
     portrait = phase_portrait(model)
     middle = perf_counter()
-    report = portrait_report(portrait)
+    for block in portrait_report(portrait):
+        out.write(block.encode())
     end = perf_counter()
-    digest.update(dumps(report).encode())
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     dot_start = perf_counter()
     for block in transitions_dot(portrait):
-        digest.update(block.encode())
+        out.write(block.encode())
     dot_end = perf_counter()
-    digest.update(attractor_summary_dot(portrait).encode())
+    out.write(attractor_summary_dot(portrait).encode())
     summary_end = perf_counter()
-    return (f"{title}: {report['attractor_count']} attractors; portrait {middle - start:.2f} s, "
+    return (f"{title}: {len(portrait.attractors)} attractors; portrait {middle - start:.2f} s, "
             f"report {end - middle:.2f} s, transitions DOT {dot_end - dot_start:.2f} s, "
             f"summary DOT {summary_end - dot_end:.2f} s, "
             f"peak RSS with the written report, before the DOT text {peak_mb:.0f} MB")
 
 
+MODELS = {
+    "scale": (f"Portrait at scale (GF(2)^{GENES}, in-degree {IN_DEGREE}, parallel, seed {SEED})",
+              scale_model),
+    "bijective": (f"Bijective portrait (GF(2)^{BIJECTIVE_GENES}, x_i + x_(i+1)*x_(i+2), "
+                  f"sequential)", bijective_model),
+}
+
+
 def main():
+    if sys.argv[1:]:  # one model, in a process of its own: its bytes out, its line to stderr
+        title, build = MODELS[sys.argv[1]]
+        line = measure(title, build(), sys.stdout.buffer)
+        sys.stdout.flush()
+        print(line, file=sys.stderr)
+        return
     digest = hashlib.sha256()
-    print(measure(f"Portrait at scale (GF(2)^{GENES}, in-degree {IN_DEGREE}, parallel, "
-                  f"seed {SEED})", scale_model(), digest))
-    print(measure(f"Bijective portrait (GF(2)^{BIJECTIVE_GENES}, x_i + x_(i+1)*x_(i+2), "
-                  f"sequential)", bijective_model(), digest))
+    for name in MODELS:
+        with subprocess.Popen([sys.executable, __file__, name], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
+                digest.update(chunk)
+            line = child.stderr.read().decode()
+        if child.returncode:
+            sys.exit(f"{name}: exit {child.returncode}\n{line}")
+        print(line, end="")
     print(f"Portrait bytes (both reports and DOT outputs): sha256 {digest.hexdigest()[:16]}")
 
 
