@@ -35,14 +35,8 @@ from .errors import (
     UnsupportedEncodingError,
     ZenoError,
 )
-from .ffield import (
-    Field,
-    balanced_decode,
-    balanced_encode,
-    gf4_table_errata,
-)
+from .ffield import Field, gf4_table_errata
 from .infer import (
-    InferenceResult,
     SolutionSpace,
     StateSeries,
     TransitionData,
@@ -57,7 +51,6 @@ from .network import (
     GlobalMap,
     GsdsModel,
     ValidationReport,
-    apply_local,
     global_map,
     load_model,
     parallel_to_sequential,

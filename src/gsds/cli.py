@@ -18,7 +18,8 @@ import sys
 
 from .continuous import fit_from_samples, hybrid_simulate, load_rates, load_samples_csv, \
     save_events_csv, save_samples_csv
-from .dynamics import attractor_summary_dot, phase_portrait, portrait_report, transitions_dot
+from .dynamics import DEFAULT_STATE_LIMIT, attractor_summary_dot, phase_portrait, \
+    portrait_report, transitions_dot
 from .errors import CompatibilityError, ContradictoryDataError, FieldMismatchError, \
     GsdsError, ModelValidationError
 from .files import FORMAT_VERSION
@@ -221,7 +222,7 @@ def simulate(model_file, state, steps, as_json, display, schedule):
     _arg("--workers", type=int, default=1,
          help="Accepted for compatibility; starts no threads and does "
               "not change the output. (default: %(default)s)"),
-    _arg("--limit", type=int, default=1 << 24,
+    _arg("--limit", type=int, default=DEFAULT_STATE_LIMIT,
          help="Maximum state-space size. (default: %(default)s)"),
     SCHEDULE, DISPLAY,
 )
@@ -268,18 +269,17 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
         raise ValueError("provide a series file or --csv")
     if len(series.states) < 2:
         raise ValueError("the series must contain at least two states")
-    result = infer_network(series.field, series.states, preference, genes=series.genes,
-                           display=series.display)
-    model = result.model
+    model = infer_network(series.field, series.states, preference, genes=series.genes,
+                          display=series.display)
     report = {
         "format_version": FORMAT_VERSION,
         "field": series.field.order,
         "genes": list(model.genes),
         "preference": preference,
         "transitions": len(series.states) - 1,
-        "dimensions": result.dimensions,
-        "polynomials": dict(zip(model.genes, render_polys(result.coordinate_polys))),
-        "edges": [[model.genes[a], model.genes[b]] for a, b in result.edges],
+        "dimensions": [series.field.order**model.n - len(set(series.states[:-1]))] * model.n,
+        "polynomials": dict(zip(model.genes, render_polys(model.local_polys))),
+        "edges": [[model.genes[a], model.genes[b]] for a, b in sorted(model.graph.edges)],
     }
     if member:
         texts = [t.strip() for t in member.split(";")]
@@ -422,8 +422,7 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
                    for tr in result.trajectories]
         save_samples_csv(csv_out, model.genes, times, zip(*columns))
     if events_csv:
-        save_events_csv(events_csv, result.events, model.genes,
-                        format_level=model.format_level)
+        save_events_csv(events_csv, result.events, model)
 
 
 def main(argv=None):

@@ -280,19 +280,19 @@ def load_rates(path, model):
     return load(path, "rates", rates_from_dict, model)
 
 
-def save_events_csv(path, events, genes, format_level=str):
-    """Write a hybrid event log as CSV, one crossing per row."""
+def save_events_csv(path, events, model):
+    """Write a hybrid event log of ``model`` as CSV, one crossing per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "gene", "threshold", "kind", "old_state", "new_state"])
         for e in events:
             writer.writerow([
                 _fmt(e.time),
-                genes[e.gene],
+                model.genes[e.gene],
                 _fmt(e.threshold),
                 e.kind,
-                " ".join(format_level(v) for v in e.old_state),
-                " ".join(format_level(v) for v in e.new_state),
+                " ".join(map(model.format_level, e.old_state)),
+                " ".join(map(model.format_level, e.new_state)),
             ])
 
 

@@ -20,7 +20,8 @@ ones.
 Odd prime fields additionally support a *balanced* display encoding
 {-(q-1)/2, ..., (q-1)/2}; e.g. GF(3) displayed as {-1, 0, 1} with the
 canonical value 2 shown as -1.  The balanced form is presentation only:
-all internal arithmetic stays canonical.
+all internal arithmetic stays canonical, and ``encode_level`` and
+``decode_level`` are the one codec between a display and canonical values.
 """
 
 from .errors import UnsupportedEncodingError
@@ -172,23 +173,6 @@ def _require_balanced(field):
         )
 
 
-def balanced_encode(field, x):
-    """Map x in {-(q-1)/2, ..., (q-1)/2} to its canonical value."""
-    _require_balanced(field)
-    half = (field.order - 1) // 2
-    if not -half <= x <= half:
-        raise ValueError(f"{x} outside balanced range [-{half}, {half}] of {field!r}")
-    return x % field.order
-
-
-def balanced_decode(field, value):
-    """Map a canonical value to its balanced representative."""
-    _require_balanced(field)
-    field.check(value)
-    half = (field.order - 1) // 2
-    return value - field.order if value > half else value
-
-
 def check_display(field, display):
     """A display mode, returned unchanged: "canonical", or "balanced" for
     an odd prime field."""
@@ -200,15 +184,26 @@ def check_display(field, display):
 
 
 def encode_level(field, display, x):
-    """The canonical value of a level written in the display encoding."""
+    """The canonical value of a level written in the display encoding; a
+    balanced level x in {-(q-1)/2, ..., (q-1)/2} is x mod q."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"levels are integers, got {x!r}")
-    return balanced_encode(field, x) if display == "balanced" else field.check(x)
+    if display != "balanced":
+        return field.check(x)
+    _require_balanced(field)
+    half = (field.order - 1) // 2
+    if not -half <= x <= half:
+        raise ValueError(f"{x} outside balanced range [-{half}, {half}] of {field!r}")
+    return x % field.order
 
 
 def decode_level(field, display, v):
-    """A canonical value written in the display encoding."""
-    return balanced_decode(field, v) if display == "balanced" else v
+    """A canonical value written in the display encoding (balanced: v - q past (q-1)/2)."""
+    if display != "balanced":
+        return v
+    _require_balanced(field)
+    field.check(v)
+    return v - field.order if v > (field.order - 1) // 2 else v
 
 
 def format_state(field, display, state):

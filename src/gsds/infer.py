@@ -6,9 +6,11 @@ form an affine space of dimension q^n - |S|: one particular solution
 (the observed table, zero off S, made a reduced polynomial by the exact
 transform ``polyring.table_polys``, one pass for every coordinate) plus
 the span of the indicators of the unspecified points, a basis of q^n - |S|
-polynomials built only when ``SolutionSpace.basis`` is first read.  The
+polynomials built only when ``SolutionSpace.basis`` is first read (a
+member is one transform of the table, its coefficients filled in).  The
 sparsest member with respect to variable support is found by searching
-variable subsets by size, then lexicographically.  A subset V admits an
+variable subsets by size, then lexicographically.  ``infer_network``
+returns the inferred parallel ``GsdsModel``.  A subset V admits an
 interpolant iff no two observed inputs agree on V with different outputs
 (over GF(q) every function on the projection is a polynomial), a test of
 one dict pass; the constraints restricted to monomials in V are solved
@@ -33,7 +35,7 @@ from .errors import ContradictoryDataError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .network import DependencyGraph, GsdsModel
-from .polyring import Polynomial, indicator_poly, iter_points, poly_sum, table_poly, table_polys
+from .polyring import Polynomial, indicator_poly, iter_points, table_poly, table_polys
 
 SPARSEST_MAX_VARS = 12
 CONSTRAINED_MAX_UNKNOWNS = 1 << 14
@@ -114,11 +116,14 @@ class SolutionSpace:
         return all(poly.eval(state) == value for state, value in self.pairs)
 
     def member(self, coefficients):
-        """particular + sum of coefficient * basis polynomial."""
+        """particular + sum of coefficient * basis polynomial, as one ``table_poly``
+        of the observed values and each coefficient at its point of ``basis``."""
         if len(coefficients) != self.dimension:
             raise ValueError(f"need {self.dimension} coefficients")
-        scaled = [b.scale(c) for c, b in zip(coefficients, self.basis) if c]
-        return poly_sum(self.field, self.n, [self.particular] + scaled)
+        values = dict(self.pairs)
+        free = [p for p in iter_points(self.field, self.n) if p not in values]
+        values.update(zip(free, map(self.field.coerce, coefficients)))
+        return table_poly(self.field, self.n, values)
 
 
 def solution_space(data, coordinate):
@@ -233,20 +238,6 @@ def sparsest_interpolate(data, coordinate):
     raise AssertionError("unreachable: the full variable set always interpolates")
 
 
-class InferenceResult:
-    """Inferred coordinate polynomials packaged as a parallel model."""
-
-    def __init__(self, model, coordinate_polys, dimensions, preference):
-        self.model = model
-        self.coordinate_polys = coordinate_polys
-        self.dimensions = dimensions
-        self.preference = preference
-
-    @property
-    def edges(self):
-        return sorted(self.model.graph.edges)
-
-
 def infer_network(field, series, preference="canonical", genes=None,
                   display="canonical"):
     """Fit one polynomial per coordinate to consecutive series pairs.
@@ -254,7 +245,7 @@ def infer_network(field, series, preference="canonical", genes=None,
     ``canonical`` uses the indicator-sum interpolant; ``sparsest``
     minimizes the number of support variables.  The dependency graph has
     an edge j -> i exactly when coordinate i's polynomial depends on
-    x_j.  The model is parallel (no schedule): the inferred polynomials
+    x_j.  The returned model is parallel (no schedule): its polynomials
     are coordinate functions of the global map, not local update order.
     """
     if preference not in ("canonical", "sparsest"):
@@ -270,10 +261,8 @@ def infer_network(field, series, preference="canonical", genes=None,
     else:  # every coordinate's interpolant from one packed transform
         states, images = zip(*data.pairs)
         polys = table_polys(field, n, states, list(zip(*images)))
-    dimensions = [field.order**n - len(data)] * n
-    model = GsdsModel(field, genes, DependencyGraph.from_supports(polys), polys,
-                      schedule=None, display=display)
-    return InferenceResult(model, tuple(polys), dimensions, preference)
+    return GsdsModel(field, genes, DependencyGraph.from_supports(polys), polys,
+                     schedule=None, display=display)
 
 
 # -- series files -------------------------------------------------------

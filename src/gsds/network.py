@@ -232,11 +232,6 @@ def _word(entries, n, what):
     return word
 
 
-def apply_local(model, i, state):
-    """Apply gene i's local update: only coordinate i may change."""
-    return GlobalMap(model, (i,))(state)
-
-
 # -- truth-table kernel ------------------------------------------------
 #
 # Bulk work runs over the mixed-radix index of a product of per-gene
@@ -476,10 +471,15 @@ def validate_model(model):
     the support coordinates, so both checks read each polynomial's table
     on its support subcube; no state is evaluated term by term.  A gene's
     first RANGE_MAX_LINES range violations in state index order are
-    listed, and the rest only counted, from the table.
+    listed, and the rest only counted, from the table: a state's index is
+    its support point's base plus its other genes' offset, both increasing
+    in product order, so the first lie among the first bases and offsets.
     """
     report = ValidationReport(model.genes)
     domain, tables = model.state_sets, _subcube_tables(model)
+    axes = [[k * s for k in range(len(d))] for d, s in zip(domain, _strides(domain))]
+    first = lambda items: list(itertools.islice(items, RANGE_MAX_LINES))
+    index = lambda genes: map(sum, itertools.product(*(axes[j] for j in genes)))
     for i, poly in enumerate(model.local_polys):
         allowed = model.graph.neighborhood(i)
         for var in sorted(poly.support()):
@@ -492,10 +492,10 @@ def validate_model(model):
         support, table = tables[i]
         if values.issuperset(table):
             continue
-        value_at = dict(zip(itertools.product(*(domain[j] for j in support)), table))
-        value = lambda state: value_at[tuple(map(state.__getitem__, support))]
-        states = (s for s in model.iter_states() if value(s) not in values)
-        report.range += [(i, s, value(s)) for s in itertools.islice(states, RANGE_MAX_LINES)]
+        bases = first((b, v) for b, v in zip(index(support), table) if v not in values)
+        offsets = first(index(j for j in range(model.n) if j not in support))
+        listed = sorted((b + o, v) for b, v in bases for o in offsets)[:RANGE_MAX_LINES]
+        report.range += [(i, model.state_at(s), v) for s, v in listed]
         # each subcube point stands for the same number of states
         more = sum(v not in values for v in table) * (model.state_count() // len(table))
         if more > RANGE_MAX_LINES:
@@ -503,7 +503,7 @@ def validate_model(model):
     return report
 
 
-def parallel_to_sequential(coordinate_polys, field=None, genes=None):
+def parallel_to_sequential(coordinate_polys, genes=None):
     """Represent a parallel map as a schedule-driven model on 2n genes.
 
     Shadow genes first copy the current state; the original genes are
@@ -513,8 +513,7 @@ def parallel_to_sequential(coordinate_polys, field=None, genes=None):
     polys = list(coordinate_polys)
     if not polys:
         raise ValueError("need at least one coordinate function")
-    field = field or polys[0].field
-    n = polys[0].n_vars
+    field, n = polys[0].field, polys[0].n_vars
     if genes is None:
         genes = [f"g{j + 1}" for j in range(n)]
     names = list(genes) + [f"{g}__copy" for g in genes]

@@ -218,8 +218,9 @@ def search_compatible_thresholds(samples, f, candidate_grid="midpoints", *,
 # -- threshold files -----------------------------------------------------
 
 
-def thresholds_to_dict(tmap, gene_names, display="canonical"):
-    field, display = tmap.field, check_display(tmap.field, display)
+def thresholds_to_dict(tmap, gene_names):
+    """The threshold file of ``tmap``, its levels in ``tmap.display``."""
+    field, display = tmap.field, tmap.display
     genes = {}
     for name, g in zip(gene_names, tmap.genes):
         genes[name] = {
@@ -265,8 +266,8 @@ def thresholds_from_dict(d, gene_names=None):
     return ThresholdMap(field, genes, eps=d.get("eps", DEFAULT_EPS), display=display), names
 
 
-def save_thresholds(tmap, gene_names, path, display="canonical"):
-    write_json(thresholds_to_dict(tmap, gene_names, display), path)
+def save_thresholds(tmap, gene_names, path):
+    write_json(thresholds_to_dict(tmap, gene_names), path)
 
 
 def load_thresholds(path, gene_names=None):

@@ -67,13 +67,14 @@ def build_example3(display="balanced"):
     )
 
 
-def build_ex3_thresholds():
+def build_ex3_thresholds(display="canonical"):
     from gsds import GeneThresholds, ThresholdMap
 
     field = Field(3)
     return ThresholdMap(
         field,
         [GeneThresholds([t], [2, 1], [0]) for t in EX3_THRESHOLDS],
+        display=display,
     )
 
 

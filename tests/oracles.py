@@ -12,8 +12,8 @@ from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samp
 from gsds.errors import PolyParseError, ZenoError
 from gsds.files import FORMAT_VERSION
 from gsds.ffield import GF4_MUL
-from gsds.network import global_map
-from gsds.polyring import Polynomial, poly_sum
+from gsds.network import RANGE_MAX_LINES, global_map
+from gsds.polyring import Polynomial, poly_sum, poly_table
 from gsds.translate import discretize
 
 
@@ -151,6 +151,22 @@ def oracle_member(space, coefficients):
         if c:
             result = oracle_add(result, b.scale(c))
     return result
+
+
+def oracle_range_lines(model):
+    """Each gene's first RANGE_MAX_LINES (gene, state, value) range
+    violations, found by walking the states in index order and reading
+    each state's value from the gene's subcube table: the listing that
+    validation made before it read the states off the table alone."""
+    lines = []
+    for i, poly in enumerate(model.local_polys):
+        support, table = poly_table(poly, model.state_sets)
+        values = set(model.state_sets[i])
+        value_at = dict(zip(itertools.product(*(model.state_sets[j] for j in support)), table))
+        value = lambda state: value_at[tuple(map(state.__getitem__, support))]
+        states = (s for s in model.iter_states() if value(s) not in values)
+        lines += [(i, s, value(s)) for s in itertools.islice(states, RANGE_MAX_LINES)]
+    return lines
 
 
 def oracle_subcube_table(poly, levels):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from gsds import DependencyGraph, Field, GsdsModel, RatePolicy
 from gsds.cli import COMMANDS as TABLE, HELP, _help, _hybrid_json, _read, main
 from gsds.continuous import hybrid_simulate
 from gsds.errors import ZenoError
-from gsds.infer import load_series, save_series
+from gsds.infer import TransitionData, load_series, save_series
 from gsds.network import RANGE_MAX_LINES, save_model
 from gsds.polyring import Polynomial, parse_poly
 from gsds.translate import GeneThresholds, ThresholdMap
@@ -41,10 +42,7 @@ def workspace(tmp_path):
     paths["thresholds"] = tmp_path / "thresholds.json"
     from gsds.translate import save_thresholds
 
-    save_thresholds(
-        build_ex3_thresholds(), ["g1", "g2", "g3"], paths["thresholds"],
-        display="balanced",
-    )
+    save_thresholds(build_ex3_thresholds("balanced"), ["g1", "g2", "g3"], paths["thresholds"])
 
     paths["csv"] = tmp_path / "micro.csv"
     lines = ["t,g1,g2,g3"]
@@ -271,6 +269,12 @@ def test_portrait_rejects_duplicate_levels(workspace, capsys):
 # -- fit / discretize / check --------------------------------------------------
 
 
+def test_fit_needs_two_samples(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("t,g\n0,1.5\n")
+    assert run(capsys, "fit", path) == (1, "", "error: need at least two samples to fit\n")
+
+
 def test_fit_matches_known_segments(workspace, capsys):
     code, out, _ = run(capsys, "fit", workspace["csv"])
     assert code == 0
@@ -304,7 +308,7 @@ def test_discretize_carries_threshold_display(workspace, capsys):
 
     for display, first in (("balanced", [-1, 1, -1]), ("canonical", [2, 1, 2])):
         path = workspace["dir"] / f"th_{display}.json"
-        save_thresholds(build_ex3_thresholds(), ["g1", "g2", "g3"], path, display)
+        save_thresholds(build_ex3_thresholds(display), ["g1", "g2", "g3"], path)
         code, out, _ = run(capsys, "discretize", workspace["csv"], "--thresholds", path)
         assert code == 0
         data = json.loads(out)
@@ -488,6 +492,30 @@ def test_infer_usage_errors(workspace, capsys):
     }))
     code, _, _ = run(capsys, "infer", empty)
     assert code == 1
+    series = workspace["dir"] / "series.json"
+    run(capsys, "discretize", workspace["csv"], "--thresholds", workspace["thresholds"],
+        "-o", series)
+    for args, message in (
+        (["--csv", workspace["csv"]], "--csv requires --thresholds"),
+        ([series, "--member", "x1; x2"], "--member needs 3 polynomials, got 2"),
+    ):
+        assert run(capsys, "infer", *args) == (1, "", f"error: {message}\n")
+
+
+def test_infer_dimensions_count_distinct_inputs(workspace, capsys):
+    # a consistent repeat is one observed input: 3 transitions, |S| = 2, so
+    # each coordinate's solution space has dimension 2^2 - 2; the job reads
+    # its transitions once unless --member asks for membership
+    path = workspace["dir"] / "repeats.json"
+    path.write_text(json.dumps({"format_version": 1, "field": 2,
+                                "states": [[0, 0], [1, 1], [0, 0], [1, 1]]}))
+    built = []
+    init = TransitionData.__init__
+    with mock.patch.object(TransitionData, "__init__",
+                           lambda self, *a: built.append(a) or init(self, *a)):
+        code, out, _ = run(capsys, "infer", path)
+    report = json.loads(out)
+    assert (code, report["transitions"], report["dimensions"], len(built)) == (0, 3, [2, 2], 1)
 
 
 # -- hybrid -----------------------------------------------------------------------

@@ -518,3 +518,23 @@ def test_hybrid_states_lie_in_the_state_space(case):
     states = [s for _, _, s in result.phases]
     states += [s for e in result.events for s in (e.old_state, e.new_state)]
     assert all(map(model.contains_state, states))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SectionalLinear([0.0], []), "need at least two breakpoints"),
+    (lambda: SectionalLinear([0.0, 1.0], [(1.0, 0.0)], "wrap"), "unknown outside_mode 'wrap'"),
+], ids=["one-breakpoint", "outside-mode"])
+def test_sectional_error_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_samples_csv_without_gene_columns_and_with_blank_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("t\n0\n")
+    with pytest.raises(ValueError) as err:
+        load_samples_csv(path)
+    assert str(err.value) == "sample CSV has no gene columns"
+    path.write_text("t,g\n0,1.5\n\n1,2.5\n")  # a blank row is skipped
+    assert load_samples_csv(path) == (["g"], [0.0, 1.0], [(1.5,), (2.5,)])

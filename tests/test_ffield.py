@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsds import (
-    Field,
-    UnsupportedEncodingError,
-    balanced_decode,
-    balanced_encode,
-    gf4_table_errata,
-)
-from gsds.ffield import GF4_PUBLISHED_ADD, GF4_PUBLISHED_MUL, format_state
+from gsds import Field, UnsupportedEncodingError, gf4_table_errata
+from gsds.ffield import GF4_PUBLISHED_ADD, GF4_PUBLISHED_MUL, decode_level, encode_level, \
+    format_state
 
 from oracles import OracleField
 
@@ -28,7 +23,7 @@ def test_field_construction():
 def test_gf3_one_plus_one_is_two_displayed_minus_one():
     f = Field(3)
     assert f.add(1, 1) == 2
-    assert balanced_decode(f, f.add(1, 1)) == -1
+    assert decode_level(f, "balanced", f.add(1, 1)) == -1
 
 
 def test_gf4_defining_relation():
@@ -130,32 +125,33 @@ def test_check_rejects_values_outside_the_canonical_range():
 
 def test_balanced_encoding_gf3():
     f = Field(3)
-    assert balanced_encode(f, -1) == 2
-    assert balanced_encode(f, 0) == 0
-    assert balanced_encode(f, 1) == 1
-    assert balanced_decode(f, 2) == -1
+    assert encode_level(f, "balanced", -1) == 2
+    assert encode_level(f, "balanced", 0) == 0
+    assert encode_level(f, "balanced", 1) == 1
+    assert decode_level(f, "balanced", 2) == -1
 
 
 def test_balanced_encoding_gf5():
     f = Field(5)
-    assert balanced_encode(f, -2) == 3
+    assert encode_level(f, "balanced", -2) == 3
     for x in range(-2, 3):
-        assert balanced_decode(f, balanced_encode(f, x)) == x
+        assert decode_level(f, "balanced", encode_level(f, "balanced", x)) == x
 
 
 def test_balanced_encoding_out_of_range():
     f = Field(3)
     for bad in (-2, 2):
-        with pytest.raises(ValueError):
-            balanced_encode(f, bad)
+        with pytest.raises(ValueError) as err:
+            encode_level(f, "balanced", bad)
+        assert str(err.value) == f"{bad} outside balanced range [-1, 1] of GF(3)"
 
 
 def test_balanced_encoding_unsupported_fields():
     for q in (2, 4):
-        with pytest.raises(UnsupportedEncodingError):
-            balanced_encode(Field(q), 0)
-        with pytest.raises(UnsupportedEncodingError):
-            balanced_decode(Field(q), 0)
+        for codec in (encode_level, decode_level):
+            with pytest.raises(UnsupportedEncodingError) as err:
+                codec(Field(q), "balanced", 0)
+            assert str(err.value) == f"balanced encoding needs an odd prime field, not GF({q})"
 
 
 def test_format_state():
@@ -189,3 +185,10 @@ def test_operations_match_the_branching_oracle(case):
         assert outcome(getattr(f, name), a) == outcome(getattr(oracle, name), a), name
     for e in range(-2 * q, 3 * q + 1):
         assert outcome(f.pow, a, e) == outcome(oracle.pow, a, e), e
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"])
+def test_check_rejects_values_that_are_not_ints(value):
+    with pytest.raises(TypeError) as err:
+        Field(3).check(value)
+    assert str(err.value) == f"field values are ints, got {value!r}"

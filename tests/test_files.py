@@ -99,7 +99,7 @@ def test_thresholds_file_round_trip(tmp_path, encoding, data):
     tmap = ThresholdMap(field, genes, eps=eps, display=display)
     names = [f"g{j}" for j in range(len(genes))]
     path = tmp_path / "thresholds.json"
-    save_thresholds(tmap, names, path, display)
+    save_thresholds(tmap, names, path)
     back, back_names = load_thresholds(path)
     assert back_names == names
     assert (back.field, back.eps, back.display) == (field, eps, display)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationError,
-                  apply_local, dynamics, network, phase_portrait, trajectory)
+                  dynamics, network, phase_portrait, trajectory)
 from gsds.cli import main
 from gsds.dynamics import transitions_dot
 from gsds.network import RANGE_MAX_LINES, ValidationReport, save_model, validate_model
@@ -27,7 +27,7 @@ from gsds.polyring import Polynomial, iter_points, parse_poly, support_vars, tab
 from gsds.translate import GeneThresholds, ThresholdMap, check_translated
 
 from oracles import (oracle_global_map, oracle_phase_portrait, oracle_probe_variable,
-                     oracle_transitions_dot)
+                     oracle_range_lines, oracle_transitions_dot)
 
 FIELDS = [Field(q) for q in (2, 3, 4, 5)]
 
@@ -183,12 +183,12 @@ def test_apply_local_matches_oracle_one_gene_word(m):
     if validate_model(m).range:  # one gene leaving its levels refuses every word
         for i in range(m.n):
             with pytest.raises(ModelValidationError):
-                apply_local(m, i, states[0])
+                GlobalMap(m, (i,))(states[0])
         return
     expected = [[oracle_global_map(m.replace(schedule=(i,)), s) for s in states]
                 for i in range(m.n)]
     with mock.patch.object(GsdsModel, "__init__", side_effect=AssertionError("model built")):
-        assert [[apply_local(m, i, s) for s in states] for i in range(m.n)] == expected
+        assert [[GlobalMap(m, (i,))(s) for s in states] for i in range(m.n)] == expected
 
 
 def test_map_call_rejects_levels_outside_the_field():
@@ -227,6 +227,16 @@ def test_validate_matches_exhaustive_loop(m):
         assert support_vars(poly, m.state_sets) == frozenset(
             v for v in poly.support()
             if oracle_probe_variable(poly, v - 1, m.state_sets))
+
+
+@kernel_settings
+@given(models())
+def test_range_lines_are_read_off_the_table(m):
+    # the listed states come from the out-of-range table points and the
+    # other genes' offsets, never from a walk over the state space
+    expected = oracle_range_lines(m)
+    with mock.patch.object(GsdsModel, "iter_states", side_effect=AssertionError("states walked")):
+        assert validate_model(m).range == expected
 
 
 @kernel_settings

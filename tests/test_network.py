@@ -10,7 +10,6 @@ from gsds import (
     GlobalMap,
     GsdsModel,
     ModelValidationError,
-    apply_local,
     global_map,
     parallel_to_sequential,
     trajectory,
@@ -103,21 +102,21 @@ def test_validation_report_lines(example2):
 
 
 def test_apply_local_fourth_gene(example1):
-    assert apply_local(example1, 3, (0, 1, 0, 0)) == (0, 1, 0, 1)
+    assert GlobalMap(example1, (3,))((0, 1, 0, 0)) == (0, 1, 0, 1)
 
 
 def test_apply_local_constant_gene(example1):
     for state in example1.iter_states():
-        assert apply_local(example1, 0, state)[0] == 1
-        assert apply_local(example1, 0, state)[1:] == state[1:]
+        assert GlobalMap(example1, (0,))(state)[0] == 1
+        assert GlobalMap(example1, (0,))(state)[1:] == state[1:]
 
 
 def test_apply_local_identity_polynomial():
     m = GsdsModel(GF3, ["a", "b"], DependencyGraph(2, set()),
                   [parse_poly("x1", 2, GF3), parse_poly("x2", 2, GF3)], [0, 1])
     for state in m.iter_states():
-        assert apply_local(m, 0, state) == state
-        assert apply_local(m, 1, state) == state
+        assert GlobalMap(m, (0,))(state) == state
+        assert GlobalMap(m, (1,))(state) == state
 
 
 def test_apply_local_changes_at_most_one_coordinate():
@@ -126,19 +125,19 @@ def test_apply_local_changes_at_most_one_coordinate():
         m = random_model(rng, GF3, 3)
         for i in range(m.n):
             for state in m.iter_states():
-                new = apply_local(m, i, state)
+                new = GlobalMap(m, (i,))(state)
                 assert all(new[j] == state[j] for j in range(m.n) if j != i)
 
 
 def test_apply_local_rejects_outside_states(example1):
     with pytest.raises(ValueError):
-        apply_local(example1, 0, (0, 0, 0, 2))
+        GlobalMap(example1, (0,))((0, 0, 0, 2))
 
 
 @pytest.mark.parametrize("gene", [-1, 4, 9])
 def test_apply_local_rejects_genes_outside_the_model(example1, gene):
     with pytest.raises(ValueError, match="not a gene"):
-        apply_local(example1, gene, (0, 0, 0, 0))
+        GlobalMap(example1, (gene,))((0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("entry", [1.0, True, "1", None])
@@ -188,7 +187,7 @@ def test_global_map_equals_fold_of_locals():
         for state in m.iter_states():
             expected = state
             for i in m.schedule:
-                expected = apply_local(m, i, expected)
+                expected = GlobalMap(m, (i,))(expected)
             assert f(state) == expected
 
 
@@ -409,3 +408,29 @@ def test_locals_in_file_use_polynomial_syntax(tmp_path, example1):
     raw = json.loads(path.read_text())
     assert raw["locals"]["g2"] == "x1*x2"
     assert raw["locals"]["g3"] == "x2*x3 + x2"
+
+
+# -- error messages ---------------------------------------------------------------------
+
+X1, Y1 = parse_poly("x1", 2, GF2), parse_poly("x1", 1, GF3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GsdsModel(GF2, ["a", "a"], DependencyGraph(2, set()), [X1, X1], None),
+     ValueError, "gene names must be distinct"),
+    (lambda: GsdsModel(GF2, ["a", "b"], DependencyGraph(2, set()), [X1], None),
+     ValueError, "need one local polynomial per gene, got 1"),
+    (lambda: GsdsModel(GF2, ["a"], DependencyGraph(1, set()), [Y1], None),
+     FieldMismatchError, "local polynomial <GF(3)[1] x1> does not live in GF(2)[x1..x1]"),
+    (lambda: GsdsModel(GF3, ["a"], DependencyGraph(2, set()), [Y1], None),
+     ValueError, "graph vertex count does not match gene count"),
+    (lambda: parallel_to_sequential([]), ValueError, "need at least one coordinate function"),
+    (lambda: model_from_dict({"format_version": 1, "field": 2, "genes": ["a", "b"],
+                              "locals": {"a": "x1"}, "schedule": None}),
+     ValueError, "missing local polynomial for gene 'b'"),
+], ids=["repeated-gene", "poly-count", "poly-field", "graph-size", "no-coordinates",
+        "missing-local"])
+def test_error_messages(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -688,3 +688,29 @@ def test_arithmetic_matches_oracle_on_dense_polynomials():
     subs = [c, x[2] + x[4], x[2], c, x[0] * x[5], Polynomial.constant(GF3, 6, 2)]
     assert d.compose(subs) == oracle_compose(d, subs)
     assert parse_poly((a * b).render(), 6, GF3) == a * b
+
+
+# -- error messages ---------------------------------------------------------------------
+
+X1 = parse_poly("x1", 1, GF3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Polynomial(GF3, -1), ValueError, "n_vars must be non-negative"),
+    (lambda: Polynomial(GF3, 2, {(1,): 1}), ValueError,
+     "exponent tuple (1,) does not have 2 entries"),
+    (lambda: Polynomial(GF3, 2, {(1, -1): 1}), ValueError, "negative exponent in (1, -1)"),
+    (lambda: Polynomial.variable(GF3, 2, 3), ValueError, "variable index 3 outside 1..2"),
+    (lambda: X1 + 1, TypeError, "expected Polynomial, got 1"),
+    (lambda: X1 ** -1, ValueError, "negative polynomial powers are not defined"),
+    (lambda: X1.compose([]), FieldMismatchError, "need 1 substitutions, got 0"),
+    (lambda: support_vars(X1, [(0,), (1,)]), FieldMismatchError,
+     "domain has 2 variable ranges, need 1"),
+    (lambda: parse_poly("x1^", 1, GF3), PolyParseError,
+     "exponent must be an integer (at position 3)"),
+], ids=["n-vars", "exponent-count", "negative-exponent", "variable-index", "add-non-poly",
+        "negative-power", "substitution-count", "domain-count", "exponent-missing"])
+def test_error_messages(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

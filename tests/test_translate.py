@@ -243,7 +243,7 @@ def test_default_level_scheme():
 
 def test_threshold_file_round_trip(tmp_path, ex3_thresholds):
     path = tmp_path / "thresholds.json"
-    save_thresholds(ex3_thresholds, ["g1", "g2", "g3"], path, display="balanced")
+    save_thresholds(build_ex3_thresholds("balanced"), ["g1", "g2", "g3"], path)
     raw = json.loads(path.read_text())
     assert raw["genes"]["g1"]["levels"][0] == {
         "threshold": 0.78, "below_level": -1, "equal_level": 0,
@@ -268,3 +268,30 @@ def test_threshold_dict_version_check():
     d["format_version"] = 2
     with pytest.raises(ValueError):
         thresholds_from_dict(d)
+
+
+def test_balanced_threshold_file_saves_back_unchanged(tmp_path):
+    # the levels are written in the map's own display, so a balanced file
+    # loaded and saved again keeps its levels and its "display" key
+    path, again = tmp_path / "th.json", tmp_path / "again.json"
+    levels = {"levels": [{"threshold": 0.78, "below_level": -1, "equal_level": 0}],
+              "top_level": 1}
+    path.write_text(json.dumps({"format_version": 1, "field": 3, "display": "balanced",
+                                "genes": {"g1": levels, "g2": levels}}, indent=2) + "\n")
+    tmap, names = load_thresholds(path)
+    save_thresholds(tmap, names, again)
+    assert again.read_text() == path.read_text()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: candidate_thresholds([]), "no observed values to build candidates from"),
+    (lambda: search_compatible_thresholds([(0.0,), (1.0,)], tuple, [[0.5], [0.5]], field=GF2),
+     "need 1 candidate lists, got 2"),
+    (lambda: search_compatible_thresholds([(0.0, 0.0), (1.0, 1.0)], tuple,
+                                          [range(1025)] * 2, field=GF2),
+     "1050625 threshold combinations exceed the search limit"),
+], ids=["no-values", "grid-count", "search-limit"])
+def test_search_error_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

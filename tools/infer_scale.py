@@ -68,13 +68,13 @@ def main():
         series = scale_series(q, n, transitions)
         for preference in ("canonical", "sparsest"):
             start = perf_counter()
-            result = infer_network(Field(q), series, preference)
-            texts = render_polys(result.coordinate_polys)
+            model = infer_network(Field(q), series, preference)
+            texts = render_polys(model.local_polys)
             elapsed = perf_counter() - start
             digest.update("\n".join(texts + [""]).encode())
             parts.append(f"GF({q})^{n} {preference} {elapsed:.2f} s")
             if preference == "canonical":
-                parts.append(f"GF({q})^{n} canonical model {round_trip(result.model)}")
+                parts.append(f"GF({q})^{n} canonical model {round_trip(model)}")
     sizes = ", ".join(f"GF({q})^{n} {t} transitions" for q, n, t in SERIES)
     print(f"Inference at scale (seed {SEED}; {sizes}): {', '.join(parts)}; "
           f"rendered sha256 {digest.hexdigest()[:16]}")
