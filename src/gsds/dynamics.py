@@ -5,11 +5,11 @@ state has exactly one successor); its analysis yields fixed points,
 limit cycles, basin sizes and the transient histogram.  State indexing
 is mixed-radix with gene 1 most significant, each state set ordered by
 canonical value, so indices, reports, and DOT output are deterministic.
-The successor array and the schedule comparisons come from the
-bit-sliced kernel of :mod:`gsds.network`.  Only the image of the map is
-walked, and the basin sizes and the transient histogram are counted
-over it, weighted by in-degree; a state's transient is its number of
-``successor`` steps to a cycle.  Reports write states in bulk.
+The successor array, which the schedule comparisons also read, comes
+from the byte-plane kernel of :mod:`gsds.network`.  Only the image of
+the map is walked, and the basin sizes and the transient histogram are
+counted over it, weighted by in-degree; a state's transient is its
+number of ``successor`` steps to a cycle.  Reports write states in bulk.
 """
 
 import itertools
@@ -123,13 +123,11 @@ def cycles(model, **kwargs):
 
 def compare_schedules(model, word_a, word_b):
     """First state (in index order) where the two composed maps differ,
-    or None when they agree everywhere: the lowest bit set in any XOR of
-    the two maps' image bitsets."""
-    a, b = GlobalMap(model, word_a).image_bits(), GlobalMap(model, word_b).image_bits()
-    diff = 0
-    for x, y in zip(itertools.chain(*a), itertools.chain(*b)):
-        diff |= x ^ y
-    return model.state_at((diff & -diff).bit_length() - 1) if diff else None
+    or None when they agree everywhere: the lowest byte set in the XOR of
+    the two maps' successor arrays."""
+    a, b = (GlobalMap(model, word).successor_array() for word in (word_a, word_b))
+    diff = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return model.state_at(((diff & -diff).bit_length() - 1) // 8 // a.itemsize) if diff else None
 
 
 def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_LIMIT):
@@ -149,7 +147,7 @@ def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_
         words = itertools.permutations(range(model.n))
     classes = {}  # insertion order is the order of first appearance
     for word in map(tuple, words):
-        classes.setdefault(GlobalMap(model, word).image_bits(), []).append(word)
+        classes.setdefault(GlobalMap(model, word).successor_array().tobytes(), []).append(word)
     return list(classes.values())
 
 

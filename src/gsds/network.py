@@ -23,6 +23,7 @@ Model files are JSON:
     }
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -33,6 +34,7 @@ from .files import FORMAT_VERSION, document, load, write_json
 from .polyring import Polynomial, parse_poly, poly_table, probe_variable, render_polys
 
 RANGE_MAX_LINES = 10  # range violations listed per gene; the rest are counted
+KERNEL_BLOCK_STATES = 1 << 14  # states the kernel maps at a time
 
 
 class DependencyGraph:
@@ -235,26 +237,35 @@ def _word(entries, n, what):
 # -- truth-table kernel ------------------------------------------------
 #
 # Bulk work runs over the mixed-radix index of a product of per-gene
-# level lists, gene 1 most significant.  A gene's values are one Python-
-# int bitset per level position: bit s is set when state s holds that
-# level.  polyring.poly_table tabulates a local polynomial on its support
-# subcube.  An update walks that subcube depth first, ANDing in one
-# support gene's bitset per level and ORing the AND at each point into
-# the bitset of the point's value: q^k points of a few big-int operations
-# each, run in C over n_states/64 machine words.  As q^k nears n_states
-# the walk turns quadratic, so a large subcube is gathered state by state
-# instead (see _gathers).  Memory is about (n*q + k) * n_states bits of
-# bitsets, plus a few bytes per state for a gather and the result list.
+# level lists, gene 1 most significant, KERNEL_BLOCK_STATES states at a
+# time: the map is pointwise, so a block's images depend only on its
+# states.  In a block, a gene's plane is one Python int holding the
+# gene's level position at each state as a little-endian byte field (two
+# bytes for a gene of more than 256 levels).  polyring.poly_table
+# tabulates a local polynomial on its support subcube.  An update adds
+# its support genes' planes, each times its subcube stride, into the
+# subcube index of every state at once; for a subcube of at most 256
+# points no field carries into the next, and one bytes.translate of the
+# table's level positions makes the gene's new plane.  A larger subcube,
+# or a gene of more than 256 levels, gets the index as native ints
+# (_index) and looks each state up with a C-level map.  No Python code
+# runs per state, and memory is the result plus O(n) planes of a block
+# and at most 256 cached input planes (_level_plane).
 
 
 def _strides(levels):
     return [math.prod(map(len, levels[j + 1 :])) for j in range(len(levels))]
 
 
+def _width(top):
+    """(bytes, memoryview format) of the narrowest native unsigned int holding ``top``."""
+    return next((w, f) for w, f in zip((1, 2, 4, 8), "BHIQ") if top < 1 << 8 * w)
+
+
 def _subcube_tables(model):
     """Each local polynomial's ``poly_table`` over the state sets, kept on
-    the model so that validation, the bitset fold and the map call of
-    every word tabulate once."""
+    the model so that validation, the kernel and the map call of every
+    word tabulate once."""
     if not model._tables:
         model._tables.extend(poly_table(p, model.state_sets) for p in model.local_polys)
     return model._tables
@@ -269,106 +280,87 @@ def _tables_in_levels(model):
     return tables
 
 
-def _fold_bits(model, word):
-    """Each gene's level bitsets of the images of the model's map composed
-    along ``word`` over its state space.  The parallel map (word None)
-    reads the input bitsets; a word updates them in order."""
-    levels, position, tables = model.state_sets, model._positions, _tables_in_levels(model)
-    total = model.state_count()
-    full = (1 << total) - 1
-    src = []
-    for values, stride in zip(levels, _strides(levels)):
-        first, period = (1 << stride) - 1, len(values) * stride
-        while period < total:  # shift-and-OR doubling, then cut to size
-            first |= first << period
-            period *= 2
-        first &= full
-        src.append([first << (p * stride) for p in range(len(values))])
-    bits = list(src) if word is None else src
+@functools.lru_cache(maxsize=256)
+def _level_plane(count, stride, lo, hi):
+    """The plane of states lo..hi-1 of a gene of ``count`` levels at
+    ``stride``: runs of ``stride`` equal fields, cycling through the levels.
+    A plane depends on lo only modulo the period count * stride, so the
+    callers pass it reduced and every block and word of a shape shares it."""
+    cells = [p.to_bytes(1 + (count > 256), "little") for p in range(count)]
+    first, last, u = lo // stride, (hi - 1) // stride, len(cells[0])
+    if last - first > count:  # whole periods fit in the block: repeat one
+        period, size = b"".join(c * stride for c in cells), (hi - lo) * u
+        data = (period * ((lo * u + size) // len(period) + 1))[lo * u : lo * u + size]
+    else:
+        data = b"".join(cells[r % count] * (min(hi, r * stride + stride) - max(lo, r * stride))
+                        for r in range(first, last + 1))
+    return int.from_bytes(data, "little")
+
+
+def _index(planes, counts, size):
+    """The mixed-radix index of ``size`` states, the first plane most
+    significant, as a memoryview of native ints of the narrowest width.
+    Runs of byte planes whose counts multiply to at most 256 are summed in
+    their byte fields, and each run is spread once into the wide fields."""
+    width, fmt = _width(math.prod(counts) - 1)
+    little = sys.byteorder == "little"
+    acc, weight, k = 0, 1, len(planes)
+    while k:
+        run, span, u = 0, 1, 1
+        if counts[k - 1] > 256:  # a two-byte plane is a run of its own
+            k -= 1
+            run, span, u = planes[k], counts[k], 2
+        while k and span * counts[k - 1] <= 256:
+            k -= 1
+            run += span * planes[k]
+            span *= counts[k]
+        data, wide = run.to_bytes(size * u, "little"), bytearray(size * width)
+        for b in range(u):  # byte b of each field, least significant first
+            wide[b if little else width - 1 - b :: width] = data[b::u]
+        acc += weight * int.from_bytes(wide, sys.byteorder)
+        weight *= span
+    return memoryview(acc.to_bytes(size * width, sys.byteorder)).cast(fmt)
+
+
+def _levels(values, plane, size):
+    """The level of each of ``size`` states in a gene's plane: one
+    translate of its bytes when every level fits in a byte."""
+    if values[-1] < 256:
+        return plane.to_bytes(size, "little").translate(bytes(values).ljust(256, b"\0"))
+    return map(values.__getitem__, _index([plane], [len(values)], size))
+
+
+def _image_blocks(model, word):
+    """(lo, hi, planes) per block: each gene's plane of the images of states
+    lo..hi-1 under the model's map composed along ``word``.  The parallel
+    map (word None) reads the input planes; a word updates them in order."""
+    levels, tables = model.state_sets, _tables_in_levels(model)
+    counts, total = list(map(len, levels)), model.state_count()
+    updates = []  # gene, support genes, their subcube strides, its positions
     for i in range(model.n) if word is None else word:
         support, table = tables[i]
-        slots = [position[i][v] for v in table]
-        rows = [src[j] for j in support]
-        if _gathers(len(table), rows, len(levels[i]), total):
-            bits[i] = _gather(rows, slots, len(levels[i]), total)
-        else:
-            bits[i] = out = [0] * len(levels[i])
-            _walk(out, iter(slots), rows, full)
-    return bits
-
-
-def _gathers(points, rows, count, total):
-    """Whether gathering one update state by state is cheaper than walking
-    its ``points`` subcube points.  Costs are in machine-word operations,
-    measured: a walked point ANDs and ORs total/64 words plus about 350
-    of interpreter work; a gather takes about 86 per state and 170 per
-    point for each bit plane of the output position, and 9 per state for
-    each spread input bitset."""
-    planes = (count - 1).bit_length()
-    spreads = sum((len(row) - 1).bit_length() for row in rows)
-    gather = total * (86 * planes + 9 * spreads) + points * 170 * planes
-    return points * (total // 64 + 350) > gather
-
-
-def _walk(out, slots, rows, mask):
-    """OR ``mask`` AND one bitset of each row into ``out[next(slots)]``
-    at each point of the rows' product, in product order.  Depth first,
-    so only one partial AND per row is alive."""
-    if not rows:
-        out[next(slots)] |= mask
-        return
-    for b in rows[0]:
-        _walk(out, slots, rows[1:], mask & b)
-
-
-def _gather(rows, slots, count, total):
-    """The ``count`` output bitsets of an update whose subcube point at
-    each state is read from the spread row bitsets: each bit plane of the
-    output position is one byte per state, packed eight states a byte
-    and split by the planes into one bitset per position."""
-    terms = [(w * c, b) for row, w in zip(rows, _strides(rows))
-             for c, b in _planes(range(len(row)), row)]
-    keys = _spread(terms, total, len(slots) - 1)
-    out = [(1 << total) - 1]
-    for r in reversed(range((count - 1).bit_length())):
-        flags = bytes(s >> r & 1 for s in slots)
-        data = bytes(map(flags.__getitem__, keys))
-        plane = sum(int.from_bytes(data[k::8], "little") << k for k in range(8))
-        # out[x]: the states whose position starts with the bits of x
-        out = [x for m in out for x in (m & ~plane, m & plane)]
-    return out[:count]
-
-
-def _planes(values, gene):
-    """The terms (2^r, bitset of the states whose value has bit r set) of
-    sum(v * b for v, b in zip(values, gene)), for disjoint level bitsets:
-    log2 q bitsets to spread instead of q."""
-    planes = []
-    for r in range(max(values, default=0).bit_length()):
-        plane = 0
-        for v, b in zip(values, gene):
-            if v >> r & 1:
-                plane |= b
-        planes.append((1 << r, plane))
-    return planes
-
-
-def _spread(terms, total, top):
-    """The sum(c * (bit s of b) for c, b in terms) for s < total, each at
-    most ``top``, as a memoryview of native integers.  A byte table
-    spreads each bitset into fields of the narrowest width holding
-    ``top``, in native byte order; the scaled fields are summed as one
-    big int and read back by a cast."""
-    width, fmt = next((w, f) for w, f in zip((1, 2, 4, 8), "BHIQ") if top < 1 << 8 * w)
-    order, size = sys.byteorder, (total + 7) // 8
-    spread = [b""]  # byte x -> fields of its bits, least significant first
-    for _ in range(8):
-        spread = [s + f for f in (bytes(width), (1).to_bytes(width, order)) for s in spread]
-    acc = 0
-    for c, b in terms:
-        data = b"".join(map(spread.__getitem__, b.to_bytes(size, "little")))
-        acc += c * int.from_bytes(data, order)
-    return memoryview(acc.to_bytes(8 * width * size, order)).cast(fmt)[:total]
+        slots = [model._positions[i][v] for v in table]
+        if len(table) <= 256 and counts[i] <= 256:  # a translate table
+            slots = bytes(slots).ljust(256, b"\0")
+        else:  # per byte of the fields, least significant first, one per point
+            slots = [bytes(p >> 8 * b & 255 for p in slots) for b in range(1 + (counts[i] > 256))]
+        updates.append((i, support, _strides([levels[j] for j in support]), slots))
+    for lo in range(0, total, KERNEL_BLOCK_STATES):
+        hi = min(total, lo + KERNEL_BLOCK_STATES)
+        src = [_level_plane(c, s, lo % (c * s), lo % (c * s) + hi - lo)
+               for c, s in zip(counts, _strides(levels))]
+        planes = list(src) if word is None else src
+        for i, support, strides, slots in updates:
+            if type(slots) is bytes:
+                index = sum(map(int.__mul__, strides, (src[j] for j in support)))
+                planes[i] = int.from_bytes(index.to_bytes(hi - lo, "little").translate(slots), "little")
+            else:
+                index = _index([src[j] for j in support], [counts[j] for j in support], hi - lo)
+                data = bytearray(len(slots) * (hi - lo))
+                for b, cells in enumerate(slots):
+                    data[b :: len(slots)] = bytes(map(cells.__getitem__, index))
+                planes[i] = int.from_bytes(data, "little")
+        yield lo, hi, planes
 
 
 def _readers(model, word):
@@ -420,25 +412,23 @@ class GlobalMap:
         return tuple(coords)
 
     def truth_table(self):
-        """The image of every state, in index order, zipped from native-int columns."""
+        """The image of every state, in index order, zipped block by block
+        from the planes read as levels."""
         m = self.model
-        total, top = m.state_count(), m.field.order - 1
-        columns = [_spread(_planes(v, gene), total, top)
-                   for v, gene in zip(m.state_sets, _fold_bits(m, self.word))]
-        return tuple(zip(*columns)) if columns else ((),)
+        rows = itertools.chain.from_iterable(
+            zip(*map(_levels, m.state_sets, planes, itertools.repeat(hi - lo)))
+            for lo, hi, planes in _image_blocks(m, self.word))
+        return tuple(rows) if m.n else ((),)
 
     def successor_array(self):
-        """State index of each state's image, in index order: a read-only memoryview."""
+        """State index of each state's image, in index order: a read-only
+        memoryview of native ints, filled block by block."""
         m, total = self.model, self.model.state_count()
-        bits = _fold_bits(m, self.word)
-        terms = [(stride * c, b) for stride, gene in zip(_strides(m.state_sets), bits)
-                 for c, b in _planes(range(len(gene)), gene)]
-        return _spread(terms, total, total - 1)
-
-    def image_bits(self):
-        """Per gene, the bitset of each level: bit s is set when the image of
-        state s holds it."""
-        return tuple(map(tuple, _fold_bits(self.model, self.word)))
+        width, fmt = _width(total - 1)
+        out, counts = memoryview(bytearray(width * total)).cast(fmt), list(map(len, m.state_sets))
+        for lo, hi, planes in _image_blocks(m, self.word):
+            out[lo:hi] = _index(planes, counts, hi - lo)
+        return out.toreadonly()
 
 
 def global_map(model, validate=True):
@@ -480,16 +470,13 @@ def validate_model(model):
     axes = [[k * s for k in range(len(d))] for d, s in zip(domain, _strides(domain))]
     first = lambda items: list(itertools.islice(items, RANGE_MAX_LINES))
     index = lambda genes: map(sum, itertools.product(*(axes[j] for j in genes)))
-    for i, poly in enumerate(model.local_polys):
+    for i, (support, table) in enumerate(tables):
         allowed = model.graph.neighborhood(i)
-        for var in sorted(poly.support()):
-            if (var - 1) in allowed:
-                continue
-            witness = probe_variable(tables[i], var - 1, domain)
+        for j in support:
+            witness = j not in allowed and probe_variable(tables[i], j, domain)
             if witness:
-                report.locality.append((i, var, witness))
+                report.locality.append((i, j + 1, witness))
         values = set(domain[i])
-        support, table = tables[i]
         if values.issuperset(table):
             continue
         bases = first((b, v) for b, v in zip(index(support), table) if v not in values)

@@ -5,14 +5,16 @@ import contextlib
 import functools
 import io
 import itertools
+import math
+import sys
 from collections import Counter
 
 from gsds.cli import COMMANDS, HELP
 from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samples
-from gsds.errors import PolyParseError, ZenoError
+from gsds.errors import ModelValidationError, PolyParseError, ZenoError
 from gsds.files import FORMAT_VERSION
 from gsds.ffield import GF4_MUL
-from gsds.network import RANGE_MAX_LINES, global_map
+from gsds.network import RANGE_MAX_LINES, global_map, validate_model
 from gsds.polyring import Polynomial, poly_sum, poly_table
 from gsds.translate import discretize
 
@@ -531,6 +533,144 @@ def oracle_global_map(model, state):
     for i in model.schedule:
         current[i] = model.local_polys[i].eval(current)
     return tuple(current)
+
+
+# -- the bitset fold: the successor kernel before byte planes ---------------
+
+
+def _bit_strides(levels):
+    return [math.prod(map(len, levels[j + 1 :])) for j in range(len(levels))]
+
+
+def oracle_fold_bits(model, word):
+    """Each gene's level bitsets of the images of the model's map composed
+    along ``word`` (None: the parallel map): bit s of a gene's bitset for
+    a level is set when the image of state s holds that level.  Each
+    update walks its support subcube depth first, ANDing in one support
+    gene's bitset per level, or gathers its large subcube state by state.
+    Raises ModelValidationError when a table leaves its gene's levels."""
+    levels, position = model.state_sets, [{v: p for p, v in enumerate(s)} for s in model.state_sets]
+    tables = [poly_table(p, levels) for p in model.local_polys]
+    if not all(pos.keys() >= set(t) for pos, (_, t) in zip(position, tables)):
+        raise ModelValidationError(validate_model(model))
+    total = model.state_count()
+    full = (1 << total) - 1
+    src = []
+    for values, stride in zip(levels, _bit_strides(levels)):
+        first, period = (1 << stride) - 1, len(values) * stride
+        while period < total:  # shift-and-OR doubling, then cut to size
+            first |= first << period
+            period *= 2
+        first &= full
+        src.append([first << (p * stride) for p in range(len(values))])
+    bits = list(src) if word is None else src
+    for i in range(model.n) if word is None else word:
+        support, table = tables[i]
+        slots = [position[i][v] for v in table]
+        rows = [src[j] for j in support]
+        if _bit_gathers(len(table), rows, len(levels[i]), total):
+            bits[i] = _bit_gather(rows, slots, len(levels[i]), total)
+        else:
+            bits[i] = out = [0] * len(levels[i])
+            _bit_walk(out, iter(slots), rows, full)
+    return bits
+
+
+def _bit_gathers(points, rows, count, total):
+    """Whether gathering one update state by state is cheaper than walking
+    its ``points`` subcube points, in machine-word operations."""
+    planes = (count - 1).bit_length()
+    spreads = sum((len(row) - 1).bit_length() for row in rows)
+    gather = total * (86 * planes + 9 * spreads) + points * 170 * planes
+    return points * (total // 64 + 350) > gather
+
+
+def _bit_walk(out, slots, rows, mask):
+    """OR ``mask`` AND one bitset of each row into ``out[next(slots)]``
+    at each point of the rows' product, in product order."""
+    if not rows:
+        out[next(slots)] |= mask
+        return
+    for b in rows[0]:
+        _bit_walk(out, slots, rows[1:], mask & b)
+
+
+def _bit_gather(rows, slots, count, total):
+    """The ``count`` output bitsets of an update whose subcube point at
+    each state is read from the spread row bitsets, one bit plane of the
+    output position at a time."""
+    terms = [(w * c, b) for row, w in zip(rows, _bit_strides(rows))
+             for c, b in _bit_planes(range(len(row)), row)]
+    keys = _bit_spread(terms, total, len(slots) - 1)
+    out = [(1 << total) - 1]
+    for r in reversed(range((count - 1).bit_length())):
+        flags = bytes(s >> r & 1 for s in slots)
+        data = bytes(map(flags.__getitem__, keys))
+        plane = sum(int.from_bytes(data[k::8], "little") << k for k in range(8))
+        # out[x]: the states whose position starts with the bits of x
+        out = [x for m in out for x in (m & ~plane, m & plane)]
+    return out[:count]
+
+
+def _bit_planes(values, gene):
+    """The terms (2^r, bitset of the states whose value has bit r set) of
+    sum(v * b for v, b in zip(values, gene)), for disjoint level bitsets."""
+    planes = []
+    for r in range(max(values, default=0).bit_length()):
+        plane = 0
+        for v, b in zip(values, gene):
+            if v >> r & 1:
+                plane |= b
+        planes.append((1 << r, plane))
+    return planes
+
+
+def _bit_spread(terms, total, top):
+    """The sum(c * (bit s of b) for c, b in terms) for s < total, each at
+    most ``top``, as a memoryview of native integers."""
+    width, fmt = next((w, f) for w, f in zip((1, 2, 4, 8), "BHIQ") if top < 1 << 8 * w)
+    order, size = sys.byteorder, (total + 7) // 8
+    spread = [b""]  # byte x -> fields of its bits, least significant first
+    for _ in range(8):
+        spread = [s + f for f in (bytes(width), (1).to_bytes(width, order)) for s in spread]
+    acc = 0
+    for c, b in terms:
+        data = b"".join(map(spread.__getitem__, b.to_bytes(size, "little")))
+        acc += c * int.from_bytes(data, order)
+    return memoryview(acc.to_bytes(8 * width * size, order)).cast(fmt)[:total]
+
+
+def oracle_bit_successor(model, word):
+    """The successor list read out of ``oracle_fold_bits``."""
+    total, bits = model.state_count(), oracle_fold_bits(model, word)
+    terms = [(stride * c, b) for stride, gene in zip(_bit_strides(model.state_sets), bits)
+             for c, b in _bit_planes(range(len(gene)), gene)]
+    return list(_bit_spread(terms, total, total - 1))
+
+
+def oracle_bit_truth_table(model, word):
+    """The truth table read out of ``oracle_fold_bits``."""
+    total, top = model.state_count(), model.field.order - 1
+    columns = [_bit_spread(_bit_planes(v, gene), total, top)
+               for v, gene in zip(model.state_sets, oracle_fold_bits(model, word))]
+    return tuple(zip(*columns)) if columns else ((),)
+
+
+def oracle_compare_schedules(model, word_a, word_b):
+    """The lowest bit set in any XOR of the two maps' image bitsets."""
+    a, b = oracle_fold_bits(model, word_a), oracle_fold_bits(model, word_b)
+    diff = 0
+    for x, y in zip(itertools.chain(*a), itertools.chain(*b)):
+        diff |= x ^ y
+    return model.state_at((diff & -diff).bit_length() - 1) if diff else None
+
+
+def oracle_schedule_scan(model, words):
+    """Words grouped by their maps' image bitsets, in order of appearance."""
+    classes = {}
+    for word in map(tuple, words):
+        classes.setdefault(tuple(map(tuple, oracle_fold_bits(model, word))), []).append(word)
+    return list(classes.values())
 
 
 def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):

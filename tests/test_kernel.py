@@ -19,15 +19,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsds import (DependencyGraph, Field, GlobalMap, GsdsModel, ModelValidationError,
-                  dynamics, network, phase_portrait, trajectory)
+                  compare_schedules, dynamics, network, phase_portrait, schedule_scan, trajectory)
 from gsds.cli import main
 from gsds.dynamics import transitions_dot
 from gsds.network import RANGE_MAX_LINES, ValidationReport, save_model, validate_model
 from gsds.polyring import Polynomial, iter_points, parse_poly, support_vars, table_poly
 from gsds.translate import GeneThresholds, ThresholdMap, check_translated
 
-from oracles import (oracle_global_map, oracle_phase_portrait, oracle_probe_variable,
-                     oracle_range_lines, oracle_transitions_dot)
+from oracles import (oracle_bit_successor, oracle_bit_truth_table, oracle_compare_schedules,
+                     oracle_global_map, oracle_phase_portrait, oracle_probe_variable,
+                     oracle_range_lines, oracle_schedule_scan, oracle_transitions_dot)
 
 FIELDS = [Field(q) for q in (2, 3, 4, 5)]
 
@@ -75,6 +76,34 @@ def models(draw, closed=False):
     schedule = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=2 * n))
     return GsdsModel(field, [f"g{j}" for j in range(n)], DependencyGraph(n, edges),
                      polys, schedule, state_sets=state_sets)
+
+
+@st.composite
+def gf257_models(draw):
+    """GF(257) models of one or two genes, at most one with all 257 levels
+    and the others with a few: a full gene maps by a random polynomial, a
+    restricted gene either to a constant level or by one (which may leave
+    its levels), so that updates take both kernel paths."""
+    field, n = Field(257), draw(st.integers(1, 2))
+    full = draw(st.sampled_from([None] + list(range(n))))
+    few = st.lists(st.integers(0, 256), min_size=1, max_size=4, unique=True)
+    state_sets = [range(257) if j == full else sorted(draw(few)) for j in range(n)]
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, 255, 256])] * n)
+    polys = []
+    for i in range(n):
+        if i != full and draw(st.booleans()):
+            polys.append(Polynomial.constant(field, n, draw(st.sampled_from(state_sets[i]))))
+        else:
+            polys.append(Polynomial(field, n, draw(st.dictionaries(exps, st.integers(1, 256), max_size=3))))
+    schedule = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return GsdsModel(field, [f"g{j}" for j in range(n)], DependencyGraph(n, set()),
+                     polys, schedule, state_sets=state_sets)
+
+
+def zero_gene_models():
+    return st.builds(lambda q, schedule: GsdsModel(Field(q), [], DependencyGraph(0, set()), [],
+                                                   schedule),
+                     st.sampled_from([2, 3, 4, 5, 257]), st.sampled_from([None, ()]))
 
 
 def full_field_copy(m):
@@ -166,13 +195,37 @@ def test_word_map_matches_the_model_with_that_schedule(data):
         f = GlobalMap(m, word)
         assert f.coordinate_polys() == oracle.coordinate_polys()
         if validate_model(m).range:  # the maps leave the state space
-            for method in (f.image_bits, f.successor_array, lambda: f(states[0])):
+            for method in (f.truth_table, f.successor_array, lambda: f(states[0])):
                 with pytest.raises(ModelValidationError):
                     method()
             return
         assert f.successor_array() == oracle.successor_array()
-        assert f.image_bits() == oracle.image_bits()
+        assert f.truth_table() == oracle.truth_table()
         assert [f(s) for s in states] == [oracle(s) for s in states]
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_matches_the_bitset_fold(data):
+    # the bitset fold the byte planes replaced is the oracle, over every
+    # field size, word shape, state-set restriction and block size
+    m = data.draw(models(closed=True) | models() | gf257_models() | zero_gene_models())
+    word = st.lists(st.integers(0, m.n - 1), max_size=2 * m.n) if m.n else st.just([])
+    words = data.draw(st.lists(word, min_size=2, max_size=4))
+    block = data.draw(st.sampled_from([1, 3, 8, 64, network.KERNEL_BLOCK_STATES]))
+    with mock.patch.object(network, "KERNEL_BLOCK_STATES", block):
+        for f in [GlobalMap(m)] + [GlobalMap(m, w) for w in words]:
+            try:
+                expected = (oracle_bit_successor(m, f.word), oracle_bit_truth_table(m, f.word))
+            except ModelValidationError:  # the model leaves its levels: so does every map
+                for method in (f.successor_array, f.truth_table, lambda: schedule_scan(m, words),
+                               lambda: compare_schedules(m, *words[:2])):
+                    with pytest.raises(ModelValidationError):
+                        method()
+                return
+            assert (list(f.successor_array()), f.truth_table()) == expected
+        assert compare_schedules(m, *words[:2]) == oracle_compare_schedules(m, *words[:2])
+        assert schedule_scan(m, words) == oracle_schedule_scan(m, words)
 
 
 @kernel_settings
@@ -273,6 +326,23 @@ def test_failed_validation_reads_the_tables(monkeypatch):
         expected.locality, expected.range, expected.range_more)
     assert support_vars(dense, sets) == probed
     assert calls == []
+
+
+def test_validation_reads_supports_from_the_tables(monkeypatch):
+    # once a model's subcube tables are built, validation takes each gene's
+    # support from its table and never rescans a polynomial's terms
+    rng, field, n = random.Random(8), Field(3), 4
+    dense = table_poly(field, n, {p: rng.randint(0, 2) for p in iter_points(field, n)})
+    polys = [dense, parse_poly("x1 + x4", n, field), parse_poly("2", n, field), parse_poly("x2*x3", n, field)]
+    m = GsdsModel(field, [f"g{j}" for j in range(n)], DependencyGraph(n, {(1, 0)}),
+                  polys, None, state_sets=[(0, 2), (0, 1, 2), (1, 2), (0, 1)])
+    expected = reference_validate(m)
+    assert expected.locality and expected.range
+    network._subcube_tables(m)
+    monkeypatch.setattr(Polynomial, "support", lambda self: pytest.fail("support rescanned"))
+    report = validate_model(m)
+    assert (report.locality, report.range, report.range_more) == (
+        expected.locality, expected.range, expected.range_more)
 
 
 def test_locality_probe_scans_the_support_only(monkeypatch):
@@ -435,10 +505,12 @@ def test_portrait_footprint_per_state():
     assert peak < 40 * p.state_count
 
 
-def full_support_model(field, n, schedule, seed=0):
-    """random_model with gene 0 reading every gene: x1 * ... * xn + x1."""
+def full_support_model(field, n, schedule, seed=0, reads=None):
+    """random_model with gene 0 reading the first ``reads`` genes (default
+    all of them): x1 * ... * x_reads + x1."""
     m = random_model(field, n, schedule, seed=seed)
-    first = Polynomial(field, n, {(1,) * n: 1, (1,) + (0,) * (n - 1): 1})
+    k = n if reads is None else reads
+    first = Polynomial(field, n, {(1,) * k + (0,) * (n - k): 1, (1,) + (0,) * (n - 1): 1})
     return GsdsModel(field, m.genes, m.graph, (first,) + tuple(m.local_polys[1:]), schedule)
 
 
@@ -458,21 +530,55 @@ def test_portrait_tabulates_without_evaluating(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("gather", [False, True])
-def test_kernel_walk_and_gather_match_scalar_map(monkeypatch, gather):
-    monkeypatch.setattr(network, "_gathers", lambda *args: gather)
-    sets = [(0, 2), (1,), (0, 1, 2), (1, 2), (0, 1, 2)]
-    for m in (full_support_model(Field(2), 9, None, seed=9),
-              full_support_model(Field(2), 9, (0, 4, 0, 8, 2), seed=2),
-              random_model(Field(3), 5, (4, 0, 4, 2), sets, seed=5),
-              random_model(Field(4), 4, None, seed=4)):
-        assert_kernel_matches_scalar(m)
+def gf257_pair():
+    """GF(257)^2, both genes reading both: gene a keeps all 257 levels, and
+    gene b its levels {0, 1}, flipped where a is not 0."""
+    field = Field(257)
+    polys = [Polynomial(field, 2, {(1, 1): 1, (1, 0): 3}),
+             Polynomial(field, 2, {(0, 1): 1, (256, 0): 1, (256, 1): 255})]
+    return GsdsModel(field, ["a", "b"], DependencyGraph(2, {(0, 1), (1, 0)}), polys, (1, 0, 1),
+                     state_sets=[range(257), (0, 1)])
 
 
-@pytest.mark.parametrize("gather", [False, True])
-def test_full_support_gene_peak_memory_near_result_size(monkeypatch, gather):
-    monkeypatch.setattr(network, "_gathers", lambda *args: gather)
-    f = GlobalMap(full_support_model(Field(2), 14, (3, 0, 7), seed=14))
+def path_models(path):
+    """Models whose updates take the translate path (subcubes of at most 256
+    points, genes of at most 256 levels) or, for ``lookup``, one update
+    that looks each state up: a GF(2) gene with 9 inputs, a GF(257) gene."""
+    if path == "translate":
+        sets = [(0, 2), (1,), (0, 1, 2), (1, 2), (0, 1, 2)]
+        return [full_support_model(Field(2), 9, None, seed=9, reads=8),
+                full_support_model(Field(2), 9, (0, 4, 0, 8, 2), seed=2, reads=8),
+                random_model(Field(3), 5, (4, 0, 4, 2), sets, seed=5),
+                random_model(Field(4), 4, None, seed=4)]
+    return [full_support_model(Field(2), 9, None, seed=9),
+            full_support_model(Field(2), 9, (0, 4, 0, 8, 2), seed=2),
+            gf257_pair()]
+
+
+@pytest.mark.parametrize("path", ["translate", "lookup"])
+def test_kernel_paths_match_scalar_map_in_blocks(monkeypatch, path):
+    # blocks of 1, 7, 8 and 64 states leave a last partial block and cut
+    # the planes at other than multiples of 8; successor_array reads the
+    # native-int index once per block, and a lookup update once more
+    index, calls, default = network._index, [], network.KERNEL_BLOCK_STATES
+    monkeypatch.setattr(network, "_index", lambda *args: calls.append(1) or index(*args))
+    for m in path_models(path):
+        images = [oracle_global_map(m, s) for s in m.iter_states()]
+        successor = [m.state_index(image) for image in images]
+        for block in (1, 7, 8, 64, default):
+            with mock.patch.object(network, "KERNEL_BLOCK_STATES", block):
+                f, blocks = GlobalMap(m), -(-len(successor) // block)
+                calls.clear()
+                assert list(f.successor_array()) == successor
+                assert len(calls) > blocks if path == "lookup" else len(calls) == blocks
+                assert f.truth_table() == tuple(images)
+
+
+@pytest.mark.parametrize("lookup", [False, True])
+def test_full_support_gene_peak_memory_near_result_size(lookup):
+    # gene 0 reads 8 genes (256 subcube points, one translate) or all 14
+    # (a lookup per state); either way the peak stays near the result
+    f = GlobalMap(full_support_model(Field(2), 14, (3, 0, 7), seed=14, reads=14 if lookup else 8))
     network._subcube_tables(f.model)
     tracemalloc.start()
     try:
@@ -495,7 +601,7 @@ def test_word_omitting_an_out_of_range_gene():
     polys = m.local_polys[:2] + (Polynomial.constant(Field(3), 3, 2),)
     m = GsdsModel(m.field, m.genes, m.graph, polys, (0, 1), state_sets=[(0, 1, 2)] * 2 + [(0, 1)])
     f = GlobalMap(m)
-    for method in (f.image_bits, f.truth_table, f.successor_array, lambda: f((0, 0, 0))):
+    for method in (f.truth_table, f.successor_array, lambda: f((0, 0, 0))):
         with pytest.raises(ModelValidationError) as err:
             method()
         assert err.value.report.range[0] == (2, (0, 0, 0), 2)

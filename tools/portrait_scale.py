@@ -15,7 +15,11 @@ of ``gsds portrait``.  Nothing is joined: each model's process writes
 its report and transitions DOT blocks as they are yielded, and then the
 summary DOT, to a pipe, where one SHA-256 reads both models' bytes in
 turn; a last line prints its first 16 hex digits, which two checkouts
-that write the same bytes share.  Run from anywhere:
+that write the same bytes share.  A third process times
+``successor_array()`` alone on the GF(2)^22 model, its tables built
+first by validation, and prints its time and peak RSS; it writes no
+bytes to the pipe, so the digest is that of the two models.  Run from
+anywhere:
 
     python3 tools/portrait_scale.py
 """
@@ -30,7 +34,7 @@ from time import perf_counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from gsds import DependencyGraph, Field, GsdsModel, phase_portrait  # noqa: E402
+from gsds import DependencyGraph, Field, GsdsModel, global_map, phase_portrait  # noqa: E402
 from gsds.dynamics import attractor_summary_dot, portrait_report, transitions_dot  # noqa: E402
 from gsds.polyring import Polynomial, parse_poly  # noqa: E402
 
@@ -93,6 +97,19 @@ def measure(title, model, out):
             f"peak RSS with the written report, before the DOT text {peak_mb:.0f} MB")
 
 
+def kernel():
+    """One line: the time of ``successor_array()`` on the GF(2)^GENES model,
+    whose tables ``global_map`` builds as it validates, and the peak RSS
+    of this process."""
+    f = global_map(scale_model())
+    start = perf_counter()
+    f.successor_array()
+    seconds = perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return (f"Kernel alone (GF(2)^{GENES} model above, tables prebuilt): successor_array "
+            f"{seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
+
+
 MODELS = {
     "scale": (f"Portrait at scale (GF(2)^{GENES}, in-degree {IN_DEGREE}, parallel, seed {SEED})",
               scale_model),
@@ -102,6 +119,9 @@ MODELS = {
 
 
 def main():
+    if sys.argv[1:] == ["kernel"]:  # the kernel alone: no bytes out
+        print(kernel(), file=sys.stderr)
+        return
     if sys.argv[1:]:  # one model, in a process of its own: its bytes out, its line to stderr
         title, build = MODELS[sys.argv[1]]
         line = measure(title, build(), sys.stdout.buffer)
@@ -109,7 +129,7 @@ def main():
         print(line, file=sys.stderr)
         return
     digest = hashlib.sha256()
-    for name in MODELS:
+    for name in [*MODELS, "kernel"]:
         with subprocess.Popen([sys.executable, __file__, name], stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE) as child:
             for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
