@@ -258,6 +258,9 @@ def infer_network(field, series, preference="canonical", genes=None,
         genes = [f"g{j + 1}" for j in range(n)]
     if preference == "sparsest":
         polys = [sparsest_interpolate(data, i) for i in range(n)]
+    elif field.order**n > CONSTRAINED_MAX_UNKNOWNS:  # the transform's table has q^n points
+        raise ValueError(f"canonical inference over {field.order}^{n} points exceeds the "
+                         f"limit ({CONSTRAINED_MAX_UNKNOWNS})")
     else:  # every coordinate's interpolant from one packed transform
         states, images = zip(*data.pairs)
         polys = table_polys(field, n, states, list(zip(*images)))

@@ -35,6 +35,7 @@ from .polyring import Polynomial, parse_poly, poly_table, probe_variable, render
 
 RANGE_MAX_LINES = 10  # range violations listed per gene; the rest are counted
 KERNEL_BLOCK_STATES = 1 << 14  # states the kernel maps at a time
+SUBCUBE_MAX_POINTS = 1 << 18  # points of the largest support subcube tabulated
 
 
 class DependencyGraph:
@@ -234,23 +235,25 @@ def _word(entries, n, what):
     return word
 
 
-# -- truth-table kernel ------------------------------------------------
+# -- successor kernel --------------------------------------------------
 #
-# Bulk work runs over the mixed-radix index of a product of per-gene
-# level lists, gene 1 most significant, KERNEL_BLOCK_STATES states at a
-# time: the map is pointwise, so a block's images depend only on its
-# states.  In a block, a gene's plane is one Python int holding the
-# gene's level position at each state as a little-endian byte field (two
-# bytes for a gene of more than 256 levels).  polyring.poly_table
-# tabulates a local polynomial on its support subcube.  An update adds
-# its support genes' planes, each times its subcube stride, into the
-# subcube index of every state at once; for a subcube of at most 256
-# points no field carries into the next, and one bytes.translate of the
-# table's level positions makes the gene's new plane.  A larger subcube,
-# or a gene of more than 256 levels, gets the index as native ints
-# (_index) and looks each state up with a C-level map.  No Python code
-# runs per state, and memory is the result plus O(n) planes of a block
-# and at most 256 cached input planes (_level_plane).
+# GlobalMap.successor_array(), the kernel's one output, maps the
+# mixed-radix index of each state (gene 1 most significant) to its
+# image's index, KERNEL_BLOCK_STATES states at a time: the map is
+# pointwise, so a block's images depend only on its states.  Only it and
+# its helpers read a plane; truth_table() decodes its indices.  In a
+# block, a gene's plane is one Python int holding the gene's level
+# position at each state as a little-endian byte field (two bytes for a
+# gene of more than 256 levels).  polyring.poly_table tabulates a local
+# polynomial on its support subcube.  An update adds its support genes'
+# planes, each times its subcube stride, into the subcube index of every
+# state at once; for a subcube of at most 256 points no field carries
+# into the next, and one bytes.translate of the table's level positions
+# makes the gene's new plane.  A larger subcube, or a gene of more than
+# 256 levels, gets the index as native ints (_index) and looks each
+# state up with a C-level map.  No Python code runs per state, and
+# memory is the result plus O(n) planes of a block and at most 256
+# cached input planes (_level_plane).
 
 
 def _strides(levels):
@@ -265,8 +268,14 @@ def _width(top):
 def _subcube_tables(model):
     """Each local polynomial's ``poly_table`` over the state sets, kept on
     the model so that validation, the kernel and the map call of every
-    word tabulate once."""
+    word tabulate once.  No table is built while a gene's support subcube
+    has more than SUBCUBE_MAX_POINTS points: ValueError names the gene."""
     if not model._tables:
+        for name, p in zip(model.genes, model.local_polys):
+            size = math.prod(len(model.state_sets[v - 1]) for v in p.support())
+            if size > SUBCUBE_MAX_POINTS:
+                raise ValueError(f"gene {name!r} reads a subcube of {size} points, "
+                                 f"above the limit ({SUBCUBE_MAX_POINTS})")
         model._tables.extend(poly_table(p, model.state_sets) for p in model.local_polys)
     return model._tables
 
@@ -322,47 +331,6 @@ def _index(planes, counts, size):
     return memoryview(acc.to_bytes(size * width, sys.byteorder)).cast(fmt)
 
 
-def _levels(values, plane, size):
-    """The level of each of ``size`` states in a gene's plane: one
-    translate of its bytes when every level fits in a byte."""
-    if values[-1] < 256:
-        return plane.to_bytes(size, "little").translate(bytes(values).ljust(256, b"\0"))
-    return map(values.__getitem__, _index([plane], [len(values)], size))
-
-
-def _image_blocks(model, word):
-    """(lo, hi, planes) per block: each gene's plane of the images of states
-    lo..hi-1 under the model's map composed along ``word``.  The parallel
-    map (word None) reads the input planes; a word updates them in order."""
-    levels, tables = model.state_sets, _tables_in_levels(model)
-    counts, total = list(map(len, levels)), model.state_count()
-    updates = []  # gene, support genes, their subcube strides, its positions
-    for i in range(model.n) if word is None else word:
-        support, table = tables[i]
-        slots = [model._positions[i][v] for v in table]
-        if len(table) <= 256 and counts[i] <= 256:  # a translate table
-            slots = bytes(slots).ljust(256, b"\0")
-        else:  # per byte of the fields, least significant first, one per point
-            slots = [bytes(p >> 8 * b & 255 for p in slots) for b in range(1 + (counts[i] > 256))]
-        updates.append((i, support, _strides([levels[j] for j in support]), slots))
-    for lo in range(0, total, KERNEL_BLOCK_STATES):
-        hi = min(total, lo + KERNEL_BLOCK_STATES)
-        src = [_level_plane(c, s, lo % (c * s), lo % (c * s) + hi - lo)
-               for c, s in zip(counts, _strides(levels))]
-        planes = list(src) if word is None else src
-        for i, support, strides, slots in updates:
-            if type(slots) is bytes:
-                index = sum(map(int.__mul__, strides, (src[j] for j in support)))
-                planes[i] = int.from_bytes(index.to_bytes(hi - lo, "little").translate(slots), "little")
-            else:
-                index = _index([src[j] for j in support], [counts[j] for j in support], hi - lo)
-                data = bytearray(len(slots) * (hi - lo))
-                for b, cells in enumerate(slots):
-                    data[b :: len(slots)] = bytes(map(cells.__getitem__, index))
-                planes[i] = int.from_bytes(data, "little")
-        yield lo, hi, planes
-
-
 def _readers(model, word):
     """Per entry i of ``word``: i, (support gene, its level positions), its table."""
     tables = _tables_in_levels(model)
@@ -412,21 +380,45 @@ class GlobalMap:
         return tuple(coords)
 
     def truth_table(self):
-        """The image of every state, in index order, zipped block by block
-        from the planes read as levels."""
-        m = self.model
-        rows = itertools.chain.from_iterable(
-            zip(*map(_levels, m.state_sets, planes, itertools.repeat(hi - lo)))
-            for lo, hi, planes in _image_blocks(m, self.word))
-        return tuple(rows) if m.n else ((),)
+        """The image of every state, in index order: the states of the
+        product space read at the indices of ``successor_array()``."""
+        successor = self.successor_array()  # ModelValidationError before any state
+        return tuple(map(tuple(self.model.iter_states()).__getitem__, successor))
 
     def successor_array(self):
         """State index of each state's image, in index order: a read-only
-        memoryview of native ints, filled block by block."""
-        m, total = self.model, self.model.state_count()
+        memoryview of native ints, filled block by block.  In a block, a word
+        updates the genes' planes in order (the parallel map, word None, reads
+        the input planes), and _index reads the images' indices off them."""
+        m, word = self.model, self.word
+        levels, tables = m.state_sets, _tables_in_levels(m)
+        counts, total = list(map(len, levels)), m.state_count()
+        updates = []  # gene, support genes, their subcube strides, its positions
+        for i in range(m.n) if word is None else word:
+            support, table = tables[i]
+            slots = [m._positions[i][v] for v in table]
+            if len(table) <= 256 and counts[i] <= 256:  # a translate table
+                slots = bytes(slots).ljust(256, b"\0")
+            else:  # per byte of the fields, least significant first, one per point
+                slots = [bytes(p >> 8 * b & 255 for p in slots) for b in range(1 + (counts[i] > 256))]
+            updates.append((i, support, _strides([levels[j] for j in support]), slots))
         width, fmt = _width(total - 1)
-        out, counts = memoryview(bytearray(width * total)).cast(fmt), list(map(len, m.state_sets))
-        for lo, hi, planes in _image_blocks(m, self.word):
+        out = memoryview(bytearray(width * total)).cast(fmt)
+        for lo in range(0, total, KERNEL_BLOCK_STATES):
+            hi = min(total, lo + KERNEL_BLOCK_STATES)
+            src = [_level_plane(c, s, lo % (c * s), lo % (c * s) + hi - lo)
+                   for c, s in zip(counts, _strides(levels))]
+            planes = list(src) if word is None else src
+            for i, support, strides, slots in updates:
+                if type(slots) is bytes:
+                    index = sum(map(int.__mul__, strides, (src[j] for j in support)))
+                    data = index.to_bytes(hi - lo, "little").translate(slots)
+                else:
+                    index = _index([src[j] for j in support], [counts[j] for j in support], hi - lo)
+                    data = bytearray(len(slots) * (hi - lo))
+                    for b, cells in enumerate(slots):
+                        data[b :: len(slots)] = bytes(map(cells.__getitem__, index))
+                planes[i] = int.from_bytes(data, "little")
             out[lo:hi] = _index(planes, counts, hi - lo)
         return out.toreadonly()
 

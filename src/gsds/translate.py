@@ -86,6 +86,8 @@ class ThresholdMap:
         self.field = field
         self.genes = tuple(genes)
         self.eps = finite(eps, "eps")
+        if self.eps < 0:
+            raise ValueError(f"eps must be >= 0, not {self.eps}")
         self.display = check_display(field, display)
         for g in self.genes:
             for level in g.band_levels + g.equal_levels:

@@ -13,7 +13,7 @@ from gsds.cli import COMMANDS as TABLE, HELP, _help, _hybrid_json, _read, main
 from gsds.continuous import hybrid_simulate
 from gsds.errors import ZenoError
 from gsds.infer import TransitionData, load_series, save_series
-from gsds.network import RANGE_MAX_LINES, save_model
+from gsds.network import RANGE_MAX_LINES, SUBCUBE_MAX_POINTS, save_model
 from gsds.polyring import Polynomial, parse_poly
 from gsds.translate import GeneThresholds, ThresholdMap
 
@@ -105,6 +105,28 @@ def test_validate_caps_the_range_lines_of_a_gene(tmp_path, capsys):
     assert lines[1] == f"  range: f[g1]{(0,) * 18} = 1, outside the gene's state set"
     assert lines[-1] == (f"  range: f[g1] ... and {2**17 - RANGE_MAX_LINES} more states "
                          "outside the gene's state set")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--state", "0" * 19]])
+def test_a_subcube_past_the_table_limit_exits_1_with_one_line(tmp_path, capsys, command):
+    # g1 = x1*...*x19 over GF(2) reads 2^19 points, twice SUBCUBE_MAX_POINTS:
+    # refused, naming the gene, before any table is built; with x19 left
+    # out, the 2^18 points are tabulated.  Every gene feeds g1, so the
+    # model is valid as far as locality goes.
+    genes = [f"g{j + 1}" for j in range(19)]
+    doc = {"field": 2, "genes": genes, "edges": [[g, "g1"] for g in genes],
+           "locals": {g: f"x{j + 1}" for j, g in enumerate(genes)}, "schedule": None}
+    assert SUBCUBE_MAX_POINTS == 2**18
+    for width in (18, 19):
+        path = tmp_path / f"width-{width}.json"
+        doc["locals"]["g1"] = "*".join(f"x{j + 1}" for j in range(width))
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command[0], path, *command[1:])
+        if width == 18:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, "error: gene 'g1' reads a subcube of 524288 points, "
+                                      "above the limit (262144)\n")
 
 
 @pytest.mark.parametrize("q, sizes", [(5, [5, 2]), (11, [11])])
@@ -500,6 +522,14 @@ def test_infer_usage_errors(workspace, capsys):
         ([series, "--member", "x1; x2"], "--member needs 3 polynomials, got 2"),
     ):
         assert run(capsys, "infer", *args) == (1, "", f"error: {message}\n")
+
+
+def test_canonical_infer_past_the_solver_limit_exits_1_with_one_line(tmp_path, capsys):
+    # GF(2)^15 has 2^15 points, twice the solver limit: refused before the transform
+    path = tmp_path / "two-states.json"
+    path.write_text(json.dumps({"format_version": 1, "field": 2, "states": [[0] * 15, [1] * 15]}))
+    assert run(capsys, "infer", path) == (
+        1, "", "error: canonical inference over 2^15 points exceeds the limit (16384)\n")
 
 
 def test_infer_dimensions_count_distinct_inputs(workspace, capsys):
@@ -1123,6 +1153,13 @@ def test_non_finite_input_exits_1_with_one_line(workspace, capsys, case, kind, c
     code, out, err = run(capsys, *[a.format(**files) for a in argv])
     assert (code, out) == (1, "")
     assert err == "error: " + message.format(**files) + "\n"
+
+
+def test_negative_eps_exits_1_as_a_malformed_thresholds_file(workspace, capsys):
+    path = workspace["dir"] / "negative-eps.json"
+    path.write_text(json.dumps(_threshold_doc(eps=-1)(json.loads(workspace["thresholds"].read_text()))))
+    assert run(capsys, "discretize", workspace["csv"], "--thresholds", path) == (
+        1, "", f"error: malformed thresholds file {path}: eps must be >= 0, not -1.0\n")
 
 
 def test_fit_that_overflows_exits_1_with_one_line(tmp_path, capsys):

@@ -21,6 +21,7 @@ from gsds import (
     trajectory,
 )
 from gsds.infer import (
+    CONSTRAINED_MAX_UNKNOWNS,
     SolutionSpace,
     _feasible,
     _solve_linear,
@@ -528,6 +529,17 @@ def test_sparsest_raises_solver_limit_before_eliminating():
     data = TransitionData(field, 7, [(s, (sum(s) % 5,) + (0,) * 6) for s in inputs])
     with pytest.raises(ValueError, match=r"^5\^7 unknowns exceed the solver limit \(16384\)$"):
         sparsest_interpolate(data, 0)
+
+
+def test_canonical_inference_refuses_a_space_past_the_solver_limit():
+    # a two-state series over GF(2)^n: 2^14 points are inferred, and 2^15
+    # are refused before the transform builds its table of q^n points
+    assert CONSTRAINED_MAX_UNKNOWNS == 2**14
+    model = infer_network(Field(2), [(0,) * 14, (1,) * 14])
+    assert model.local_polys[0].eval((0,) * 14) == 1 and len(model.local_polys[0].terms) == 2**14
+    with pytest.raises(ValueError, match=r"^canonical inference over 2\^15 points exceeds "
+                                         r"the limit \(16384\)$"):
+        infer_network(Field(2), [(0,) * 15, (1,) * 15])
 
 
 # -- series files -------------------------------------------------------------------------

@@ -607,6 +607,23 @@ def test_word_omitting_an_out_of_range_gene():
         assert err.value.report.range[0] == (2, (0, 0, 0), 2)
 
 
+def test_truth_table_decodes_the_successor_array():
+    # the images' levels are the product's states read at the kernel's one
+    # output; a model leaving its levels is refused before any state exists
+    m = random_model(Field(3), 3, (2, 0, 1, 0), [(0, 1, 2), (0, 2), (1, 2)], seed=4)
+    f = GlobalMap(m)
+    with mock.patch.object(GlobalMap, "successor_array", autospec=True,
+                           side_effect=GlobalMap.successor_array) as spy:
+        assert f.truth_table() == tuple(oracle_global_map(m, s) for s in m.iter_states())
+    spy.assert_called_once_with(f)
+    bad = GsdsModel(m.field, m.genes, m.graph, m.local_polys, m.schedule,
+                    state_sets=[(0, 1, 2), (0, 2), (1,)])
+    assert validate_model(bad).range
+    with mock.patch.object(GsdsModel, "iter_states", side_effect=AssertionError("state built")):
+        with pytest.raises(ModelValidationError):
+            GlobalMap(bad).truth_table()
+
+
 def test_trajectory_reads_the_tables(monkeypatch):
     # a dense local polynomial reading all 6 genes: every step is
     # one table read per updated gene, not one Polynomial.eval

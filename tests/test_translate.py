@@ -48,6 +48,16 @@ def test_thresholds_and_eps_must_be_finite(bad):
     assert str(err.value) == f"eps must be a finite number, not {bad}"
 
 
+def test_eps_must_not_be_negative():
+    # with eps -1 no value would get an equal level: a GF(3) sample on the
+    # threshold 1.0 would fall to the band below (2) instead of level 0
+    g = GeneThresholds([1.0], [2, 1], [0])
+    with pytest.raises(ValueError, match=r"^eps must be >= 0, not -1.0$"):
+        ThresholdMap(GF3, [g], eps=-1)
+    assert [discretize(ThresholdMap(GF3, [g], eps=0), [x]) for x in (0.5, 1.0, 1.5)] == [
+        (2,), (0,), (1,)]
+
+
 def test_level_counts_checked():
     with pytest.raises(ValueError):
         GeneThresholds([1.0], [0], [0])
