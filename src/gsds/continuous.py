@@ -264,10 +264,12 @@ def rates_from_dict(d, model):
         table = d["rates"].get(name)
         if table is None:
             raise ValueError(f"rates missing for gene {name!r}")
-        rates.append(
-            {model.encode_level(int(k)): finite(v, f"rate of gene {name!r} at level {k}")
-             for k, v in table.items()}
-        )
+        levels = {}
+        for k, v in table.items():
+            if (level := model.encode_level(int(k))) in levels:  # "1" and "01"
+                raise ValueError(f"rates of gene {name!r} name level {int(k)} twice")
+            levels[level] = finite(v, f"rate of gene {name!r} at level {k}")
+        rates.append(levels)
     floor = d.get("floor_at_zero", True)
     if not isinstance(floor, bool):
         raise ValueError(f"floor_at_zero must be true or false, not {floor!r}")

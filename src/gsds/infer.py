@@ -45,28 +45,26 @@ class TransitionData:
     """Deterministic input -> output state observations over GF(q)^n."""
 
     def __init__(self, field, n, pairs):
-        self.field = field
-        self.n = n
-        mapping = {}
-        ordered = []
-        for state, image in pairs:
-            state = tuple(field.check(v) for v in state)
-            image = tuple(field.check(v) for v in image)
-            if len(state) != n or len(image) != n:
-                raise ValueError(f"transition {state} -> {image} is not {n}-dimensional")
-            if state in mapping:
-                if mapping[state] != image:
-                    raise ContradictoryDataError(state, mapping[state], image)
-                continue
-            mapping[state] = image
-            ordered.append((state, image))
-        self.pairs = tuple(ordered)
+        self._keep(field, n, ((tuple(map(field.check, s)), tuple(map(field.check, t)))
+                              for s, t in pairs))
 
     @classmethod
     def from_series(cls, field, states):
-        states = [tuple(s) for s in states]
-        return cls(field, len(states[0]) if states else 0,
-                   list(zip(states, states[1:])))
+        """The transitions between consecutive states, each state checked once."""
+        data, states = cls.__new__(cls), list(states)
+        data._keep(field, len(states[0]) if states else 0,
+                   itertools.pairwise(tuple(map(field.check, s)) for s in states))
+        return data
+
+    def _keep(self, field, n, pairs):
+        """The first image of each input state, from pairs of checked states."""
+        self.field, self.n, mapping = field, n, {}
+        for state, image in pairs:
+            if len(state) != n or len(image) != n:
+                raise ValueError(f"transition {state} -> {image} is not {n}-dimensional")
+            if mapping.setdefault(state, image) != image:
+                raise ContradictoryDataError(state, mapping[state], image)
+        self.pairs = tuple(mapping.items())
 
     def coordinate_view(self, coordinate):
         return [(s, image[coordinate]) for s, image in self.pairs]
@@ -261,7 +259,7 @@ def infer_network(field, series, preference="canonical", genes=None,
     elif field.order**n > CONSTRAINED_MAX_UNKNOWNS:  # the transform's table has q^n points
         raise ValueError(f"canonical inference over {field.order}^{n} points exceeds the "
                          f"limit ({CONSTRAINED_MAX_UNKNOWNS})")
-    else:  # every coordinate's interpolant from one packed transform
+    else:  # every coordinate's interpolant from one dense transform
         states, images = zip(*data.pairs)
         polys = table_polys(field, n, states, list(zip(*images)))
     return GsdsModel(field, genes, DependencyGraph.from_supports(polys), polys,

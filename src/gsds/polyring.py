@@ -7,9 +7,9 @@ which never collapses a positive power to x^0 and therefore preserves
 the value at 0).  Reduced polynomials are the canonical representatives
 of functions GF(q)^n -> GF(q): two polynomials are equal as functions
 iff their reduced forms are identical.  ``table_polys`` (values on points
-to polynomials, every column in one pass) and ``poly_table`` (values on a
-product of levels) are the one exact transform between tables and
-polynomials; ``render_polys`` writes a list of them with one sort.
+to polynomials, in passes over one dense table) and ``poly_table`` (values
+on a product of levels, from the terms) are the one exact transform between
+tables and polynomials; ``render_polys`` writes a list of them with one sort.
 
 Variables are written x1 ... xn.  The concrete text syntax (used in
 model files and CLI output) is
@@ -23,14 +23,17 @@ with whitespace ignored and integer coefficients reduced into the field
 (negatives allowed).  Multiplication is always explicit.
 """
 
+import array
 import functools
 import itertools
 import math
 import operator
+import sys
 
 from .errors import FieldMismatchError, PolyParseError
 
 PARSE_MAX_DEPTH = 100  # parentheses nested in one text; three parser frames each
+TABLE_MAX_POINTS = 1 << 18  # q^n of one dense table_polys transform
 
 
 def iter_points(field, n_vars):
@@ -310,45 +313,42 @@ def table_polys(field, n_vars, points, columns):
     """The reduced polynomials, one per column, that are ``column[k]`` at
     ``points[k]`` (distinct points of GF(q)^n) and 0 elsewhere: the inverse
     Vandermonde matrix, L(a, e) = [e == 0] - a^(q-1-e) from the indicator
-    1 - (x - a)^(q-1), applied along each axis of one sparse table whose
-    entries pack the columns as the digits of an int, O(n q^(n+1)) at most.
-    In characteristic 2 a digit is a value of 1 or 2 bits added by xor; over
-    an odd prime, an integer below (q-1)(q(q-1))^n reduced mod q at the end."""
-    q, char2 = field.order, field.order in (2, 4)
-    width = q.bit_length() - 1 if char2 else ((q - 1) * (q * q - q) ** n_vars).bit_length()
-    # multiples(v)[c] = c * v; in GF(4) 2 = z and 3 = z + 1 act on the bit planes h z + l
-    if q == 4:
-        def multiples(v, lo=sum(1 << 2 * c for c in range(len(columns)))):
-            l, h = v & lo, v >> 1 & lo
-            return 0, v, (h ^ l) << 1 | h, l << 1 | (h ^ l)
-    else:
-        multiples = (lambda v: (0, v)) if char2 else (lambda v: range(0, q * v, v))
-    add, power = operator.xor if char2 else operator.add, field.pow_rows
-    rows = {a: [(e, c) for e in range(q) if (c := field.sub(int(e == 0), power[a][q - 1 - e]))]
-            for a in {a for p in points for a in p}}  # the leading digits that occur
-    strides = [q ** (n_vars - 1 - j) for j in range(n_vars)]
-    table = {}
-    for p, *values in zip(points, *columns):
-        if packed := sum(v << width * c for c, v in enumerate(values)):
-            table[sum(map(operator.mul, p, strides))] = packed
-    top = q ** (n_vars - 1)  # the place of the leading digit
-    for _ in range(n_vars):
-        out = {}
-        get = out.get
-        for idx, v in table.items():
-            digit, rest = divmod(idx, top)
-            base, m = rest * q, multiples(v)
-            for e, c in rows[digit]:
-                out[base + e] = add(get(base + e, 0), m[c])
-        table = {k: v for k, v in out.items() if v}
-    mask, terms = (1 << width) - 1, [{} for _ in columns]
-    for idx, v in table.items():
-        exps = tuple([idx // s % q for s in strides])
-        for t in terms:
-            if c := (v & mask) % q:
-                t[exps] = c
-            v >>= width
-    return [Polynomial._trusted(field, n_vars, t) for t in terms]
+    1 - (x - a)^(q-1), applied along each axis of a dense table, the column
+    its slowest digit.  A pass maps the planes t[d::q] (last digit d) to the
+    planes sum_d L(d, e) * plane d (first digit e), one big-int operation per
+    (d, e): byte entries up to GF(13), scaled by translate, added by xor in
+    GF(2) and GF(4) or reduced mod q by translate; past that, 4-byte ints."""
+    q, count, size = field.order, len(columns), field.order**n_vars
+    if size > TABLE_MAX_POINTS:
+        raise ValueError(f"a table of {q}^{n_vars} points exceeds the limit ({TABLE_MAX_POINTS})")
+    wide, order = q * (q - 1) > 255, sys.byteorder  # a byte holds q entries below q
+    entries = (lambda t: memoryview(t).cast("I")) if wide else (lambda t: t)
+    cells = bytearray(count * size * (array.array("I").itemsize if wide else 1))
+    strides, at = [q ** (n_vars - 1 - j) for j in range(n_vars)], entries(cells)
+    index, width = [sum(map(operator.mul, p, strides)) for p in points], len(cells) // q
+    for base, column in zip(range(0, count * size, size), columns):
+        for i, v in zip(index, column):
+            at[base + i] = v
+    if wide:  # 4 bytes hold q products below (q-1)^2; each entry reduced mod q
+        read, zero, scale = functools.partial(int.from_bytes, byteorder=order), 0, operator.mul
+        settle = lambda t: array.array("I", map(q.__rmod__, entries(t))).tobytes()
+    else:  # translate tables that read a byte v as v mod q
+        mul = [(bytes(m) * (256 // q + 1))[:256] for m in field.mul_rows]
+        read, zero, settle = bytes, bytes(width), lambda t: t.translate(mul[1])
+        scale = lambda p, c: int.from_bytes(p if c == 1 else p.translate(mul[c]), order)
+    add, neg = operator.xor if q in (2, 4) else operator.add, field.neg_row.__getitem__
+    for _ in range(n_vars):  # each nonzero plane d with L(d, e): [d == 0], then -d^(q-1-e)
+        live = [(plane, [int(d == 0), *map(neg, field.pow_rows[d][q - 2 :: -1])])
+                for d in range(q) if (plane := read(entries(cells)[d::q])) != zero]
+        if not live:  # a zero table stays zero
+            break
+        planes, lower = zip(*live)
+        cells = settle(b"".join(functools.reduce(add, map(
+            scale, itertools.compress(planes, row), filter(None, row)), 0).to_bytes(width, order)
+            for row in zip(*lower)))
+    exps = list(itertools.product(range(q), repeat=n_vars))
+    return [Polynomial._trusted(field, n_vars, dict(itertools.compress(zip(exps, col), col)))
+            for col in (entries(cells)[c::count] for c in range(count))]
 
 
 def table_poly(field, n_vars, values):

@@ -109,6 +109,49 @@ def oracle_axes_table_poly(field, n, values):
     return Polynomial(field, n, terms)
 
 
+def oracle_packed_table_polys(field, n, points, columns):
+    """The reduced polynomials of value columns on distinct points by the
+    inverse Vandermonde matrix applied along each axis of one sparse table
+    keyed by mixed-radix index, whose entries pack the columns as the
+    digits of an int: one get/add/set per (entry, output digit).  In
+    characteristic 2 a digit is a value of 1 or 2 bits added by xor; over an
+    odd prime, an integer below (q-1)(q(q-1))^n reduced mod q at the end."""
+    q, char2 = field.order, field.order in (2, 4)
+    width = q.bit_length() - 1 if char2 else ((q - 1) * (q * q - q) ** n).bit_length()
+    # multiples(v)[c] = c * v; in GF(4) 2 = z and 3 = z + 1 act on the bit planes h z + l
+    if q == 4:
+        def multiples(v, lo=sum(1 << 2 * c for c in range(len(columns)))):
+            l, h = v & lo, v >> 1 & lo
+            return 0, v, (h ^ l) << 1 | h, l << 1 | (h ^ l)
+    else:
+        multiples = (lambda v: (0, v)) if char2 else (lambda v: range(0, q * v, v))
+    add, power = (lambda a, b: a ^ b) if char2 else (lambda a, b: a + b), field.pow_rows
+    rows = {a: [(e, c) for e in range(q) if (c := field.sub(int(e == 0), power[a][q - 1 - e]))]
+            for a in {a for p in points for a in p}}  # the leading digits that occur
+    strides = [q ** (n - 1 - j) for j in range(n)]
+    table = {}
+    for p, *values in zip(points, *columns):
+        if packed := sum(v << width * c for c, v in enumerate(values)):
+            table[sum(a * s for a, s in zip(p, strides))] = packed
+    top = q ** (n - 1)  # the place of the leading digit
+    for _ in range(n):
+        out = {}
+        for idx, v in table.items():
+            digit, rest = divmod(idx, top)
+            base, m = rest * q, multiples(v)
+            for e, c in rows[digit]:
+                out[base + e] = add(out.get(base + e, 0), m[c])
+        table = {k: v for k, v in out.items() if v}
+    mask, terms = (1 << width) - 1, [{} for _ in columns]
+    for idx, v in table.items():
+        exps = tuple(idx // s % q for s in strides)
+        for t in terms:
+            if c := (v & mask) % q:
+                t[exps] = c
+            v >>= width
+    return [Polynomial(field, n, t) for t in terms]
+
+
 def oracle_add(a, b):
     """a + b: a copy of a's terms with each of b's terms merged in by a
     field method call, then the constructor."""

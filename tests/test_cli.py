@@ -539,10 +539,10 @@ def test_infer_dimensions_count_distinct_inputs(workspace, capsys):
     path = workspace["dir"] / "repeats.json"
     path.write_text(json.dumps({"format_version": 1, "field": 2,
                                 "states": [[0, 0], [1, 1], [0, 0], [1, 1]]}))
-    built = []
-    init = TransitionData.__init__
-    with mock.patch.object(TransitionData, "__init__",
-                           lambda self, *a: built.append(a) or init(self, *a)):
+    built = []  # both constructors read the transitions in _keep
+    keep = TransitionData._keep
+    with mock.patch.object(TransitionData, "_keep",
+                           lambda self, *a: built.append(a) or keep(self, *a)):
         code, out, _ = run(capsys, "infer", path)
     report = json.loads(out)
     assert (code, report["transitions"], report["dimensions"], len(built)) == (0, 3, [2, 2], 1)
@@ -1153,6 +1153,16 @@ def test_non_finite_input_exits_1_with_one_line(workspace, capsys, case, kind, c
     code, out, err = run(capsys, *[a.format(**files) for a in argv])
     assert (code, out) == (1, "")
     assert err == "error: " + message.format(**files) + "\n"
+
+
+def test_rates_that_name_one_level_twice_exit_1(workspace, capsys):
+    # "1" and "01" are both level 1: the table is refused, not read as its last entry
+    path = workspace["dir"] / "twice.json"
+    rates = {**ZERO_RATES["rates"], "g2": {"-1": 0.0, "0": 0.0, "1": 1.0, "01": -1.0}}
+    path.write_text(json.dumps({**ZERO_RATES, "rates": rates}))
+    argv = [a.format(rates=path, **workspace) for a in HYB + C0]
+    assert run(capsys, *argv) == (
+        1, "", f"error: malformed rates file {path}: rates of gene 'g2' name level 1 twice\n")
 
 
 def test_negative_eps_exits_1_as_a_malformed_thresholds_file(workspace, capsys):

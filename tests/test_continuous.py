@@ -365,6 +365,14 @@ def test_rates_missing_gene_rejected():
         rates_from_dict({"format_version": 1, "rates": {"g1": {"0": 1.0}}}, m)
 
 
+def test_rates_that_name_one_level_twice_rejected():
+    m = build_example3()  # balanced GF(3): "-1" and "-01" are one level
+    table = {"0": 0.0, "1": 1.0, "-1": -1.0, "-01": 1.0}
+    d = {"format_version": 1, "rates": {g: table for g in m.genes}}
+    with pytest.raises(ValueError, match=r"^rates of gene 'g1' name level -1 twice$"):
+        rates_from_dict(d, m)
+
+
 # -- CSV --------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gsds import (
     ContradictoryDataError,
     Field,
+    GsdsError,
     StateSeries,
     TransitionData,
     constrained_interpolate,
@@ -69,6 +71,27 @@ def test_contradictory_data_rejected():
     assert err.value.state == (0, 0)
     assert err.value.first == (1, 1)
     assert err.value.second == (0, 1)
+
+
+def test_from_series_checks_each_state_once():
+    checked = []
+    check = Field.check
+    with mock.patch.object(Field, "check", lambda self, v: checked.append(v) or check(self, v)):
+        data = TransitionData.from_series(GF3, EX3_SERIES)
+    assert checked == [v for s in EX3_SERIES for v in s]
+    assert data.pairs == TransitionData(GF3, 3, zip(EX3_SERIES, EX3_SERIES[1:])).pairs
+
+
+@pytest.mark.parametrize("series", [
+    [(0, 0), (1, 2), (0, 1)], [(0, 0), (1, True)], [(0, 0), (1,), (0, 1)],
+    [(0, 0), (1, 1), (0, 0), (0, 1)], [(0, 0), (1, 1), (0, 0), (0, 1), (2, 0)],
+], ids=["range", "type", "length", "contradiction", "contradiction-first"])
+def test_from_series_raises_what_the_constructor_raises(series):
+    with pytest.raises((GsdsError, TypeError, ValueError)) as expected:
+        TransitionData(GF2, 2, zip(series, series[1:]))
+    with pytest.raises(type(expected.value)) as err:
+        TransitionData.from_series(GF2, series)
+    assert str(err.value) == str(expected.value)
 
 
 # -- interpolation ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +11,8 @@ from gsds.polyring import (PARSE_MAX_DEPTH, indicator_poly, iter_points, parse_p
                            render_polys, support_vars, table_poly, table_polys)
 
 from oracles import (oracle_add, oracle_axes_table_poly, oracle_compose, oracle_mul,
-                     oracle_parse_poly, oracle_render, oracle_sorted_render, oracle_subcube_table)
+                     oracle_packed_table_polys, oracle_parse_poly, oracle_render,
+                     oracle_sorted_render, oracle_subcube_table)
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -633,6 +635,54 @@ def test_table_polys_match_the_one_column_transform(case):
     field, n, points, columns = case
     assert table_polys(field, n, points, columns) == [
         oracle_axes_table_poly(field, n, dict(zip(points, column))) for column in columns]
+
+
+@st.composite
+def dense_cases(draw):
+    """No, some or all points of GF(q)^n in drawn order for q from 2 to 257,
+    n = 0 included, and up to 4 value columns on them, some all zero."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5, 7, 13, 17, 257])))
+    q = field.order
+    n = draw(st.integers(0, {2: 6, 3: 4, 4: 3, 5: 3, 7: 2, 13: 2, 17: 2, 257: 1}[q]))
+    every = list(iter_points(field, n))
+    some = st.lists(st.sampled_from(every), unique=True, max_size=40)
+    points = draw(st.one_of(st.just([]), some, st.permutations(every)))
+    values = st.lists(st.integers(0, q - 1), min_size=len(points), max_size=len(points))
+    zeros = st.just([0] * len(points))
+    return field, n, points, draw(st.lists(st.one_of(zeros, values), max_size=4))
+
+
+@arith_settings
+@given(dense_cases())
+def test_table_polys_match_the_packed_sparse_transform(case):
+    field, n, points, columns = case
+    got = table_polys(field, n, points, columns)
+    expected = oracle_packed_table_polys(field, n, points, columns)
+    assert got == expected
+    # reduced, nonzero terms; the text does not depend on the order of the terms
+    q = field.order
+    assert all(0 < c < q and all(0 <= e < q for e in exps)
+               for poly in got for exps, c in poly.terms.items())
+    assert render_polys(got) == [oracle_render(p) for p in expected]
+
+
+def test_table_polys_bound_raises_before_allocating():
+    assert polyring.TABLE_MAX_POINTS == 1 << 18
+    # GF(257)^2, the largest table in the suite, is under the bound
+    assert len(table_polys(Field(257), 2, [(0, 0)], [[1]])[0].terms) == 4
+    cases = [(field, n, [(0,) * n], [[1]] * 8) for field, n in ((GF2, 19), (Field(257), 3),
+                                                               (GF4, 10))]
+    tracemalloc.start()
+    try:
+        for field, n, points, columns in cases:
+            with pytest.raises(ValueError) as err:
+                table_polys(field, n, points, columns)
+            assert str(err.value) == (f"a table of {field.order}^{n} points exceeds the "
+                                      f"limit ({1 << 18})")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # a table would take at least 8 * 2^19 bytes
 
 
 @st.composite

@@ -4,13 +4,15 @@ Draws a series of distinct random states on GF(2)^12 (64 transitions)
 and one on GF(3)^8 (60 transitions), infers a model from each with
 ``infer_network`` under the canonical and the sparsest preference, and
 renders each model's polynomials with one ``render_polys`` call, as
-``gsds infer`` does.  Saves each canonical model to a temporary file
-and times reading it back (``load_model``), validating it
+``gsds infer`` does.  Times the canonical transform, ``table_polys`` of
+every coordinate, alone (best of 5).  Saves each canonical model to a
+temporary file and times reading it back (``load_model``), validating it
 (``validate_model``) and iterating its map 1000 steps from the zero
 state (``trajectory``).  Prints one line: the four inference times, the
-load, validate and trajectory times, and a digest of the rendered text,
-which two checkouts that infer the same polynomials share.  Uses the
-gsds package of this checkout.  Run from anywhere:
+two transform times, the load, validate and trajectory times, and a
+digest of the rendered text, which two checkouts that infer the same
+polynomials share.  Uses the gsds package of this checkout.  Run from
+anywhere:
 
     python3 tools/infer_scale.py
 """
@@ -24,9 +26,9 @@ from time import perf_counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from gsds import (Field, infer_network, load_model, save_model, trajectory,  # noqa: E402
-                  validate_model)
-from gsds.polyring import render_polys  # noqa: E402
+from gsds import (Field, TransitionData, infer_network, load_model, save_model,  # noqa: E402
+                  trajectory, validate_model)
+from gsds.polyring import render_polys, table_polys  # noqa: E402
 
 SERIES = ((2, 12, 64), (3, 8, 60))  # (q, genes, transitions)
 SEED = 0
@@ -61,6 +63,20 @@ def round_trip(model):
             f"1000-step trajectory {iterated - done:.3f} s")
 
 
+def transform_time(q, series):
+    """The best of 5 times of ``table_polys`` on the series' transitions,
+    every coordinate at once, as canonical ``infer_network`` calls it."""
+    data = TransitionData.from_series(Field(q), series)
+    states, images = zip(*data.pairs)
+    columns = list(zip(*images))
+    best = float("inf")
+    for _ in range(5):
+        start = perf_counter()
+        table_polys(data.field, data.n, states, columns)
+        best = min(best, perf_counter() - start)
+    return best
+
+
 def main():
     digest = hashlib.sha256()
     parts = []
@@ -74,6 +90,7 @@ def main():
             digest.update("\n".join(texts + [""]).encode())
             parts.append(f"GF({q})^{n} {preference} {elapsed:.2f} s")
             if preference == "canonical":
+                parts.append(f"GF({q})^{n} table_polys {transform_time(q, series) * 1e3:.1f} ms")
                 parts.append(f"GF({q})^{n} canonical model {round_trip(model)}")
     sizes = ", ".join(f"GF({q})^{n} {t} transitions" for q, n, t in SERIES)
     print(f"Inference at scale (seed {SEED}; {sizes}): {', '.join(parts)}; "
