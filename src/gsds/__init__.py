@@ -18,8 +18,6 @@ from .continuous import (
 from .dynamics import (
     PhasePortrait,
     compare_schedules,
-    cycles,
-    fixed_points,
     phase_portrait,
     schedule_scan,
 )

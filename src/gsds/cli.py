@@ -158,14 +158,14 @@ DISPLAY = _arg("--display", choices=["canonical", "balanced"],
                help="Override the model's display encoding.")
 
 
-def _thresholds(path, genes, model):
-    """The threshold file's map, which must be over the model's field and
-    discretize each gene into its state set."""
-    tmap, _ = load_thresholds(path, genes)
+def _thresholds(path, model):
+    """The threshold file's map for the model's genes, which must be over the
+    model's field and discretize each gene into its state set."""
+    tmap, _ = load_thresholds(path, list(model.genes))
     if tmap.field != model.field:
         raise FieldMismatchError(f"threshold file {path} is over {tmap.field!r}, "
                                  f"the model over {model.field!r}")
-    for name, g, values in zip(genes, tmap.genes, model.state_sets):
+    for name, g, values in zip(model.genes, tmap.genes, model.state_sets):
         for level in g.band_levels + g.equal_levels:
             if level not in values:
                 raise ValueError(f"threshold file {path}: gene {name!r} discretizes to level "
@@ -340,7 +340,12 @@ def check(csv_file, thresholds_file, model_file):
     """Check that the model's map commutes with discretization on the data."""
     genes, _, rows = load_samples_csv(csv_file)
     model = load_model(model_file)
-    tmap = _thresholds(thresholds_file, genes, model)
+    for name in model.genes:  # the columns are read by name, extra ones ignored
+        if name not in genes:
+            raise ValueError(f"sample CSV {csv_file} has no column for gene {name!r}")
+    picks = [genes.index(name) for name in model.genes]
+    rows = [tuple([row[j] for j in picks]) for row in rows]
+    tmap = _thresholds(thresholds_file, model)
     fmap = global_map(model)
     result = check_translated(fmap, list(zip(rows, rows[1:])), tmap)
     _report(
@@ -412,7 +417,7 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
     """Event-driven simulation of concentrations coupled to the model."""
     model = load_model(model_file)
     rates = load_rates(rates_file, model)
-    tmap = _thresholds(thresholds_file, list(model.genes), model)
+    tmap = _thresholds(thresholds_file, model)
     start = [float(v) for v in c0.replace("(", "").replace(")", "").split(",")]
     result = hybrid_simulate(model, rates, tmap, start, t_end)
     _report(_hybrid_json(model, result), output)

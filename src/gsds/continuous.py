@@ -3,10 +3,7 @@
 A sectional linear function is a continuous piecewise-linear curve:
 strictly increasing breakpoints t0 < ... < tn and one (slope,
 intercept) pair per interval [ti, ti+1], with adjacent segments agreeing
-at the shared breakpoint.  Outside [t0, tn] the value is 0 by default
-("zero"); "extend-last" instead continues the final segment past tn,
-which the worked concentration curves use for their open-ended last
-branch (the left side stays 0).
+at the shared breakpoint.  Outside [t0, tn] the value is 0.
 
 The hybrid simulator couples a discrete model to real concentrations:
 each gene's concentration grows linearly with a slope chosen by its
@@ -40,9 +37,9 @@ MAX_EVENTS = 10**6
 class SectionalLinear:
     """A continuity-checked piecewise-linear function of time."""
 
-    __slots__ = ("breakpoints", "segments", "outside_mode")
+    __slots__ = ("breakpoints", "segments")
 
-    def __init__(self, breakpoints, segments, outside_mode="zero"):
+    def __init__(self, breakpoints, segments):
         breakpoints = finite_all(breakpoints, "a breakpoint")
         segments = tuple((float(a), float(b)) for a, b in segments)
         finite_all(itertools.chain.from_iterable(segments), "a segment's slope or intercept")
@@ -55,8 +52,6 @@ class SectionalLinear:
                 f"{len(breakpoints)} breakpoints need {len(breakpoints) - 1} "
                 f"segments, got {len(segments)}"
             )
-        if outside_mode not in ("zero", "extend-last"):
-            raise ValueError(f"unknown outside_mode {outside_mode!r}")
         for (a0, b0), (a1, b1), t in zip(segments, segments[1:], breakpoints[1:]):
             at0, at1 = a0 * t, a1 * t
             gap, scale = at1 + b1 - (at0 + b0), max(1.0, abs(at0), abs(b0), abs(at1), abs(b1))
@@ -64,21 +59,20 @@ class SectionalLinear:
                 raise ContinuityError(t, gap)
         self.breakpoints = breakpoints
         self.segments = segments
-        self.outside_mode = outside_mode
 
     def value(self, t):
         t, bps = float(t), self.breakpoints
-        if t < bps[0] or (t > bps[-1] and self.outside_mode == "zero"):
+        if t < bps[0] or t > bps[-1]:
             return 0.0
-        # the first segment whose interval reaches t, the last past t_n; at
-        # an interior breakpoint both neighbors agree by continuity
+        # the first segment whose interval reaches t; at an interior
+        # breakpoint both neighbors agree by continuity
         a, b = self.segments[bisect.bisect_left(bps, t, 1, len(self.segments)) - 1]
         return a * t + b
 
     __call__ = value
 
 
-def fit_from_samples(times, values, outside_mode="zero"):
+def fit_from_samples(times, values):
     """The piecewise-linear interpolant through consecutive samples."""
     times = list(map(float, times))
     values = list(map(float, values))
@@ -90,7 +84,7 @@ def fit_from_samples(times, values, outside_mode="zero"):
         raise ValueError(f"sample times must be strictly increasing: {times}")
     slopes = list(map(truediv, map(sub, values[1:], values), map(sub, times[1:], times)))
     segments = tuple(zip(slopes, map(sub, values, map(mul, slopes, times))))
-    return SectionalLinear(times, segments, outside_mode)
+    return SectionalLinear(times, segments)
 
 
 class RatePolicy:
@@ -101,14 +95,6 @@ class RatePolicy:
         self.rates = [dict(r) for r in rates]
         finite_all(itertools.chain.from_iterable(map(dict.values, self.rates)), "a rate")
         self.floor_at_zero = floor_at_zero
-
-    def slope(self, gene, level):
-        try:
-            return self.rates[gene][level]
-        except KeyError:
-            raise KeyError(
-                f"no rate for gene index {gene} at level {level}"
-            ) from None
 
     def check_coverage(self, model):
         for name, table, values in zip(model.genes, self.rates, model.state_sets):
@@ -148,14 +134,15 @@ class HybridResult:
         self.t_end = t_end
 
 
-def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
+def hybrid_simulate(model, rates, tmap, c0, t_end):
     """Event-driven exact simulation of the coupled dynamics.
 
     Between events every concentration is linear with slope
     rates[gene][activity], activity being the gene's coordinate of
     F(discretize(c)) fixed at the latest event.  Event times are exact
     roots of the linear segments; simultaneous crossings are processed
-    together, logged in ascending (gene, threshold) order.
+    together, logged in ascending (gene, threshold) order.  More than
+    ``MAX_EVENTS`` events raise ZenoError.
     """
     if finite(t_end, "t_end") <= 0:
         raise ValueError("t_end must be positive")
@@ -169,7 +156,7 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
     def slopes_for(state, conc):
         row = rows.get(state)
         if row is None:
-            row = [float(rates.slope(j, a)) for j, a in enumerate(fmap(state))]
+            row = [float(table[a]) for table, a in zip(rates.rates, fmap(state))]
             rows[state] = row
         if not rates.floor_at_zero:
             return row
@@ -207,9 +194,9 @@ def hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
                         crossings.append((j, theta, kind))
         if best_t is None or best_t >= t_end:
             break
-        if len(events) + len(crossings) > max_events:
+        if len(events) + len(crossings) > MAX_EVENTS:
             raise ZenoError(
-                f"more than {max_events} events by t={best_t}; "
+                f"more than {MAX_EVENTS} events by t={best_t}; "
                 f"the dynamics look Zeno"
             )
         # advance to the event and snap crossing genes exactly on target

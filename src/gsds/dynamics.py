@@ -113,14 +113,6 @@ def phase_portrait(model, limit=DEFAULT_STATE_LIMIT):
     return PhasePortrait(model, successor, attractors, sizes, histogram)
 
 
-def fixed_points(model, **kwargs):
-    return phase_portrait(model, **kwargs).fixed_points()
-
-
-def cycles(model, **kwargs):
-    return phase_portrait(model, **kwargs).cycles()
-
-
 def compare_schedules(model, word_a, word_b):
     """First state (in index order) where the two composed maps differ,
     or None when they agree everywhere: the lowest byte set in the XOR of
@@ -130,19 +122,20 @@ def compare_schedules(model, word_a, word_b):
     return model.state_at(((diff & -diff).bit_length() - 1) // 8 // a.itemsize) if diff else None
 
 
-def schedule_scan(model, words="permutations", vertex_limit=DEFAULT_PERM_VERTEX_LIMIT):
+def schedule_scan(model, words="permutations"):
     """Partition schedule words into classes with equal composed maps.
 
     ``words`` is either the string "permutations" (all n! orderings of
-    the full vertex set) or an explicit iterable of words.  Classes are
-    ordered by first appearance; each class lists its words in
-    appearance order, the first being the representative.
+    the full vertex set, for at most ``DEFAULT_PERM_VERTEX_LIMIT`` genes)
+    or an explicit iterable of words.  Classes are ordered by first
+    appearance; each class lists its words in appearance order, the
+    first being the representative.
     """
     if words == "permutations":
-        if model.n > vertex_limit:
+        if model.n > DEFAULT_PERM_VERTEX_LIMIT:
             raise StateSpaceLimitError(
                 f"{model.n}! permutations exceed the vertex limit "
-                f"{vertex_limit}"
+                f"{DEFAULT_PERM_VERTEX_LIMIT}"
             )
         words = itertools.permutations(range(model.n))
     classes = {}  # insertion order is the order of first appearance

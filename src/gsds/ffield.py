@@ -206,11 +206,6 @@ def decode_level(field, display, v):
     return v - field.order if v > (field.order - 1) // 2 else v
 
 
-def format_state(field, display, state):
-    """A state written in the display encoding, as "(v1,v2,...)"."""
-    return "(" + ",".join(str(decode_level(field, display, v)) for v in state) + ")"
-
-
 def gf4_table_errata():
     """Cells where the derived GF(4) tables differ from the published ones.
 

@@ -2,9 +2,9 @@
 files.
 
 Every file kind is one JSON object with a ``format_version`` (1 when
-absent).  ``write_json`` writes every file as the stdlib's indented
-JSON with no NaN or infinity in it (ValueError, before anything is
-written), ``document`` is the one version check, and ``load`` reads
+absent).  ``write_json`` writes every file to its path as the stdlib's
+indented JSON with no NaN or infinity in it (ValueError, before the
+file is opened), ``document`` is the one version check, and ``load`` reads
 every file.  ``finite`` is the one check of a real number read
 from a file or the command line, and ``finite_all`` of a sequence of
 them passed to a constructor.
@@ -15,10 +15,8 @@ file kind and path; a parse or encoding error keeps its type and only
 gains that prefix.
 """
 
-import contextlib
 import json
 import math
-import sys
 from itertools import filterfalse
 
 from .errors import PolyParseError, UnsupportedEncodingError
@@ -26,10 +24,10 @@ from .errors import PolyParseError, UnsupportedEncodingError
 FORMAT_VERSION = 1
 
 
-def write_json(data, path=None):
-    """Write ``data`` as indented JSON to ``path``, or to stdout."""
+def write_json(data, path):
+    """Write ``data`` as indented JSON to the file at ``path``."""
     text = json.dumps(data, indent=2, allow_nan=False) + "\n"
-    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
+    with open(path, "w") as fh:
         fh.write(text)
 
 

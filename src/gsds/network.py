@@ -29,7 +29,7 @@ import math
 import sys
 
 from .errors import FieldMismatchError, ModelValidationError
-from .ffield import Field, check_display, decode_level, encode_level, format_state
+from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .polyring import Polynomial, parse_poly, poly_table, probe_variable, render_polys
 
@@ -222,7 +222,7 @@ class GsdsModel:
         return [decode_level(self.field, self.display, v) for v in state]
 
     def format_state(self, state):
-        return format_state(self.field, self.display, state)
+        return "(" + ",".join(map(self.format_level, state)) + ")"
 
 
 def _word(entries, n, what):
@@ -572,6 +572,10 @@ def model_from_dict(d):
         if text is None:
             raise ValueError(f"missing local polynomial for gene {g!r}")
         locals_.append(parse_poly(text, n, field))
+    for key in ("states", "locals"):  # both were read as objects by gene name above
+        for g in d.get(key) or ():
+            if g not in index:
+                raise ValueError(f"{key} entry {g!r} references an unknown gene")
     if schedule is not None:
         report = ValidationReport(genes)
         resolved = []

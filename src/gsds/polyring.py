@@ -231,15 +231,13 @@ def render_polys(polys):
     return [p._text for p in polys]
 
 
-def support_vars(poly, domain=None):
-    """Variables (1-based) the polynomial's function depends on.
+def support_vars(poly, domain):
+    """Variables (1-based) the polynomial's function depends on over
+    ``domain``, a sequence of per-variable value collections.
 
-    Over the full field this reads the reduced form; over a restricted
-    ``domain`` (a sequence of per-variable value collections) it probes
-    exhaustively, which is what restricted state sets require.
+    It probes exhaustively, which is what restricted state sets require;
+    over the full field ``poly.support()`` reads the reduced form.
     """
-    if domain is None:
-        return poly.support()
     if len(domain) != poly.n_vars:
         raise FieldMismatchError(
             f"domain has {len(domain)} variable ranges, need {poly.n_vars}"

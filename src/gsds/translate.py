@@ -131,9 +131,6 @@ class TranslationCheck:
     def compatible(self):
         return not self.counterexamples
 
-    def __bool__(self):
-        return self.compatible
-
 
 def check_translated(f, sample_pairs, tmap):
     """Test discretize(next) == f(discretize(current)) on every pair.

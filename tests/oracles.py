@@ -9,8 +9,9 @@ import math
 import sys
 from collections import Counter
 
+from gsds import continuous
 from gsds.cli import COMMANDS, HELP
-from gsds.continuous import MAX_EVENTS, HybridEvent, HybridResult, fit_from_samples
+from gsds.continuous import HybridEvent, HybridResult, fit_from_samples
 from gsds.errors import ModelValidationError, PolyParseError, ZenoError
 from gsds.files import FORMAT_VERSION
 from gsds.ffield import GF4_MUL
@@ -716,9 +717,10 @@ def oracle_schedule_scan(model, words):
     return list(classes.values())
 
 
-def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS):
+def oracle_hybrid_simulate(model, rates, tmap, c0, t_end):
     """The hybrid event loop evaluating the map and every rate, and
-    building every gene's crossing targets, at each event."""
+    building every gene's crossing targets, at each event; more than
+    ``continuous.MAX_EVENTS`` events (read at call time) raise ZenoError."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     n = model.n
@@ -731,7 +733,7 @@ def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS)
         act = oracle_global_map(model, state)
         out = []
         for j in range(n):
-            v = rates.slope(j, act[j])
+            v = rates.rates[j][act[j]]
             if rates.floor_at_zero and conc[j] <= 0 and v < 0:
                 v = 0.0
             out.append(float(v))
@@ -768,9 +770,9 @@ def oracle_hybrid_simulate(model, rates, tmap, c0, t_end, max_events=MAX_EVENTS)
                         crossings.append((j, theta, kind))
         if best_t is None or best_t >= t_end:
             break
-        if len(events) + len(crossings) > max_events:
+        if len(events) + len(crossings) > continuous.MAX_EVENTS:
             raise ZenoError(
-                f"more than {max_events} events by t={best_t}; "
+                f"more than {continuous.MAX_EVENTS} events by t={best_t}; "
                 f"the dynamics look Zeno"
             )
         # advance to the event and snap crossing genes exactly on target
@@ -886,15 +888,9 @@ class OracleField:
 
 def oracle_sectional_value(curve, t):
     """The curve's value at t by a hand-written binary search for the
-    first segment whose interval reaches t; 0 outside, except past the
-    last breakpoint in "extend-last" mode."""
+    first segment whose interval reaches t; 0 outside."""
     t = float(t)
-    if t < curve.breakpoints[0]:
-        return 0.0
-    if t > curve.breakpoints[-1]:
-        if curve.outside_mode == "extend-last":
-            a, b = curve.segments[-1]
-            return a * t + b
+    if t < curve.breakpoints[0] or t > curve.breakpoints[-1]:
         return 0.0
     lo, hi = 0, len(curve.segments) - 1
     while lo < hi:

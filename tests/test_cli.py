@@ -5,10 +5,10 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gsds import DependencyGraph, Field, GsdsModel, RatePolicy
+from gsds import DependencyGraph, Field, GsdsModel, RatePolicy, continuous
 from gsds.cli import COMMANDS as TABLE, HELP, _help, _hybrid_json, _read, main
 from gsds.continuous import hybrid_simulate
 from gsds.errors import ZenoError
@@ -409,7 +409,60 @@ def test_check_with_fewer_csv_genes_than_model_genes_exits_1(workspace, capsys):
         "--thresholds", workspace["thresholds"], "--model", workspace["ex3"],
     )
     assert (code, out) == (1, "")
-    assert err == "error: point has 2 coordinates, polynomial has 3\n"
+    assert err == f"error: sample CSV {csv} has no column for gene 'g3'\n"
+
+
+def ab_check(tmp_path, capsys, header, rows):
+    """``gsds check`` of the samples (0,0), (1,0), (1,1) written under ``header``
+    against genes a, b with f = (1, x1) and one threshold of 0.5 each."""
+    field = Field(2)
+    model, th, csv = (tmp_path / name for name in ("ab.json", "ab-th.json", "ab.csv"))
+    save_model(GsdsModel(field, ["a", "b"], DependencyGraph(2, {(0, 1)}),
+                         [parse_poly("1", 2, field), parse_poly("x1", 2, field)], None), model)
+    th.write_text(json.dumps({"format_version": 1, "field": 2, "genes": {g: {
+        "levels": [{"threshold": 0.5, "below_level": 0}], "top_level": 1} for g in "ab"}}))
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    return (*run(capsys, "check", csv, "--thresholds", th, "--model", model), csv)
+
+
+def test_check_reads_csv_columns_by_gene_name(tmp_path, capsys):
+    in_order = ab_check(tmp_path, capsys, "t,a,b", ["0,0,0", "1,1,0", "2,1,1"])
+    assert in_order[:3] == (0, json.dumps({"format_version": 1, "compatible": True,
+                                           "checked": 2, "counterexamples": []}, indent=2)
+                            + "\n", "")
+    assert ab_check(tmp_path, capsys, "t,b,a", ["0,0,0", "1,0,1", "2,1,1"])[:3] == in_order[:3]
+
+
+def test_check_ignores_csv_columns_of_other_genes(tmp_path, capsys):
+    in_order = ab_check(tmp_path, capsys, "t,a,b", ["0,0,0", "1,1,0", "2,1,1"])
+    extra = ab_check(tmp_path, capsys, "t,z,b,a", ["0,7,0,0", "1,-3,0,1", "2,5e9,1,1"])
+    assert extra[:3] == in_order[:3] and extra[0] == 0
+
+
+def test_check_names_the_csv_and_the_gene_it_lacks(tmp_path, capsys):
+    code, out, err, csv = ab_check(tmp_path, capsys, "t,a", ["0,0", "1,1", "2,1"])
+    assert (code, out) == (1, "")
+    assert err == f"error: sample CSV {csv} has no column for gene 'b'\n"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]) | st.floats(0, 3),
+                         min_size=3, max_size=3), min_size=2, max_size=5),
+       st.permutations([0, 1, 2]), st.booleans())
+def test_check_output_ignores_csv_column_order(workspace, capsys, rows, order, extra):
+    def check(columns):
+        csv = workspace["dir"] / "permuted.csv"
+        names = ["g1", "g2", "g3", "x"]
+        lines = [",".join(["t", *(names[j] for j in columns)])]
+        lines += [",".join(map(repr, [float(t), *(row[j] if j < 3 else -1.0 for j in columns)]))
+                  for t, row in enumerate(rows)]
+        csv.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "check", csv, "--thresholds", workspace["thresholds"],
+                           "--model", workspace["ex3"])
+        return code, out
+
+    assert check(order + [3] * extra) == check([0, 1, 2])
 
 
 def outside_level_files(tmp_path):
@@ -660,7 +713,8 @@ TOGGLES = (GsdsModel(Field(2), ['"a\\', "\u65e5[]{}", "z"], DependencyGraph(3, {
 @example(TOGGLES)
 def test_hybrid_report_is_the_oracle_dict_dumped(case):
     try:
-        result = hybrid_simulate(*case, max_events=400)
+        with mock.patch.object(continuous, "MAX_EVENTS", 400):
+            result = hybrid_simulate(*case)
     except ZenoError:
         return
     expected = json.dumps(oracle_hybrid_report(case[0], result), indent=2, allow_nan=False)
@@ -832,6 +886,9 @@ MALFORMED = [
     ("model-local-unparseable", "model",
      lambda d: {**d, "locals": {**d["locals"], "g1": "x1 $"}}, "validate"),
     ("model-balanced-gf2", "model", _replace("field", 2), "validate"),
+    ("model-states-unknown-gene", "model", _replace("states", {"zz": [0, 1]}), "validate"),
+    ("model-locals-unknown-gene", "model",
+     lambda d: {**d, "locals": {**d["locals"], "c": "0"}}, "validate"),
     ("model-local-nested-1000", "model",
      lambda d: {**d, "locals": {**d["locals"], "g1": "(" * 1000 + "x1" + ")" * 1000}},
      "validate"),

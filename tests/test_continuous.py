@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +15,13 @@ from gsds import (
     RatePolicy,
     SectionalLinear,
     ZenoError,
+    continuous,
     fit_from_samples,
     global_map,
     hybrid_simulate,
 )
 from gsds.continuous import (
+    HybridEvent,
     load_samples_csv,
     rates_from_dict,
     rates_to_dict,
@@ -114,12 +117,6 @@ def test_eval_outside_zero_mode():
     assert curve.value(2.0) == 0.0
 
 
-def test_eval_outside_extend_last_mode():
-    curve = SectionalLinear([0, 1], [(1.0, 0.0)], outside_mode="extend-last")
-    assert curve.value(2.0) == 2.0
-    assert curve.value(-1.0) == 0.0  # only the right side extends
-
-
 def test_interior_breakpoint_agrees_from_both_sides():
     curve = fit_from_samples([0, 1, 2], [0.0, 1.0, 0.5])
     t = 1.0
@@ -132,13 +129,11 @@ def test_interior_breakpoint_agrees_from_both_sides():
 @st.composite
 def curves_and_times(draw):
     """A continuous curve through random samples at quarter-integer
-    times, in either outside mode, and times on its breakpoints, between
-    them and outside them."""
+    times, and times on its breakpoints, between them and outside them."""
     times = sorted(draw(st.sets(st.integers(-40, 40), min_size=2, max_size=9)))
     times = [t / 4 for t in times]
     values = draw(st.lists(st.floats(-10, 10), min_size=len(times), max_size=len(times)))
-    mode = draw(st.sampled_from(["zero", "extend-last"]))
-    curve = fit_from_samples(times, values, mode)
+    curve = fit_from_samples(times, values)
     between = [a + (b - a) * draw(st.floats(0, 1)) for a, b in zip(times, times[1:])]
     outside = [times[0] - draw(st.floats(0, 20)), times[-1] + draw(st.floats(0, 20))]
     return curve, times + between + outside
@@ -318,11 +313,22 @@ def test_hybrid_rejects_bad_inputs():
         hybrid_simulate(m, RatePolicy([{0: -1.0}]), one_threshold_map(1), [0.0], 1.0)
 
 
-def test_zeno_guard():
+def test_zeno_guard(monkeypatch):
+    # the limit is read at call time, so patching the constant bounds the run
+    monkeypatch.setattr(continuous, "MAX_EVENTS", 100)
     m = toggle_model()
     rates = RatePolicy([{0: -1.0, 1: 1.0}])
-    with pytest.raises(ZenoError):
-        hybrid_simulate(m, rates, one_threshold_map(1), [0.0], 1e9, max_events=100)
+    with pytest.raises(ZenoError, match=r"^more than 100 events by t=\d"):
+        hybrid_simulate(m, rates, one_threshold_map(1), [0.0], 1e9)
+
+
+def test_hybrid_event_repr_names_time_gene_and_both_states():
+    m = toggle_model()
+    run = hybrid_simulate(m, RatePolicy([{0: -1.0, 1: 1.0}]), one_threshold_map(1), [0.0], 1.5)
+    assert [repr(e) for e in run.events] == [
+        "HybridEvent(t=1.0, gene=0, threshold=1.0, kind=threshold, (0,) -> (1,))"]
+    event = HybridEvent(2.5, 1, 0.0, "floor", (1, 2), (1, 0))
+    assert repr(event) == "HybridEvent(t=2.5, gene=1, threshold=0.0, kind=floor, (1, 2) -> (1, 0))"
 
 
 def test_hybrid_accepts_its_own_trajectories_at_large_magnitudes():
@@ -436,7 +442,8 @@ def hybrid_cases(draw):
 
 def run_outcome(simulate, case):
     try:
-        result = simulate(*case, max_events=400)
+        with mock.patch.object(continuous, "MAX_EVENTS", 400):
+            result = simulate(*case)
     except ZenoError as exc:
         return str(exc)
     events = [(e.time, e.gene, e.threshold, e.kind, e.old_state, e.new_state)
@@ -515,7 +522,8 @@ def test_hybrid_states_lie_in_the_state_space(case):
     # space, before a phase or a slope is taken from it
     model = case[0]
     try:
-        result = hybrid_simulate(*case, max_events=400)
+        with mock.patch.object(continuous, "MAX_EVENTS", 400):
+            result = hybrid_simulate(*case)
     except ValueError as exc:
         text = str(exc)
         assert text.startswith("state (") and text.endswith(") is outside the model's state space")
@@ -530,8 +538,7 @@ def test_hybrid_states_lie_in_the_state_space(case):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: SectionalLinear([0.0], []), "need at least two breakpoints"),
-    (lambda: SectionalLinear([0.0, 1.0], [(1.0, 0.0)], "wrap"), "unknown outside_mode 'wrap'"),
-], ids=["one-breakpoint", "outside-mode"])
+], ids=["one-breakpoint"])
 def test_sectional_error_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,6 @@ from gsds import (
     ModelValidationError,
     StateSpaceLimitError,
     compare_schedules,
-    cycles,
-    fixed_points,
     global_map,
     phase_portrait,
     schedule_scan,
@@ -230,19 +229,19 @@ def test_portrait_state_space_limit():
 
 
 def test_fixed_points_and_cycles_projections():
-    m = build_example3()
-    assert (0, 0, 0) in fixed_points(m)
-    assert all(len(c) in (1, 3) for c in cycles(m))
+    p = phase_portrait(build_example3())
+    assert (0, 0, 0) in p.fixed_points()
+    assert all(len(c) in (1, 3) for c in p.cycles())
 
 
 def test_example1_unique_fixed_point():
-    assert fixed_points(build_example1()) == [(1, 1, 1, 0)]
+    assert phase_portrait(build_example1()).fixed_points() == [(1, 1, 1, 0)]
 
 
 def test_constant_map_fixed_point():
     m = GsdsModel(GF3, ["a"], DependencyGraph(1, set()),
                   [parse_poly("2", 1, GF3)], [0])
-    assert fixed_points(m) == [(2,)]
+    assert phase_portrait(m).fixed_points() == [(2,)]
 
 
 # -- schedule comparison -------------------------------------------------------
@@ -369,10 +368,20 @@ def test_schedule_scan_explicit_words():
     assert classes[0][0] == (3, 2, 1, 0)
 
 
-def test_schedule_scan_vertex_limit():
+def test_schedule_scan_vertex_limit(monkeypatch):
+    # the limit is read at call time, so patching the constant lowers it
+    monkeypatch.setattr(dynamics, "DEFAULT_PERM_VERTEX_LIMIT", 2)
     m = identity_model(GF2, 3)
-    with pytest.raises(StateSpaceLimitError):
-        schedule_scan(m, vertex_limit=2)
+    with pytest.raises(StateSpaceLimitError, match=r"^3! permutations exceed the vertex limit 2$"):
+        schedule_scan(m)
+
+
+def test_schedule_scan_refuses_nine_genes_before_enumerating(monkeypatch):
+    assert dynamics.DEFAULT_PERM_VERTEX_LIMIT == 8
+    monkeypatch.setattr(dynamics, "GlobalMap", mock.Mock(side_effect=AssertionError("map built")))
+    with pytest.raises(StateSpaceLimitError) as err:
+        schedule_scan(identity_model(GF2, 9))
+    assert str(err.value) == "9! permutations exceed the vertex limit 8"
 
 
 # -- reports -----------------------------------------------------------------------

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsds import Field, UnsupportedEncodingError, gf4_table_errata
-from gsds.ffield import GF4_PUBLISHED_ADD, GF4_PUBLISHED_MUL, decode_level, encode_level, \
-    format_state
+from gsds import DependencyGraph, Field, GsdsModel, UnsupportedEncodingError, gf4_table_errata
+from gsds.ffield import GF4_PUBLISHED_ADD, GF4_PUBLISHED_MUL, decode_level, encode_level
+from gsds.polyring import parse_poly
 
 from oracles import OracleField
 
@@ -156,8 +156,11 @@ def test_balanced_encoding_unsupported_fields():
 
 def test_format_state():
     f = Field(3)
-    assert format_state(f, "canonical", (2, 1, 2)) == "(2,1,2)"
-    assert format_state(f, "balanced", (2, 1, 2)) == "(-1,1,-1)"
+    polys = [parse_poly("0", 3, f)] * 3
+    for display, text in (("canonical", "(2,1,2)"), ("balanced", "(-1,1,-1)")):
+        model = GsdsModel(f, ["a", "b", "c"], DependencyGraph(3, set()), polys, None,
+                          display=display)
+        assert model.format_state((2, 1, 2)) == text
 
 
 def outcome(op, *args):

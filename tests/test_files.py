@@ -138,22 +138,18 @@ json_values = st.recursive(
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(json_values)
-def test_write_json_is_the_stdlib_indented_dump(tmp_path, capsys, data):
+def test_write_json_is_the_stdlib_indented_dump(tmp_path, data):
     path = tmp_path / "out.json"
     path.unlink(missing_ok=True)
     try:
         want = json.dumps(data, indent=2, allow_nan=False) + "\n"
     except ValueError:  # a NaN or an infinity: nothing is written
-        for target in (path, None):
-            with pytest.raises(ValueError):
-                write_json(data, target)
-        assert not path.exists() and capsys.readouterr().out == ""
+        with pytest.raises(ValueError):
+            write_json(data, path)
+        assert not path.exists()
         return
     write_json(data, path)
     assert path.read_bytes() == want.encode("ascii")
-    capsys.readouterr()
-    write_json(data)
-    assert capsys.readouterr().out == want
 
 
 

@@ -19,7 +19,6 @@ from gsds import (
     interpolate,
     solution_space,
     sparsest_interpolate,
-    support_vars,
     trajectory,
 )
 from gsds.infer import (
@@ -236,7 +235,7 @@ def test_constrained_on_second_variable_only():
     data = TransitionData.from_series(GF3, EX3_SERIES)
     poly = constrained_interpolate(data, 1, {2})
     assert poly is not None
-    assert support_vars(poly) <= {2}
+    assert poly.support() <= {2}
     for state, image in data.pairs:
         assert poly.eval(state) == image[1]
 
@@ -273,7 +272,7 @@ def test_sparsest_prefers_constants():
 def test_sparsest_single_variable_solution():
     data = TransitionData.from_series(GF3, EX3_SERIES)
     poly = sparsest_interpolate(data, 0)
-    assert support_vars(poly) == {1}
+    assert poly.support() == {1}
     assert poly == parse_poly("x1 + 1", 3, GF3)
 
 
@@ -288,9 +287,9 @@ def test_sparsest_support_is_minimal():
         except ContradictoryDataError:
             continue
         poly = sparsest_interpolate(data, 0)
-        sup = support_vars(poly)
+        sup = poly.support()
         canonical = interpolate(data, 0)
-        assert len(sup) <= len(support_vars(canonical))
+        assert len(sup) <= len(canonical.support())
         # no strict subset of the support interpolates
         for smaller in itertools.combinations(sorted(sup), len(sup) - 1):
             assert constrained_interpolate(data, 0, smaller) is None
@@ -314,7 +313,7 @@ def test_infer_graph_for_known_solution():
     polys = [parse_poly(s, 3, GF3) for s in ("x1 + x2", "x2", "x2 + x3")]
     edges = set()
     for i, p in enumerate(polys):
-        for var in support_vars(p):
+        for var in p.support():
             edges.add((var - 1, i))
     assert (1, 0) in edges and (1, 2) in edges
     assert edges == {(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)}

@@ -413,19 +413,28 @@ def test_render_order_is_graded_lex():
     assert p.render() == "x1^2*x3^2 + 2*x1 + x2 + 1"
 
 
+def test_polynomial_truth_and_str():
+    # x1^3 - x1 reduces to the zero polynomial over GF(3)
+    for text, truth in (("0", False), ("x1^3 - x1", False), ("1", True), ("2*x1*x2 + x2^2", True)):
+        p = parse_poly(text, 2, GF3)
+        assert bool(p) is truth
+        assert str(p) == p.render()
+    assert not Polynomial.zero(GF3, 2) and str(Polynomial.zero(GF3, 2)) == "0"
+
+
 # -- support -------------------------------------------------------------
 
 
 def test_support_of_sum():
-    assert support_vars(parse_poly("x1 + x2", 3, GF3)) == {1, 2}
+    assert parse_poly("x1 + x2", 3, GF3).support() == {1, 2}
 
 
 def test_support_of_vanishing_polynomial():
-    assert support_vars(parse_poly("x1^3 - x1", 1, GF3)) == frozenset()
+    assert parse_poly("x1^3 - x1", 1, GF3).support() == frozenset()
 
 
 def test_support_of_two_variable_square_form():
-    assert support_vars(parse_poly("1 + x1^2*x3^2", 3, GF3)) == {1, 3}
+    assert parse_poly("1 + x1^2*x3^2", 3, GF3).support() == {1, 3}
 
 
 def test_support_on_restricted_domain():
