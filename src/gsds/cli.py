@@ -161,7 +161,7 @@ DISPLAY = _arg("--display", choices=["canonical", "balanced"],
 def _thresholds(path, model):
     """The threshold file's map for the model's genes, which must be over the
     model's field and discretize each gene into its state set."""
-    tmap, _ = load_thresholds(path, list(model.genes))
+    tmap = load_thresholds(path, model.genes)
     if tmap.field != model.field:
         raise FieldMismatchError(f"threshold file {path} is over {tmap.field!r}, "
                                  f"the model over {model.field!r}")
@@ -260,24 +260,22 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
         if thresholds_file is None:
             raise ValueError("--csv requires --thresholds")
         genes, _, rows = load_samples_csv(csv_file)
-        tmap, _ = load_thresholds(thresholds_file, genes)
+        tmap = load_thresholds(thresholds_file, genes)
         states = discretize_series(tmap, rows)
         series = StateSeries(tmap.field, states, genes, tmap.display)
     elif series_file:
         series = load_series(series_file)
     else:
         raise ValueError("provide a series file or --csv")
-    if len(series.states) < 2:
-        raise ValueError("the series must contain at least two states")
-    model = infer_network(series.field, series.states, preference, genes=series.genes,
-                          display=series.display)
+    data = TransitionData.from_series(series.field, series.states)
+    model = infer_network(data, preference, genes=series.genes, display=series.display)
     report = {
         "format_version": FORMAT_VERSION,
         "field": series.field.order,
         "genes": list(model.genes),
         "preference": preference,
         "transitions": len(series.states) - 1,
-        "dimensions": [series.field.order**model.n - len(set(series.states[:-1]))] * model.n,
+        "dimensions": [series.field.order**model.n - len(data)] * model.n,
         "polynomials": dict(zip(model.genes, render_polys(model.local_polys))),
         "edges": [[model.genes[a], model.genes[b]] for a, b in sorted(model.graph.edges)],
     }
@@ -287,7 +285,6 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
             raise ValueError(
                 f"--member needs {model.n} polynomials, got {len(texts)}"
             )
-        data = TransitionData.from_series(series.field, series.states)
         verdicts = {}
         for i, text in enumerate(texts):
             candidate = parse_poly(text, model.n, series.field)
@@ -325,7 +322,7 @@ def fit(csv_file, output):
 def discretize(csv_file, thresholds_file, collapse, output):
     """Discretize a concentration CSV into a state series."""
     genes, _, rows = load_samples_csv(csv_file)
-    tmap, _ = load_thresholds(thresholds_file, genes)
+    tmap = load_thresholds(thresholds_file, genes)
     states = discretize_series(tmap, rows, collapse=collapse)
     series = StateSeries(tmap.field, states, genes, tmap.display)
     _report(series_to_dict(series), output)
@@ -338,13 +335,8 @@ def discretize(csv_file, thresholds_file, collapse, output):
 )
 def check(csv_file, thresholds_file, model_file):
     """Check that the model's map commutes with discretization on the data."""
-    genes, _, rows = load_samples_csv(csv_file)
     model = load_model(model_file)
-    for name in model.genes:  # the columns are read by name, extra ones ignored
-        if name not in genes:
-            raise ValueError(f"sample CSV {csv_file} has no column for gene {name!r}")
-    picks = [genes.index(name) for name in model.genes]
-    rows = [tuple([row[j] for j in picks]) for row in rows]
+    _, _, rows = load_samples_csv(csv_file, model.genes)  # by name, other columns unread
     tmap = _thresholds(thresholds_file, model)
     fmap = global_map(model)
     result = check_translated(fmap, list(zip(rows, rows[1:])), tmap)
@@ -421,10 +413,9 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
     start = [float(v) for v in c0.replace("(", "").replace(")", "").split(",")]
     result = hybrid_simulate(model, rates, tmap, start, t_end)
     _report(_hybrid_json(model, result), output)
-    if csv_out:  # each breakpoint takes the value of the segment on its left
+    if csv_out:
         times = result.trajectories[0].breakpoints
-        columns = [[a * t + b for (a, b), t in zip(tr.segments[:1] + tr.segments, times)]
-                   for tr in result.trajectories]
+        columns = [list(map(tr.value, times)) for tr in result.trajectories]
         save_samples_csv(csv_out, model.genes, times, zip(*columns))
     if events_csv:
         save_events_csv(events_csv, result.events, model)

@@ -288,28 +288,34 @@ def save_events_csv(path, events, model):
 # -- CSV samples ---------------------------------------------------------
 
 
-def load_samples_csv(path):
-    """Read a time series: returns (gene_names, times, sample_vectors)."""
+def load_samples_csv(path, genes=None):
+    """Read a time series: returns (gene_names, times, sample_vectors) of the
+    columns of ``genes``, in that order, when given, else of every column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0].strip() != "t":
             raise ValueError("sample CSV must start with a 't' header column")
-        genes = [h.strip() for h in header[1:]]
-        if not genes:
+        names = [h.strip() for h in header[1:]]
+        if not names:
             raise ValueError("sample CSV has no gene columns")
-        repeated = sorted({g for g in genes if genes.count(g) > 1})
+        genes = names if genes is None else list(genes)
+        for g in genes:
+            if g not in names:
+                raise ValueError(f"sample CSV {path} has no column for gene {g!r}")
+        repeated = sorted({g for g in genes if names.count(g) > 1})
         if repeated:
             raise ValueError(f"sample CSV repeats gene column(s) {', '.join(repeated)}")
+        picks = [0, *(names.index(g) + 1 for g in genes)]
         columns = [f"sample CSV {path} column {g!r}" for g in ["t", *genes]]
         times = []
         rows = []
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(genes) + 1:
+            if len(row) != len(names) + 1:
                 raise ValueError(f"row {row!r} does not match the header")
-            t, *values = map(finite, row, columns)
+            t, *values = map(finite, map(row.__getitem__, picks), columns)
             times.append(t)
             rows.append(tuple(values))
     return genes, times, rows

@@ -1,15 +1,16 @@
 """Reverse-engineering of network models from observed state transitions.
 
-A set of observed transitions is a *partially defined function*: outputs
-are known on some subset S of GF(q)^n.  Per coordinate, the interpolants
-form an affine space of dimension q^n - |S|: one particular solution
-(the observed table, zero off S, made a reduced polynomial by the exact
-transform ``polyring.table_polys``, one pass for every coordinate) plus
-the span of the indicators of the unspecified points, a basis of q^n - |S|
-polynomials built only when ``SolutionSpace.basis`` is first read (a
-member is one transform of the table, its coefficients filled in).  The
-sparsest member with respect to variable support is found by searching
-variable subsets by size, then lexicographically.  ``infer_network``
+A set of observed transitions, a ``TransitionData``, is a *partially
+defined function*: outputs are known on some subset S of GF(q)^n.  Per
+coordinate, the interpolants form an affine space of dimension q^n - |S|:
+one particular solution, ``interpolate(data, i)`` (the observed table, zero
+off S, made a reduced polynomial by the exact transform ``table_polys``,
+one pass for every coordinate), plus the span of the indicators of the
+unspecified points, a basis of q^n - |S| polynomials built only when
+``SolutionSpace.basis`` is first read (a member is one transform of the
+table, its coefficients filled in).  The sparsest member with respect to
+variable support is found by searching variable subsets by size, then
+lexicographically.  ``infer_network`` fits one ``TransitionData`` and
 returns the inferred parallel ``GsdsModel``.  A subset V admits an
 interpolant iff no two observed inputs agree on V with different outputs
 (over GF(q) every function on the projection is a polynomial), a test of
@@ -87,11 +88,6 @@ class SolutionSpace:
         self.field = field
         self.n = n
         self.pairs = pairs  # (input state, output value), inputs distinct
-
-    @functools.cached_property
-    def particular(self):
-        """The canonical interpolant, built on first access."""
-        return table_poly(self.field, self.n, dict(self.pairs))
 
     @property
     def dimension(self):
@@ -236,9 +232,8 @@ def sparsest_interpolate(data, coordinate):
     raise AssertionError("unreachable: the full variable set always interpolates")
 
 
-def infer_network(field, series, preference="canonical", genes=None,
-                  display="canonical"):
-    """Fit one polynomial per coordinate to consecutive series pairs.
+def infer_network(data, preference="canonical", genes=None, display="canonical"):
+    """Fit one polynomial per coordinate to the transitions ``data``.
 
     ``canonical`` uses the indicator-sum interpolant; ``sparsest``
     minimizes the number of support variables.  The dependency graph has
@@ -248,10 +243,9 @@ def infer_network(field, series, preference="canonical", genes=None,
     """
     if preference not in ("canonical", "sparsest"):
         raise ValueError(f"unknown preference {preference!r}")
-    if len(series) < 2:
-        raise ValueError("need at least two states to form transitions")
-    data = TransitionData.from_series(field, series)
-    n = data.n
+    if not data.pairs:
+        raise ValueError("need at least one transition to infer from")
+    field, n = data.field, data.n
     if genes is None:
         genes = [f"g{j + 1}" for j in range(n)]
     if preference == "sparsest":

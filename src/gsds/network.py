@@ -81,10 +81,10 @@ class DependencyGraph:
 
 
 class ValidationReport:
-    """Violations found by validate_model; empty lists mean valid.  Genes
-    are named by ``genes`` when given, else by index."""
+    """Violations found by validate_model, naming each gene from ``genes``;
+    empty lists mean valid."""
 
-    def __init__(self, genes=None):
+    def __init__(self, genes):
         self.genes = genes
         self.locality = []  # (gene, variable, witness state pair)
         self.range = []  # (gene, input state, value), RANGE_MAX_LINES per gene
@@ -96,18 +96,17 @@ class ValidationReport:
         return not (self.locality or self.range or self.schedule)
 
     def lines(self):
-        name = lambda i: self.genes[i] if self.genes else f"#{i}"
         out = []
         for gene, var, (s1, s2) in self.locality:
             out.append(
-                f"locality: f[{name(gene)}] depends on x{var} outside its "
+                f"locality: f[{self.genes[gene]}] depends on x{var} outside its "
                 f"neighborhood (witness {s1} vs {s2})"
             )
         for gene, entries in itertools.groupby(self.range, key=lambda r: r[0]):
-            out += [f"range: f[{name(gene)}]{state} = {value}, outside the gene's state set"
+            out += [f"range: f[{self.genes[gene]}]{state} = {value}, outside the gene's state set"
                     for _, state, value in entries]
             if gene in self.range_more:
-                out.append(f"range: f[{name(gene)}] ... and {self.range_more[gene]} more "
+                out.append(f"range: f[{self.genes[gene]}] ... and {self.range_more[gene]} more "
                            f"states outside the gene's state set")
         for pos, entry in self.schedule:
             out.append(f"schedule: entry {entry!r} at position {pos} is not a gene")

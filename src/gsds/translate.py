@@ -172,8 +172,7 @@ def candidate_thresholds(values):
     return sorted({obs[0] - pad, *obs, *mids, obs[-1] + pad})
 
 
-def search_compatible_thresholds(samples, f, candidate_grid="midpoints", *,
-                                 field, levels=None, eps=DEFAULT_EPS):
+def search_compatible_thresholds(samples, f, candidate_grid="midpoints", *, field):
     """All single-threshold maps under which f commutes with the data.
 
     ``candidate_grid`` is either "midpoints" (build the default grid from
@@ -185,7 +184,7 @@ def search_compatible_thresholds(samples, f, candidate_grid="midpoints", *,
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     n = len(samples[0])
-    below, equal, above = levels if levels else default_level_scheme(field)
+    below, equal, above = default_level_scheme(field)
     if candidate_grid == "midpoints":
         grids = [
             candidate_thresholds([c[j] for c in samples]) for j in range(n)
@@ -204,11 +203,7 @@ def search_compatible_thresholds(samples, f, candidate_grid="midpoints", *,
     pairs = list(zip(samples, samples[1:]))
     found = []
     for combo in itertools.product(*grids):
-        tmap = ThresholdMap(
-            field,
-            [GeneThresholds([t], [below, above], [equal]) for t in combo],
-            eps=eps,
-        )
+        tmap = ThresholdMap(field, [GeneThresholds([t], [below, above], [equal]) for t in combo])
         if check_translated(f, pairs, tmap).compatible:
             found.append(tmap)
     return found
@@ -242,13 +237,12 @@ def thresholds_to_dict(tmap, gene_names):
     return d
 
 
-def thresholds_from_dict(d, gene_names=None):
+def thresholds_from_dict(d, gene_names):
     document(d, "thresholds")
     field = Field(d["field"])
     display = check_display(field, d.get("display", "canonical"))
-    names = gene_names or list(d["genes"])
     genes = []
-    for name in names:
+    for name in gene_names:
         spec = d["genes"].get(name)
         if spec is None:
             raise ValueError(f"thresholds missing for gene {name!r}")
@@ -262,12 +256,12 @@ def thresholds_from_dict(d, gene_names=None):
         ]
         thresholds = [finite(lv["threshold"], f"threshold of gene {name!r}") for lv in levels]
         genes.append(GeneThresholds(thresholds, band_levels, equal_levels))
-    return ThresholdMap(field, genes, eps=d.get("eps", DEFAULT_EPS), display=display), names
+    return ThresholdMap(field, genes, eps=d.get("eps", DEFAULT_EPS), display=display)
 
 
 def save_thresholds(tmap, gene_names, path):
     write_json(thresholds_to_dict(tmap, gene_names), path)
 
 
-def load_thresholds(path, gene_names=None):
+def load_thresholds(path, gene_names):
     return load(path, "thresholds", thresholds_from_dict, gene_names)

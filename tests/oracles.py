@@ -192,7 +192,7 @@ def oracle_compose(poly, substitutions):
 def oracle_member(space, coefficients):
     """The particular solution plus each scaled basis polynomial, added
     one at a time."""
-    result = space.particular
+    result = oracle_table_poly(space.field, space.n, dict(space.pairs))
     for c, b in zip(coefficients, space.basis):
         if c:
             result = oracle_add(result, b.scale(c))

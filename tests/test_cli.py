@@ -354,12 +354,14 @@ def test_discretize_collapse_flag(workspace, capsys):
     assert json.loads(out)["states"] == [[-1]]
 
 
-@pytest.mark.parametrize("command", ["fit", "discretize"])
+@pytest.mark.parametrize("command", ["fit", "discretize", "check"])
 def test_repeated_gene_column_exits_1(workspace, capsys, command):
     csv = workspace["dir"] / "repeated.csv"
-    csv.write_text("t,g1,g2,g1\n0,0.5,1,0.7\n1,1.5,1,0.2\n")
+    csv.write_text("t,g1,g2,g3,g1\n0,0.5,1,1,0.7\n1,1.5,1,1,0.2\n")
     argv = {"fit": ["fit", csv],
-            "discretize": ["discretize", csv, "--thresholds", workspace["thresholds"]]}
+            "discretize": ["discretize", csv, "--thresholds", workspace["thresholds"]],
+            "check": ["check", csv, "--thresholds", workspace["thresholds"],
+                      "--model", workspace["ex3"]]}
     code, out, err = run(capsys, *argv[command])
     assert code == 1
     assert out == ""
@@ -437,6 +439,11 @@ def test_check_ignores_csv_columns_of_other_genes(tmp_path, capsys):
     in_order = ab_check(tmp_path, capsys, "t,a,b", ["0,0,0", "1,1,0", "2,1,1"])
     extra = ab_check(tmp_path, capsys, "t,z,b,a", ["0,7,0,0", "1,-3,0,1", "2,5e9,1,1"])
     assert extra[:3] == in_order[:3] and extra[0] == 0
+    # only the model's columns are read, so z's nan is never parsed and a
+    # repeated z is never ambiguous
+    not_finite = ab_check(tmp_path, capsys, "t,a,b,z", ["0,0,0,nan", "1,1,0,nan", "2,1,1,x"])
+    repeated = ab_check(tmp_path, capsys, "t,z,a,b,z", ["0,1,0,0,1", "1,1,1,0,1", "2,1,1,1,1"])
+    assert not_finite[:3] == repeated[:3] == in_order[:3]
 
 
 def test_check_names_the_csv_and_the_gene_it_lacks(tmp_path, capsys):
@@ -565,8 +572,8 @@ def test_infer_usage_errors(workspace, capsys):
     empty.write_text(json.dumps({
         "format_version": 1, "field": 3, "states": [[0, 0, 0]],
     }))
-    code, _, _ = run(capsys, "infer", empty)
-    assert code == 1
+    assert run(capsys, "infer", empty) == (
+        1, "", "error: need at least one transition to infer from\n")
     series = workspace["dir"] / "series.json"
     run(capsys, "discretize", workspace["csv"], "--thresholds", workspace["thresholds"],
         "-o", series)
@@ -588,17 +595,20 @@ def test_canonical_infer_past_the_solver_limit_exits_1_with_one_line(tmp_path, c
 def test_infer_dimensions_count_distinct_inputs(workspace, capsys):
     # a consistent repeat is one observed input: 3 transitions, |S| = 2, so
     # each coordinate's solution space has dimension 2^2 - 2; the job reads
-    # its transitions once unless --member asks for membership
+    # its transitions once, and --member reads the same ones
     path = workspace["dir"] / "repeats.json"
     path.write_text(json.dumps({"format_version": 1, "field": 2,
                                 "states": [[0, 0], [1, 1], [0, 0], [1, 1]]}))
-    built = []  # both constructors read the transitions in _keep
     keep = TransitionData._keep
-    with mock.patch.object(TransitionData, "_keep",
-                           lambda self, *a: built.append(a) or keep(self, *a)):
-        code, out, _ = run(capsys, "infer", path)
-    report = json.loads(out)
-    assert (code, report["transitions"], report["dimensions"], len(built)) == (0, 3, [2, 2], 1)
+    for member in ([], ["--member", "x1 + 1; x2 + 1"]):
+        built = []  # both constructors read the transitions in _keep
+        with mock.patch.object(TransitionData, "_keep",
+                               lambda self, *a: built.append(a) or keep(self, *a)):
+            code, out, _ = run(capsys, "infer", path, *member)
+        report = json.loads(out)
+        assert (code, report["transitions"], report["dimensions"], len(built)) == (
+            0, 3, [2, 2], 1)
+        assert report.get("member_of_all", True) is True
 
 
 # -- hybrid -----------------------------------------------------------------------

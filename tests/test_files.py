@@ -100,8 +100,7 @@ def test_thresholds_file_round_trip(tmp_path, encoding, data):
     names = [f"g{j}" for j in range(len(genes))]
     path = tmp_path / "thresholds.json"
     save_thresholds(tmap, names, path)
-    back, back_names = load_thresholds(path)
-    assert back_names == names
+    back = load_thresholds(path, names)
     assert (back.field, back.eps, back.display) == (field, eps, display)
     for got, want in zip(back.genes, genes):
         assert (got.thresholds, got.band_levels, got.equal_levels) == (
@@ -181,11 +180,11 @@ def test_unknown_display_rejected_in_series_and_thresholds():
     thresholds = {"field": 3, "display": "bogus", "genes": {
         "g": {"levels": [{"threshold": 1.0, "below_level": 0}], "top_level": 1}}}
     with pytest.raises(ValueError, match="unknown display mode 'bogus'"):
-        thresholds_from_dict(thresholds)
+        thresholds_from_dict(thresholds, ["g"])
     with pytest.raises(UnsupportedEncodingError):
         series_from_dict({**series, "field": 2, "display": "balanced"})
     with pytest.raises(UnsupportedEncodingError):
-        thresholds_from_dict({**thresholds, "field": 4, "display": "balanced"})
+        thresholds_from_dict({**thresholds, "field": 4, "display": "balanced"}, ["g"])
 
 
 def test_codec():

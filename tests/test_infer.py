@@ -154,7 +154,7 @@ def test_full_table_has_unique_solution():
     data = TransitionData(GF2, 2, pairs)
     space = solution_space(data, 0)
     assert space.dimension == 0
-    assert space.particular == target
+    assert interpolate(data, 0) == target
 
 
 def test_known_coordinate_functions_are_members():
@@ -299,7 +299,7 @@ def test_sparsest_support_is_minimal():
 
 
 def test_infer_example_series_sparsest():
-    model = infer_network(GF3, EX3_SERIES, "sparsest",
+    model = infer_network(TransitionData.from_series(GF3, EX3_SERIES), "sparsest",
                           genes=["g1", "g2", "g3"], display="balanced")
     rendered = [p.render() for p in model.local_polys]
     assert rendered == ["x1 + 1", "1", "x1 + 1"]
@@ -320,7 +320,7 @@ def test_infer_graph_for_known_solution():
 
 
 def test_infer_constant_series():
-    model = infer_network(GF3, [(1, 2), (1, 2), (1, 2)], "sparsest")
+    model = infer_network(TransitionData.from_series(GF3, [(1, 2), (1, 2), (1, 2)]), "sparsest")
     assert [p.render() for p in model.local_polys] == ["1", "2"]
     assert model.graph.edges == frozenset()
 
@@ -339,19 +339,20 @@ def test_infer_recovers_model_from_full_truth_table():
 
 
 def test_infer_round_trip_on_series():
-    model = infer_network(GF3, EX3_SERIES, "canonical")
+    model = infer_network(TransitionData.from_series(GF3, EX3_SERIES), "canonical")
     got = trajectory(model, EX3_SERIES[0], len(EX3_SERIES) - 1)
     assert got == [tuple(s) for s in EX3_SERIES]
 
 
 def test_infer_needs_two_states():
-    with pytest.raises(ValueError):
-        infer_network(GF3, [(0, 0, 0)])
+    for data in TransitionData.from_series(GF3, [(0, 0, 0)]), TransitionData(GF3, 3, []):
+        with pytest.raises(ValueError, match="^need at least one transition to infer from$"):
+            infer_network(data)
 
 
 def test_infer_contradictory_series():
     with pytest.raises(ContradictoryDataError):
-        infer_network(GF2, [(0, 0), (1, 0), (0, 0), (0, 1)])
+        TransitionData.from_series(GF2, [(0, 0), (1, 0), (0, 0), (0, 1)])
 
 
 # -- random partially defined functions -------------------------------------------------
@@ -537,8 +538,6 @@ def test_sparsest_matches_exhaustive_elimination(data):
 @given(partial_functions())
 def test_solution_space_dimension_counts_lazy_basis(data):
     space = solution_space(data, 0)
-    assert "particular" not in vars(space)  # built on first access only
-    assert space.is_solution(space.particular)
     assert "basis" not in vars(space)
     assert space.dimension == len(space.basis)
 
@@ -557,11 +556,11 @@ def test_canonical_inference_refuses_a_space_past_the_solver_limit():
     # a two-state series over GF(2)^n: 2^14 points are inferred, and 2^15
     # are refused before the transform builds its table of q^n points
     assert CONSTRAINED_MAX_UNKNOWNS == 2**14
-    model = infer_network(Field(2), [(0,) * 14, (1,) * 14])
+    model = infer_network(TransitionData.from_series(Field(2), [(0,) * 14, (1,) * 14]))
     assert model.local_polys[0].eval((0,) * 14) == 1 and len(model.local_polys[0].terms) == 2**14
     with pytest.raises(ValueError, match=r"^canonical inference over 2\^15 points exceeds "
                                          r"the limit \(16384\)$"):
-        infer_network(Field(2), [(0,) * 15, (1,) * 15])
+        infer_network(TransitionData.from_series(Field(2), [(0,) * 15, (1,) * 15]))
 
 
 # -- series files -------------------------------------------------------------------------
@@ -597,7 +596,8 @@ def test_series_dict_version_check():
     (lambda: SolutionSpace(GF2, 1, ()).member([0]), "need 2 coefficients"),
     (lambda: sparsest_interpolate(TransitionData(GF2, 13, [((0,) * 13, (0,) * 13)]), 0),
      "sparsest search supports at most 12 variables, got 13"),
-    (lambda: infer_network(GF2, [(0,), (1,)], "densest"), "unknown preference 'densest'"),
+    (lambda: infer_network(TransitionData.from_series(GF2, [(0,), (1,)]), "densest"),
+     "unknown preference 'densest'"),
 ], ids=["transition-length", "coefficient-count", "sparsest-limit", "preference"])
 def test_error_messages(call, message):
     with pytest.raises(ValueError) as err:

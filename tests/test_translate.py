@@ -259,8 +259,7 @@ def test_threshold_file_round_trip(tmp_path, ex3_thresholds):
         "threshold": 0.78, "below_level": -1, "equal_level": 0,
     }
     assert raw["genes"]["g1"]["top_level"] == 1
-    loaded, names = load_thresholds(path)
-    assert names == ["g1", "g2", "g3"]
+    loaded = load_thresholds(path, ["g1", "g2", "g3"])
     for got, want in zip(loaded.genes, ex3_thresholds.genes):
         assert got.thresholds == want.thresholds
         assert got.band_levels == want.band_levels
@@ -277,7 +276,7 @@ def test_threshold_dict_version_check():
     d = thresholds_to_dict(build_ex3_thresholds(), ["g1", "g2", "g3"])
     d["format_version"] = 2
     with pytest.raises(ValueError):
-        thresholds_from_dict(d)
+        thresholds_from_dict(d, ["g1", "g2", "g3"])
 
 
 def test_balanced_threshold_file_saves_back_unchanged(tmp_path):
@@ -288,8 +287,8 @@ def test_balanced_threshold_file_saves_back_unchanged(tmp_path):
               "top_level": 1}
     path.write_text(json.dumps({"format_version": 1, "field": 3, "display": "balanced",
                                 "genes": {"g1": levels, "g2": levels}}, indent=2) + "\n")
-    tmap, names = load_thresholds(path)
-    save_thresholds(tmap, names, again)
+    tmap = load_thresholds(path, ["g1", "g2"])
+    save_thresholds(tmap, ["g1", "g2"], again)
     assert again.read_text() == path.read_text()
 
 

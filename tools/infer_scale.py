@@ -1,8 +1,9 @@
 """Time of inference on two larger seeded series.
 
 Draws a series of distinct random states on GF(2)^12 (64 transitions)
-and one on GF(3)^8 (60 transitions), infers a model from each with
-``infer_network`` under the canonical and the sparsest preference, and
+and one on GF(3)^8 (60 transitions), reads each into one
+``TransitionData``, infers a model from it with ``infer_network`` under
+the canonical and the sparsest preference, and
 renders each model's polynomials with one ``render_polys`` call, as
 ``gsds infer`` does.  Times the canonical transform, ``table_polys`` of
 every coordinate, alone (best of 5).  Saves each canonical model to a
@@ -63,10 +64,9 @@ def round_trip(model):
             f"1000-step trajectory {iterated - done:.3f} s")
 
 
-def transform_time(q, series):
-    """The best of 5 times of ``table_polys`` on the series' transitions,
+def transform_time(data):
+    """The best of 5 times of ``table_polys`` on the transitions ``data``,
     every coordinate at once, as canonical ``infer_network`` calls it."""
-    data = TransitionData.from_series(Field(q), series)
     states, images = zip(*data.pairs)
     columns = list(zip(*images))
     best = float("inf")
@@ -81,16 +81,16 @@ def main():
     digest = hashlib.sha256()
     parts = []
     for q, n, transitions in SERIES:
-        series = scale_series(q, n, transitions)
+        data = TransitionData.from_series(Field(q), scale_series(q, n, transitions))
         for preference in ("canonical", "sparsest"):
             start = perf_counter()
-            model = infer_network(Field(q), series, preference)
+            model = infer_network(data, preference)
             texts = render_polys(model.local_polys)
             elapsed = perf_counter() - start
             digest.update("\n".join(texts + [""]).encode())
             parts.append(f"GF({q})^{n} {preference} {elapsed:.2f} s")
             if preference == "canonical":
-                parts.append(f"GF({q})^{n} table_polys {transform_time(q, series) * 1e3:.1f} ms")
+                parts.append(f"GF({q})^{n} table_polys {transform_time(data) * 1e3:.1f} ms")
                 parts.append(f"GF({q})^{n} canonical model {round_trip(model)}")
     sizes = ", ".join(f"GF({q})^{n} {t} transitions" for q, n, t in SERIES)
     print(f"Inference at scale (seed {SEED}; {sizes}): {', '.join(parts)}; "
