@@ -89,7 +89,7 @@ class Field:
     __slots__ = ("order", "kind", "add_rows", "mul_rows", "neg_row", "inv_row", "pow_rows")
 
     def __init__(self, order):
-        if order == 4:
+        if isinstance(order, int) and order == 4:  # 4.0 == 4; _is_prime refuses non-ints
             kind = "gf4"
         elif _is_prime(order):
             if order > MAX_PRIME:

@@ -31,11 +31,12 @@ import sys
 from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
-from .polyring import Polynomial, parse_poly, poly_table, probe_variable, render_polys
+from .polyring import (TABLE_MAX_POINTS, Polynomial, parse_poly, poly_tables, probe_variable,
+                       render_polys, table_axes)
 
 RANGE_MAX_LINES = 10  # range violations listed per gene; the rest are counted
 KERNEL_BLOCK_STATES = 1 << 14  # states the kernel maps at a time
-SUBCUBE_MAX_POINTS = 1 << 18  # points of the largest support subcube tabulated
+SUBCUBE_MAX_POINTS = TABLE_MAX_POINTS  # subcube points, never more than its table's cells
 
 
 class DependencyGraph:
@@ -243,8 +244,8 @@ def _word(entries, n, what):
 # its helpers read a plane; truth_table() decodes its indices.  In a
 # block, a gene's plane is one Python int holding the gene's level
 # position at each state as a little-endian byte field (two bytes for a
-# gene of more than 256 levels).  polyring.poly_table tabulates a local
-# polynomial on its support subcube.  An update adds its support genes'
+# gene of more than 256 levels).  polyring.poly_tables tabulates the local
+# polynomials on their support subcubes.  An update adds its support genes'
 # planes, each times its subcube stride, into the subcube index of every
 # state at once; for a subcube of at most 256 points no field carries
 # into the next, and one bytes.translate of the table's level positions
@@ -265,17 +266,21 @@ def _width(top):
 
 
 def _subcube_tables(model):
-    """Each local polynomial's ``poly_table`` over the state sets, kept on
-    the model so that validation, the kernel and the map call of every
-    word tabulate once.  No table is built while a gene's support subcube
-    has more than SUBCUBE_MAX_POINTS points: ValueError names the gene."""
+    """The local polynomials' ``poly_tables`` over the state sets, kept on the
+    model so that validation, the kernel and the map call of every word
+    tabulate once; a ValueError for a subcube or table past its limit names the gene."""
     if not model._tables:
-        for name, p in zip(model.genes, model.local_polys):
-            size = math.prod(len(model.state_sets[v - 1]) for v in p.support())
-            if size > SUBCUBE_MAX_POINTS:
-                raise ValueError(f"gene {name!r} reads a subcube of {size} points, "
-                                 f"above the limit ({SUBCUBE_MAX_POINTS})")
-        model._tables.extend(poly_table(p, model.state_sets) for p in model.local_polys)
+        try:
+            model._tables.extend(poly_tables(model.local_polys, model.state_sets))
+        except ValueError:  # refused before any table was built: name the gene
+            for name, p in zip(model.genes, model.local_polys):
+                key = table_axes(p, model.state_sets)[1]
+                size, cells = math.prod(len(v) for v, _ in key), math.prod(r for _, r in key)
+                if cells > TABLE_MAX_POINTS:
+                    what = (f"reads a subcube of {size} points" if size > SUBCUBE_MAX_POINTS
+                            else f"needs a table of {cells} cells")
+                    raise ValueError(f"gene {name!r} {what}, above the limit ({TABLE_MAX_POINTS})")
+            raise
     return model._tables
 
 

@@ -7,9 +7,9 @@ which never collapses a positive power to x^0 and therefore preserves
 the value at 0).  Reduced polynomials are the canonical representatives
 of functions GF(q)^n -> GF(q): two polynomials are equal as functions
 iff their reduced forms are identical.  ``table_polys`` (values on points
-to polynomials, in passes over one dense table) and ``poly_table`` (values
-on a product of levels, from the terms) are the one exact transform between
-tables and polynomials; ``render_polys`` writes a list of them with one sort.
+to polynomials) and ``poly_tables`` (values on a product of levels) are the
+one exact transform between tables and polynomials, in the same dense passes;
+``render_polys`` writes a list of polynomials with one sort.
 
 Variables are written x1 ... xn.  The concrete text syntax (used in
 model files and CLI output) is
@@ -33,7 +33,7 @@ import sys
 from .errors import FieldMismatchError, PolyParseError
 
 PARSE_MAX_DEPTH = 100  # parentheses nested in one text; three parser frames each
-TABLE_MAX_POINTS = 1 << 18  # q^n of one dense table_polys transform
+TABLE_MAX_POINTS = 1 << 18  # cells of one column of a dense transform (table_polys: q^n)
 
 
 def iter_points(field, n_vars):
@@ -239,15 +239,12 @@ def support_vars(poly, domain):
     over the full field ``poly.support()`` reads the reduced form.
     """
     if len(domain) != poly.n_vars:
-        raise FieldMismatchError(
-            f"domain has {len(domain)} variable ranges, need {poly.n_vars}"
-        )
+        raise FieldMismatchError(f"domain has {len(domain)} variable ranges, need {poly.n_vars}")
     for j, values in enumerate(domain):
         if not values:
             raise ValueError(f"empty domain for variable x{j + 1}")
-    # only variables in the reduced-form support can influence values
-    tabled = poly_table(poly, domain)
-    return frozenset(v for v in poly.support() if probe_variable(tabled, v - 1, domain))
+    tabled = poly_table(poly, domain)  # on the reduced form's support, outside which nothing acts
+    return frozenset(j + 1 for j in tabled[0] if probe_variable(tabled, j, domain))
 
 
 def _reduced(field, n_vars, pairs):
@@ -272,81 +269,54 @@ def poly_sum(field, n_vars, polys):
     return _reduced(field, n_vars, itertools.chain.from_iterable(p.terms.items() for p in polys))
 
 
-@functools.lru_cache(maxsize=256)
-def _vandermonde(field, levels):
-    """Row e of the Vandermonde matrix V[a][e] = a^e over ``levels``: the
-    pairs (position of a, the multiplication row of a^e) with a^e != 0,
-    where 0^0 = 1."""
-    mul, power = field.mul_rows, field.pow_rows
-    return tuple(
-        tuple((p, mul[v]) for p, v in enumerate(power[a][e] for a in levels) if v)
-        for e in range(field.order)
-    )
-
-
-def _along_axes(field, table, axes):
-    """A sparse table keyed by mixed-radix index (first axis slowest)
-    with one matrix applied along each axis.  ``axes`` holds per axis
-    (input radix, output radix, rows), where rows[d] lists for input
-    digit d the pairs (output digit, multiplication row of the entry).
-    Each pass takes the leading digit off the index and appends the
-    output digit at the end, so the axes end in their first order."""
-    add = field.add_rows
-    top = math.prod(r_in for r_in, _, _ in axes)
-    for r_in, r_out, rows in axes:
-        top //= r_in
-        out = {}
-        get = out.get
-        for idx, v in table.items():
-            digit, rest = divmod(idx, top)
-            base = rest * r_out
-            for e, m in rows[digit]:
-                out[base + e] = add[get(base + e, 0)][m[v]]
-        table = {k: v for k, v in out.items() if v}
-        top *= r_out
-    return table
+def _passes(field, size, nonzero, axes):
+    """A dense table of ``size`` entries over GF(q), zero but for the (index,
+    value) pairs ``nonzero`` and its slowest digit the column, after a matrix
+    along each axis, axes[k] = (r, s, row): input radix r <= q, output radix s,
+    row(d)[e] the entry for input digit d and output digit e; the output digits
+    in axis order, the column fastest.  A pass maps the planes t[d::r] (last
+    digit d) to the planes sum_d row(d)[e] * plane d (first digit e), one big-int
+    operation per nonzero (d, e) on byte entries up to GF(13), 4-byte ints past
+    it; row(d) is built only for a plane d that is not zero."""
+    q, order, wide = field.order, sys.byteorder, field.order * (field.order - 1) > 255
+    cells = array.array("I", [0]) * size if wide else bytearray(size)
+    for i, v in nonzero:
+        cells[i] = v
+    if wide:  # 4 bytes hold q products below (q-1)^2; each entry reduced mod q
+        read, scale = functools.partial(int.from_bytes, byteorder=order), operator.mul
+        settle = lambda t: array.array("I", map(q.__rmod__, memoryview(t).cast("I")))
+    else:  # translate tables that read a byte v as v mod q
+        mul = [(bytes(m) * (256 // q + 1))[:256] for m in field.mul_rows]
+        read, settle = bytes, lambda t: t.translate(mul[1])
+        scale = lambda p, c: int.from_bytes(p if c == 1 else p.translate(mul[c]), order)
+    add = operator.xor if q in (2, 4) else operator.add
+    for r, s, row in reversed(axes):
+        width = len(cells) // r * memoryview(cells).itemsize
+        live = [(plane, row(d)) for d in range(r)
+                if (plane := read(cells[d::r])) != (0 if wide else bytes(width))]
+        cells = settle(b"".join(functools.reduce(add, [scale(p, m[e]) for p, m in live if m[e]], 0)
+                                .to_bytes(width, order) for e in range(s)))
+    return cells
 
 
 def table_polys(field, n_vars, points, columns):
     """The reduced polynomials, one per column, that are ``column[k]`` at
     ``points[k]`` (distinct points of GF(q)^n) and 0 elsewhere: the inverse
     Vandermonde matrix, L(a, e) = [e == 0] - a^(q-1-e) from the indicator
-    1 - (x - a)^(q-1), applied along each axis of a dense table, the column
-    its slowest digit.  A pass maps the planes t[d::q] (last digit d) to the
-    planes sum_d L(d, e) * plane d (first digit e), one big-int operation per
-    (d, e): byte entries up to GF(13), scaled by translate, added by xor in
-    GF(2) and GF(4) or reduced mod q by translate; past that, 4-byte ints."""
+    1 - (x - a)^(q-1), applied along each axis of a dense table."""
     q, count, size = field.order, len(columns), field.order**n_vars
     if size > TABLE_MAX_POINTS:
         raise ValueError(f"a table of {q}^{n_vars} points exceeds the limit ({TABLE_MAX_POINTS})")
-    wide, order = q * (q - 1) > 255, sys.byteorder  # a byte holds q entries below q
-    entries = (lambda t: memoryview(t).cast("I")) if wide else (lambda t: t)
-    cells = bytearray(count * size * (array.array("I").itemsize if wide else 1))
-    strides, at = [q ** (n_vars - 1 - j) for j in range(n_vars)], entries(cells)
-    index, width = [sum(map(operator.mul, p, strides)) for p in points], len(cells) // q
-    for base, column in zip(range(0, count * size, size), columns):
-        for i, v in zip(index, column):
-            at[base + i] = v
-    if wide:  # 4 bytes hold q products below (q-1)^2; each entry reduced mod q
-        read, zero, scale = functools.partial(int.from_bytes, byteorder=order), 0, operator.mul
-        settle = lambda t: array.array("I", map(q.__rmod__, entries(t))).tobytes()
-    else:  # translate tables that read a byte v as v mod q
-        mul = [(bytes(m) * (256 // q + 1))[:256] for m in field.mul_rows]
-        read, zero, settle = bytes, bytes(width), lambda t: t.translate(mul[1])
-        scale = lambda p, c: int.from_bytes(p if c == 1 else p.translate(mul[c]), order)
-    add, neg = operator.xor if q in (2, 4) else operator.add, field.neg_row.__getitem__
-    for _ in range(n_vars):  # each nonzero plane d with L(d, e): [d == 0], then -d^(q-1-e)
-        live = [(plane, [int(d == 0), *map(neg, field.pow_rows[d][q - 2 :: -1])])
-                for d in range(q) if (plane := read(entries(cells)[d::q])) != zero]
-        if not live:  # a zero table stays zero
-            break
-        planes, lower = zip(*live)
-        cells = settle(b"".join(functools.reduce(add, map(
-            scale, itertools.compress(planes, row), filter(None, row)), 0).to_bytes(width, order)
-            for row in zip(*lower)))
+    strides = [q ** (n_vars - 1 - j) for j in range(n_vars)]
+    index = [sum(map(operator.mul, p, strides)) for p in points]
+    nonzero = itertools.chain.from_iterable(
+        zip(map(base.__add__, index), col) for base, col in zip(itertools.count(0, size), columns))
+    neg = field.neg_row.__getitem__  # L(d, e): [d == 0], then -d^(q-1-e)
+    inverse = lambda d: [int(d == 0), *map(neg, field.pow_rows[d][q - 2 :: -1])]
+    cells = _passes(field, count * size, nonzero, [(q, q, inverse)] * n_vars)
     exps = list(itertools.product(range(q), repeat=n_vars))
     return [Polynomial._trusted(field, n_vars, dict(itertools.compress(zip(exps, col), col)))
-            for col in (entries(cells)[c::count] for c in range(count))]
+            for col in (cells[c::count] for c in range(count))]
 
 
 def table_poly(field, n_vars, values):
@@ -354,21 +324,45 @@ def table_poly(field, n_vars, values):
     return table_polys(field, n_vars, list(values), [list(values.values())])[0]
 
 
+def table_axes(poly, levels):
+    """The support variables of ``poly`` (0-based, ascending) and, per support
+    variable, its levels and the radix of its digit in ``poly_tables``' dense
+    table: the larger of its level count and 1 + its highest exponent."""
+    top = [*map(max, zip(*poly.terms))]
+    support = [j for j, e in enumerate(top) if e]
+    return support, tuple((tuple(levels[j]), max(len(levels[j]), 1 + top[j])) for j in support)
+
+
+def poly_tables(polys, levels):
+    """The forward direction of the exact transform of ``table_polys``: per
+    polynomial, its support variables (0-based) and its values on the product
+    of their ``levels`` (a level list per variable) in product order, from the
+    rows levels[e]^d along each axis of a dense table shared, a column each, by
+    the polynomials with equal ``table_axes``.  ValueError refuses a column of
+    more than TABLE_MAX_POINTS cells (past the support subcube only where an
+    exponent reaches a level count) before any table is built."""
+    groups = {}
+    for i, poly in enumerate(polys):
+        support, key = table_axes(poly, levels)
+        if (cells := math.prod(r for _, r in key)) > TABLE_MAX_POINTS:
+            raise ValueError(f"a table of {cells} cells exceeds the limit ({TABLE_MAX_POINTS})")
+        groups.setdefault(key, []).append((i, poly, support))
+    tables = [None] * len(polys)
+    for key, group in groups.items():
+        field, count, radices = group[0][1].field, len(group), [r for _, r in key]
+        size, strides = math.prod(radices), [math.prod(radices[k + 1 :]) for k in range(len(radices))]
+        nonzero = [(c * size + sum(map(operator.mul, map(exps.__getitem__, support), strides)), v)
+                   for c, (_, poly, support) in enumerate(group) for exps, v in poly.terms.items()]
+        axes = [(r, len(v), lambda d, v=v: [field.pow_rows[a][d] for a in v]) for v, r in key]
+        cells = _passes(field, count * size, nonzero, axes)
+        for c, (i, _, support) in enumerate(group):
+            tables[i] = (support, list(cells[c::count]))
+    return tables
+
+
 def poly_table(poly, levels):
-    """The forward direction of the exact transform of ``table_polys``:
-    the polynomial's support variables (0-based) and its values on the
-    product of their ``levels`` (one level list per variable), in
-    product order.  The Vandermonde matrix over each support variable's
-    levels is applied along its axis of the coefficient table."""
-    field, q = poly.field, poly.field.order
-    support = sorted(v - 1 for v in poly.support())
-    strides = [q ** (len(support) - 1 - k) for k in range(len(support))]
-    table = {sum(exps[j] * s for j, s in zip(support, strides)): c
-             for exps, c in poly.terms.items()}
-    sizes = [len(levels[j]) for j in support]
-    axes = [(q, size, _vandermonde(field, tuple(levels[j]))) for j, size in zip(support, sizes)]
-    table = _along_axes(field, table, axes)
-    return support, [table.get(i, 0) for i in range(math.prod(sizes))]
+    """``poly_tables`` of the one polynomial ``poly``."""
+    return poly_tables([poly], levels)[0]
 
 
 def probe_variable(tabled, j, domain):

@@ -129,6 +129,33 @@ def test_a_subcube_past_the_table_limit_exits_1_with_one_line(tmp_path, capsys, 
                                       "above the limit (262144)\n")
 
 
+def test_a_coefficient_table_past_the_limit_exits_1_with_one_line(tmp_path, capsys):
+    # g1 = x1^200*x2^200*x3^200 + 1 over GF(257) with two levels per gene
+    # reads 8 subcube points, but its dense table has 201^3 cells
+    genes = ["g1", "g2", "g3"]
+    doc = {"format_version": 1, "field": 257, "genes": genes,
+           "states": {g: [0, 1] for g in genes}, "edges": [[g, "g1"] for g in genes],
+           "locals": {"g1": "x1^200*x2^200*x3^200 + 1", "g2": "x2", "g3": "x3"},
+           "schedule": None}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err == "error: gene 'g1' needs a table of 8120601 cells, above the limit (262144)\n"
+
+
+@pytest.mark.parametrize("order", [4.0, 3.0, True, "4"])
+def test_a_field_order_that_is_not_an_int_exits_1_with_one_line(tmp_path, capsys, order):
+    # 4.0 == 4 once passed for GF(4), then failed building its tables
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps({"format_version": 1, "field": order, "genes": ["a"],
+                                "edges": [], "locals": {"a": "1"}, "schedule": None}))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err == (f"error: malformed model file {path}: field order must be prime "
+                   f"(<= 257) or 4, got {order!r}\n")
+
+
 @pytest.mark.parametrize("q, sizes", [(5, [5, 2]), (11, [11])])
 def test_range_lines_at_and_past_the_cap(tmp_path, capsys, q, sizes):
     count = math.prod(sizes)  # 10 and 11 violations

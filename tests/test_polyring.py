@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gsds import Field, FieldMismatchError, Polynomial, PolyParseError, polyring
 from gsds.polyring import (PARSE_MAX_DEPTH, indicator_poly, iter_points, parse_poly, poly_table,
-                           render_polys, support_vars, table_poly, table_polys)
+                           poly_tables, render_polys, support_vars, table_poly, table_polys)
 
 from oracles import (oracle_add, oracle_axes_table_poly, oracle_compose, oracle_mul,
                      oracle_packed_table_polys, oracle_parse_poly, oracle_render,
@@ -601,6 +601,56 @@ def test_poly_table_of_constants():
     assert poly_table(Polynomial.constant(GF4, 0, 3), []) == ([], [3])
     assert poly_table(Polynomial.constant(GF3, 2, 2), [(0, 1), (2,)]) == ([], [2])
     assert poly_table(parse_poly("x2^2 + 1", 3, GF3), [(0,), (2, 0, 1), (1,)]) == ([1], [2, 1, 2])
+
+
+@st.composite
+def shared_tabulation_cases(draw):
+    """Up to 6 polynomials over one ring, zeros and constants among them,
+    and per-variable level lists drawn from at most 3 lists (the whole
+    field in drawn order or a subset), so that polynomials on different
+    variables share a level key.  GF(257): subsets, and the whole field
+    in at most the first variable."""
+    field, n = draw(rings(4))
+    q = field.order
+    subset = st.lists(st.integers(0, q - 1), min_size=1, max_size=min(q, 6), unique=True)
+    whole = st.permutations(list(range(q)))
+    lists = draw(st.lists(st.one_of(whole, subset) if q < 257 else subset, min_size=1, max_size=3))
+    levels = [draw(st.sampled_from(lists)) for _ in range(n)]
+    if q == 257 and n and draw(st.booleans()):
+        levels[0] = list(range(q))
+    polys = draw(st.lists(st.one_of(
+        st.just(Polynomial.zero(field, n)),
+        st.integers(0, q - 1).map(lambda c: Polynomial.constant(field, n, c)),
+        polys_in(field, n, 12),
+    ), max_size=6))
+    return polys, levels
+
+
+@arith_settings
+@given(shared_tabulation_cases())
+def test_poly_tables_match_pointwise_tables(case):
+    polys, levels = case
+    assert poly_tables(polys, levels) == [oracle_subcube_table(p, levels) for p in polys]
+
+
+def test_poly_tables_bound_raises_before_allocating():
+    # x1^200*x2^200*x3^200 on two levels per variable: 8 subcube points,
+    # but 201^3 cells of coefficients, past TABLE_MAX_POINTS
+    gf257 = Field(257)
+    levels = [(0, 1), (1, 2), (0, 2)]
+    two = parse_poly("x1^200*x2^200 + 1", 3, gf257)
+    assert poly_tables([two], levels) == [oracle_subcube_table(two, levels)]
+    three = parse_poly("x1^200*x2^200*x3^200 + 1", 3, gf257)
+    assert polyring.table_axes(three, levels) == ([0, 1, 2], tuple((v, 201) for v in levels))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            poly_tables([two, three], levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"a table of {201**3} cells exceeds the limit ({1 << 18})"
+    assert peak < 1 << 16  # the table would take 4 * 201^3 bytes
 
 
 @st.composite
