@@ -32,7 +32,7 @@ from .errors import FieldMismatchError, ModelValidationError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .polyring import (TABLE_MAX_POINTS, Polynomial, parse_poly, poly_tables, probe_variable,
-                       render_polys, table_axes)
+                       render_polys)
 
 RANGE_MAX_LINES = 10  # range violations listed per gene; the rest are counted
 KERNEL_BLOCK_STATES = 1 << 14  # states the kernel maps at a time
@@ -268,19 +268,13 @@ def _width(top):
 def _subcube_tables(model):
     """The local polynomials' ``poly_tables`` over the state sets, kept on the
     model so that validation, the kernel and the map call of every word
-    tabulate once; a ValueError for a subcube or table past its limit names the gene."""
+    tabulate once; ValueError names a gene whose table is refused."""
     if not model._tables:
         try:
             model._tables.extend(poly_tables(model.local_polys, model.state_sets))
-        except ValueError:  # refused before any table was built: name the gene
-            for name, p in zip(model.genes, model.local_polys):
-                key = table_axes(p, model.state_sets)[1]
-                size, cells = math.prod(len(v) for v, _ in key), math.prod(r for _, r in key)
-                if cells > TABLE_MAX_POINTS:
-                    what = (f"reads a subcube of {size} points" if size > SUBCUBE_MAX_POINTS
-                            else f"needs a table of {cells} cells")
-                    raise ValueError(f"gene {name!r} {what}, above the limit ({TABLE_MAX_POINTS})")
-            raise
+        except ValueError as err:  # refused before any table was built
+            message, i = err.args
+            raise ValueError(f"gene {model.genes[i]!r} {message}") from None
     return model._tables
 
 

@@ -239,12 +239,15 @@ def support_vars(poly, domain):
     over the full field ``poly.support()`` reads the reduced form.
     """
     if len(domain) != poly.n_vars:
-        raise FieldMismatchError(f"domain has {len(domain)} variable ranges, need {poly.n_vars}")
+        raise FieldMismatchError(
+            f"domain has {len(domain)} variable ranges, need {poly.n_vars}"
+        )
     for j, values in enumerate(domain):
         if not values:
             raise ValueError(f"empty domain for variable x{j + 1}")
-    tabled = poly_table(poly, domain)  # on the reduced form's support, outside which nothing acts
-    return frozenset(j + 1 for j in tabled[0] if probe_variable(tabled, j, domain))
+    # only variables in the reduced-form support can influence values
+    tabled = poly_table(poly, domain)
+    return frozenset(v for v in poly.support() if probe_variable(tabled, v - 1, domain))
 
 
 def _reduced(field, n_vars, pairs):
@@ -324,36 +327,37 @@ def table_poly(field, n_vars, values):
     return table_polys(field, n_vars, list(values), [list(values.values())])[0]
 
 
-def table_axes(poly, levels):
-    """The support variables of ``poly`` (0-based, ascending) and, per support
-    variable, its levels and the radix of its digit in ``poly_tables``' dense
-    table: the larger of its level count and 1 + its highest exponent."""
-    top = [*map(max, zip(*poly.terms))]
-    support = [j for j, e in enumerate(top) if e]
-    return support, tuple((tuple(levels[j]), max(len(levels[j]), 1 + top[j])) for j in support)
-
-
 def poly_tables(polys, levels):
     """The forward direction of the exact transform of ``table_polys``: per
     polynomial, its support variables (0-based) and its values on the product
     of their ``levels`` (a level list per variable) in product order, from the
-    rows levels[e]^d along each axis of a dense table shared, a column each, by
-    the polynomials with equal ``table_axes``.  ValueError refuses a column of
-    more than TABLE_MAX_POINTS cells (past the support subcube only where an
-    exponent reaches a level count) before any table is built."""
+    rows levels[e]^x along each axis of a dense table in which a variable's
+    digit runs over the exponents x below its level count, then over the higher
+    ones it has.  Polynomials of one field with equal level lists and digits
+    share a table, a column each.  ValueError(message, i) refuses polynomial i,
+    before any table is built, if its column has more than TABLE_MAX_POINTS cells."""
     groups = {}
     for i, poly in enumerate(polys):
-        support, key = table_axes(poly, levels)
-        if (cells := math.prod(r for _, r in key)) > TABLE_MAX_POINTS:
-            raise ValueError(f"a table of {cells} cells exceeds the limit ({TABLE_MAX_POINTS})")
-        groups.setdefault(key, []).append((i, poly, support))
+        top = [*map(max, zip(*poly.terms))]
+        support = [j for j, e in enumerate(top) if e]
+        key = tuple((tuple(v), range(len(v)) if top[j] < len(v)
+                     else tuple(sorted({*range(len(v)), *(e[j] for e in poly.terms)})))
+                    for j, v in zip(support, map(levels.__getitem__, support)))
+        if (cells := math.prod(len(x) for _, x in key)) > TABLE_MAX_POINTS:
+            size = math.prod(len(v) for v, _ in key)
+            what = (f"reads a subcube of {size} points" if size > TABLE_MAX_POINTS
+                    else f"needs a table of {cells} cells")
+            raise ValueError(f"{what}, above the limit ({TABLE_MAX_POINTS})", i)
+        groups.setdefault((poly.field, key), []).append((i, poly, support))
     tables = [None] * len(polys)
-    for key, group in groups.items():
-        field, count, radices = group[0][1].field, len(group), [r for _, r in key]
-        size, strides = math.prod(radices), [math.prod(radices[k + 1 :]) for k in range(len(radices))]
-        nonzero = [(c * size + sum(map(operator.mul, map(exps.__getitem__, support), strides)), v)
+    for (field, key), group in groups.items():
+        count, radices = len(group), [len(x) for _, x in key]
+        size, strides = math.prod(radices), [math.prod(radices[k + 1 :]) for k in range(len(key))]
+        weights = [{x: d * stride for d, x in enumerate(xs)} for (_, xs), stride in zip(key, strides)]
+        nonzero = [(c * size + sum(map(dict.__getitem__, weights, map(exps.__getitem__, support))), v)
                    for c, (_, poly, support) in enumerate(group) for exps, v in poly.terms.items()]
-        axes = [(r, len(v), lambda d, v=v: [field.pow_rows[a][d] for a in v]) for v, r in key]
+        axes = [(len(x), len(v), lambda d, v=v, x=x: [field.pow_rows[a][x[d]] for a in v])
+                for v, x in key]
         cells = _passes(field, count * size, nonzero, axes)
         for c, (i, _, support) in enumerate(group):
             tables[i] = (support, list(cells[c::count]))

@@ -130,18 +130,22 @@ def test_a_subcube_past_the_table_limit_exits_1_with_one_line(tmp_path, capsys, 
 
 
 def test_a_coefficient_table_past_the_limit_exits_1_with_one_line(tmp_path, capsys):
-    # g1 = x1^200*x2^200*x3^200 + 1 over GF(257) with two levels per gene
-    # reads 8 subcube points, but its dense table has 201^3 cells
+    # over GF(257) with two levels per gene, g1 reads 8 subcube points;
+    # x1^200*x2^200*x3^200 takes 3^3 table cells, and the sum of
+    # (x1*x2*x3)^k for k = 2..64 takes (2 + 63)^3, past the limit
     genes = ["g1", "g2", "g3"]
     doc = {"format_version": 1, "field": 257, "genes": genes,
            "states": {g: [0, 1] for g in genes}, "edges": [[g, "g1"] for g in genes],
-           "locals": {"g1": "x1^200*x2^200*x3^200 + 1", "g2": "x2", "g3": "x3"},
+           "locals": {"g1": "x1^200*x2^200*x3^200", "g2": "x2", "g3": "x3"},
            "schedule": None}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", path) == (0, "valid\n", "")
+    doc["locals"]["g1"] = " + ".join(f"x1^{k}*x2^{k}*x3^{k}" for k in range(2, 65))
+    path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", path)
     assert (code, out) == (1, "")
-    assert err == "error: gene 'g1' needs a table of 8120601 cells, above the limit (262144)\n"
+    assert err == "error: gene 'g1' needs a table of 274625 cells, above the limit (262144)\n"
 
 
 @pytest.mark.parametrize("order", [4.0, 3.0, True, "4"])

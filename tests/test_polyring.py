@@ -633,24 +633,31 @@ def test_poly_tables_match_pointwise_tables(case):
     assert poly_tables(polys, levels) == [oracle_subcube_table(p, levels) for p in polys]
 
 
-def test_poly_tables_bound_raises_before_allocating():
-    # x1^200*x2^200*x3^200 on two levels per variable: 8 subcube points,
-    # but 201^3 cells of coefficients, past TABLE_MAX_POINTS
+def test_poly_tables_digits_run_over_the_exponents_a_polynomial_has():
+    # x1^200*x2^200*x3^200 on two levels per variable: 8 subcube points
+    # and digits over (0, 1, 200), 27 cells
     gf257 = Field(257)
     levels = [(0, 1), (1, 2), (0, 2)]
-    two = parse_poly("x1^200*x2^200 + 1", 3, gf257)
-    assert poly_tables([two], levels) == [oracle_subcube_table(two, levels)]
-    three = parse_poly("x1^200*x2^200*x3^200 + 1", 3, gf257)
-    assert polyring.table_axes(three, levels) == ([0, 1, 2], tuple((v, 201) for v in levels))
+    p = parse_poly("x1^200*x2^200*x3^200 + 1", 3, gf257)
+    assert poly_tables([p], levels) == [oracle_subcube_table(p, levels)]
+    # (x1*x2*x3)^k for k = 2..64: digits over 2 + 63 exponents each
+    many = parse_poly(" + ".join(f"x1^{k}*x2^{k}*x3^{k}" for k in range(2, 65)), 3, gf257)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
-            poly_tables([two, three], levels)
+            poly_tables([p, many], levels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert str(err.value) == f"a table of {201**3} cells exceeds the limit ({1 << 18})"
-    assert peak < 1 << 16  # the table would take 4 * 201^3 bytes
+    assert err.value.args == (f"needs a table of {65**3} cells, above the limit ({1 << 18})", 1)
+    assert peak < 1 << 16  # the table would take 4 * 65^3 bytes
+
+
+def test_poly_tables_never_share_a_table_across_fields():
+    # x1^2 + x1 at x1 = 2 is 0 in GF(3) and 1 in GF(5); both have the
+    # level list (0, 1, 2) and digits over exponents (0, 1, 2)
+    polys = [parse_poly("x1^2 + x1", 1, GF3), parse_poly("x1^2 + x1", 1, Field(5))]
+    assert poly_tables(polys, [(0, 1, 2)]) == [([0], [0, 2, 0]), ([0], [0, 2, 1])]
 
 
 @st.composite
