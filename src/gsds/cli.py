@@ -22,7 +22,7 @@ from .dynamics import DEFAULT_STATE_LIMIT, attractor_summary_dot, phase_portrait
     portrait_report, transitions_dot
 from .errors import CompatibilityError, ContradictoryDataError, FieldMismatchError, \
     GsdsError, ModelValidationError
-from .files import FORMAT_VERSION
+from .files import FORMAT_VERSION, finite
 from .infer import StateSeries, TransitionData, infer_network, load_series, \
     series_to_dict, solution_space
 from .network import global_map, load_model, save_model, \
@@ -138,7 +138,11 @@ def _parse_state(model, text):
         parts = text.split()
     if len(parts) != model.n:
         raise ValueError(f"state {text!r} does not have {model.n} coordinates")
-    return tuple(model.encode_level(int(p)) for p in parts)
+    try:
+        levels = list(map(int, parts))
+    except ValueError:
+        raise ValueError(f"state {text!r} has a coordinate that is not an integer") from None
+    return tuple(map(model.encode_level, levels))
 
 
 def _report(data, path=None):
@@ -171,6 +175,14 @@ def _thresholds(path, model):
                 raise ValueError(f"threshold file {path}: gene {name!r} discretizes to level "
                                  f"{model.format_level(level)}, outside its state set")
     return tmap
+
+
+def _csv_series(csv_file, thresholds_file, collapse=False):
+    """The state series of a concentration CSV, discretized by the threshold file."""
+    genes, _, rows = load_samples_csv(csv_file)
+    tmap = load_thresholds(thresholds_file, genes)
+    states = discretize_series(tmap, rows, collapse=collapse)
+    return StateSeries(tmap.field, states, genes, tmap.display)
 
 
 @_command(_arg("model_file", type=_existing))
@@ -259,10 +271,7 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
     if csv_file:
         if thresholds_file is None:
             raise ValueError("--csv requires --thresholds")
-        genes, _, rows = load_samples_csv(csv_file)
-        tmap = load_thresholds(thresholds_file, genes)
-        states = discretize_series(tmap, rows)
-        series = StateSeries(tmap.field, states, genes, tmap.display)
+        series = _csv_series(csv_file, thresholds_file)
     elif series_file:
         series = load_series(series_file)
     else:
@@ -321,11 +330,7 @@ def fit(csv_file, output):
 )
 def discretize(csv_file, thresholds_file, collapse, output):
     """Discretize a concentration CSV into a state series."""
-    genes, _, rows = load_samples_csv(csv_file)
-    tmap = load_thresholds(thresholds_file, genes)
-    states = discretize_series(tmap, rows, collapse=collapse)
-    series = StateSeries(tmap.field, states, genes, tmap.display)
-    _report(series_to_dict(series), output)
+    _report(series_to_dict(_csv_series(csv_file, thresholds_file, collapse)), output)
 
 
 @_command(
@@ -410,7 +415,7 @@ def hybrid(model_file, rates_file, thresholds_file, c0, t_end, output, csv_out,
     model = load_model(model_file)
     rates = load_rates(rates_file, model)
     tmap = _thresholds(thresholds_file, model)
-    start = [float(v) for v in c0.replace("(", "").replace(")", "").split(",")]
+    start = [finite(v, "c0") for v in c0.replace("(", "").replace(")", "").split(",")]
     result = hybrid_simulate(model, rates, tmap, start, t_end)
     _report(_hybrid_json(model, result), output)
     if csv_out:

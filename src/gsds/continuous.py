@@ -23,6 +23,7 @@ import bisect
 import csv
 import itertools
 import math
+from collections import namedtuple
 from operator import le, mul, sub, truediv
 
 from .errors import ContinuityError, ZenoError
@@ -103,18 +104,10 @@ class RatePolicy:
                     raise ValueError(f"no rate for gene {name!r} at level {model.format_level(v)}")
 
 
-class HybridEvent:
-    """One threshold crossing or floor hit during a hybrid run."""
+class HybridEvent(namedtuple("HybridEvent", "time gene threshold kind old_state new_state")):
+    """One threshold crossing or floor hit (``kind`` "threshold" or "floor") of a hybrid run."""
 
-    __slots__ = ("time", "gene", "threshold", "kind", "old_state", "new_state")
-
-    def __init__(self, time, gene, threshold, kind, old_state, new_state):
-        self.time = time
-        self.gene = gene
-        self.threshold = threshold
-        self.kind = kind  # "threshold" | "floor"
-        self.old_state = old_state
-        self.new_state = new_state
+    __slots__ = ()
 
     def __repr__(self):
         return (
@@ -124,14 +117,11 @@ class HybridEvent:
         )
 
 
-class HybridResult:
-    """Trajectories, events, and constant-state phases of a hybrid run."""
+class HybridResult(namedtuple("HybridResult", "trajectories events phases t_end")):
+    """Trajectories (one SectionalLinear per gene), events, constant-state phases
+    (t_start, t_end, discrete state at phase start) and end time of a hybrid run."""
 
-    def __init__(self, trajectories, events, phases, t_end):
-        self.trajectories = trajectories  # one SectionalLinear per gene
-        self.events = events
-        self.phases = phases  # (t_start, t_end, discrete state at phase start)
-        self.t_end = t_end
+    __slots__ = ()
 
 
 def hybrid_simulate(model, rates, tmap, c0, t_end):
@@ -141,8 +131,9 @@ def hybrid_simulate(model, rates, tmap, c0, t_end):
     rates[gene][activity], activity being the gene's coordinate of
     F(discretize(c)) fixed at the latest event.  Event times are exact
     roots of the linear segments; simultaneous crossings are processed
-    together, logged in ascending (gene, threshold) order.  More than
-    ``MAX_EVENTS`` events raise ZenoError.
+    together, logged in ascending (gene, threshold) order.  Each pass of
+    the event loop starts from the slopes of the current state and
+    concentrations.  More than ``MAX_EVENTS`` events raise ZenoError.
     """
     if finite(t_end, "t_end") <= 0:
         raise ValueError("t_end must be positive")
@@ -170,15 +161,15 @@ def hybrid_simulate(model, rates, tmap, c0, t_end):
     t = 0.0
     conc = [finite(c, "c0") for c in c0]
     state = discretize(tmap, conc)
-    slopes = slopes_for(state, conc)
     events = []
     phases = []
     breakpoints = [0.0]  # every phase bound and event time is one: cli's report relies on it
     columns = [[c] for c in conc]  # concentration at each breakpoint
 
     while True:
-        # next crossing over all genes and thresholds, plus floor hits
-        best_t = None
+        slopes = slopes_for(state, conc)
+        # next crossing before t_end over all genes and thresholds, plus floor hits
+        best_t = t_end
         crossings = []
         for j in range(n):
             v = slopes[j]
@@ -187,12 +178,12 @@ def hybrid_simulate(model, rates, tmap, c0, t_end):
             for theta, kind in (falling if v < 0 else rising)[j]:
                 if (v > 0 and conc[j] < theta) or (v < 0 and conc[j] > theta):
                     when = t + (theta - conc[j]) / v
-                    if best_t is None or when < best_t:
+                    if when < best_t:
                         best_t = when
                         crossings = [(j, theta, kind)]
                     elif when == best_t:
                         crossings.append((j, theta, kind))
-        if best_t is None or best_t >= t_end:
+        if best_t == t_end:
             break
         if len(events) + len(crossings) > MAX_EVENTS:
             raise ZenoError(
@@ -214,14 +205,12 @@ def hybrid_simulate(model, rates, tmap, c0, t_end):
         for column, c in zip(columns, conc):  # the last breakpoint's sample, new or not
             column[len(breakpoints) - 1 :] = [c]
         t = best_t
-        slopes = slopes_for(state, conc)
 
-    # close the final phase and extend trajectories to t_end
-    if t < t_end:
-        phases.append((t, t_end, state))
-        breakpoints.append(t_end)
-        for j in range(n):
-            columns[j].append(conc[j] + slopes[j] * (t_end - t))
+    # close the final phase (t < t_end) and extend trajectories to t_end
+    phases.append((t, t_end, state))
+    breakpoints.append(t_end)
+    for j in range(n):
+        columns[j].append(conc[j] + slopes[j] * (t_end - t))
     trajectories = tuple(
         fit_from_samples(breakpoints, columns[j]) for j in range(n)
     )

@@ -17,7 +17,6 @@ gains that prefix.
 
 import json
 import math
-from itertools import filterfalse
 
 from .errors import PolyParseError, UnsupportedEncodingError
 
@@ -32,21 +31,28 @@ def write_json(data, path):
 
 
 def finite(value, what):
-    """``value`` as a float, once it is neither NaN nor infinite; else
-    ValueError naming ``what``."""
-    x = float(value)
+    """``value`` as a float, once it is a number and neither NaN nor
+    infinite; else ValueError naming ``what``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a finite number, not {value!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"{what} must be a finite number, not {x}")
     return x
 
 
 def finite_all(values, what):
-    """``values`` as a tuple of floats, checked in one C-level pass; else
-    ``finite``'s ValueError for the first NaN or infinity."""
-    values = tuple(map(float, values))
-    if not all(map(math.isfinite, values)):
-        finite(next(filterfalse(math.isfinite, values)), what)
-    return values
+    """``values`` as a tuple of floats, converted and checked in one C-level
+    pass; else ``finite``'s ValueError for the first value that fails it."""
+    values = tuple(values)
+    try:
+        floats = tuple(map(float, values))
+        if all(map(math.isfinite, floats)):
+            return floats
+    except (TypeError, ValueError):
+        pass
+    return tuple(finite(v, what) for v in values)  # raises at the first value that fails
 
 
 def document(d, kind):

@@ -33,6 +33,7 @@ Threshold files are JSON:
 
 import bisect
 import itertools
+from collections import namedtuple
 
 from .errors import FieldMismatchError
 from .ffield import Field, check_display, decode_level, encode_level
@@ -119,13 +120,11 @@ def discretize_series(tmap, samples, collapse=False):
     return out
 
 
-class TranslationCheck:
-    """Outcome of a sample-based commuting-square check."""
+class TranslationCheck(namedtuple("TranslationCheck", "checked counterexamples")):
+    """Outcome of a sample-based commuting-square check: the pairs checked and one
+    (pair index, discretized input, f(input), discretized next sample) per failure."""
 
-    def __init__(self, checked, counterexamples):
-        self.checked = checked
-        # (pair index, discretized input, f(input), discretized next sample)
-        self.counterexamples = counterexamples
+    __slots__ = ()
 
     @property
     def compatible(self):

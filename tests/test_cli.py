@@ -1194,8 +1194,9 @@ def _threshold_doc(threshold=None, eps=None):
 
 # (case, changed file kind, change, argv, the error after "error: ")
 NON_FINITE = [
-    *[(f"csv-nan-{cmd}", "csv", "0.78,nan,1.25", argv,
-       "sample CSV {csv} column 'g2' must be a finite number, not nan")
+    *[(f"csv-{cell}-{cmd}", "csv", f"0.78,{cell},1.25", argv,
+       f"sample CSV {{csv}} column 'g2' must be a finite number, not {shown}")
+      for cell, shown in (("nan", "nan"), ("x", "'x'"))
       for cmd, argv in (
           ("fit", ["fit", "{csv}"]),
           ("discretize", ["discretize", "{csv}", "--thresholds", "{thresholds}"]),
@@ -1220,8 +1221,20 @@ NON_FINITE = [
         "-1": 0.0, "0": math.nan, "1": 0.0}}}, HYB + C0,
      "malformed rates file {rates}: rate of gene 'g2' at level 0 must be a finite "
      "number, not nan"),
+    *[(f"rate-{case}", "rates", lambda d, v=value: {**d, "rates": {**d["rates"], "g2": {
+        "-1": 0.0, "0": v, "1": 0.0}}}, HYB + C0,
+       f"malformed rates file {{rates}}: rate of gene 'g2' at level 0 must be a finite "
+       f"number, not {shown}")
+      for case, value, shown in (("text", "x", "'x'"), ("null", None, "None"))],
+    ("threshold-text", "thresholds", _threshold_doc(threshold="x"), HYB + C0,
+     "malformed thresholds file {thresholds}: threshold of gene 'g2' must be a finite "
+     "number, not 'x'"),
     ("c0-nan", None, None, HYB + ["--c0", "0.5,nan,0.5", "--t-end", "1"],
      "c0 must be a finite number, not nan"),
+    ("c0-text", None, None, HYB + ["--c0", "a,1,1", "--t-end", "1"],
+     "c0 must be a finite number, not 'a'"),
+    ("state-text", None, None, SIM + ["a,1,1"],
+     "state 'a,1,1' has a coordinate that is not an integer"),
     ("c0-infinity", None, None, HYB + ["--c0", "0.5,0.5,-inf", "--t-end", "1"],
      "c0 must be a finite number, not -inf"),
     ("t-end-infinity", None, None, HYB + ["--c0", "0.5,0.5,0.5", "--t-end", "inf"],

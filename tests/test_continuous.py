@@ -492,6 +492,24 @@ def test_simulator_matches_the_per_event_loop(case):
     assert run_outcome(hybrid_simulate, case) == run_outcome(oracle_hybrid_simulate, case)
 
 
+@settings(max_examples=200, deadline=None)
+@given(hybrid_cases())
+@example(ROUNDS_TO_NOW)
+def test_phases_tile_the_run_and_every_event_time_is_a_breakpoint(case):
+    # the invariants the event loop keeps and cli's hybrid report relies on
+    try:
+        with mock.patch.object(continuous, "MAX_EVENTS", 400):
+            result, again = hybrid_simulate(*case), hybrid_simulate(*case)
+    except ZenoError:
+        return
+    bounds = [0.0] + [t1 for _, t1, _ in result.phases]
+    assert [t0 for t0, _, _ in result.phases] == bounds[:-1] and bounds[-1] == case[-1]
+    assert all(map(float.__lt__, bounds, bounds[1:]))
+    assert all(list(tr.breakpoints) == bounds for tr in result.trajectories)
+    assert {e.time for e in result.events} <= set(bounds)
+    assert again.events == result.events
+
+
 @st.composite
 def state_space_cases(draw):
     """Models over GF(2)-GF(5) with restricted state sets that their

@@ -8,11 +8,12 @@ about 300 events a run; and seeded random feed-forward GF(2)^8 models,
 parallel and sequential, threshold 1.0 and rates {0: -1, 1: 1}, to
 t = 5 from seeded vectors in [0, 2]^8.  Every run writes its report to
 stdout and to ``-o``, its trajectory with ``--csv-out`` and its event
-log with ``--events-csv``.  Prints one line per kind of model, with the
-number of runs and events and the time of the runs, and a last line
-with the first 16 hex digits of one SHA-256 over every run's stdout and
-the bytes of its three files, which two checkouts that write the same
-bytes share.  Uses the gsds package of this checkout.  Run from
+log with ``--events-csv``.  Runs each kind of model PASSES times and
+prints one line per kind, with the number of runs and events and the
+time of the fastest pass over its runs, and a last line with the first
+16 hex digits of one SHA-256 over the first pass: every run's stdout
+and the bytes of its three files, which two checkouts that write the
+same bytes share.  Uses the gsds package of this checkout.  Run from
 anywhere:
 
     python3 tools/hybrid_scale.py
@@ -35,6 +36,7 @@ from gsds import cli  # noqa: E402
 from gsds.polyring import Polynomial  # noqa: E402
 
 SEED = 0
+PASSES = 3  # timed passes over each kind of model; the first is digested
 EX3_RUNS, GF2_RUNS = 8, 24  # GF(2)^8 runs per schedule kind
 EX3_THRESHOLDS, GF2_GENES, IN_DEGREE, TERMS = (0.78, 0.75, 1.25), 8, 3, 4
 
@@ -132,11 +134,13 @@ def main():
             kind = "sequential" if sequential else "parallel"
             kinds.append((f"Random GF(2)^{GF2_GENES} ({kind}, feed-forward, t_end 5)", argvs))
         for title, argvs in kinds:
-            results = [run(argv, tmp, digest) for argv in argvs]
-            events = [e for e, _ in results]
-            print(f"Hybrid at scale, {title}: {len(results)} runs, {sum(events)} events "
+            passes = [[run(argv, tmp, digest if k == 0 else hashlib.sha256()) for argv in argvs]
+                      for k in range(PASSES)]
+            events = [e for e, _ in passes[0]]
+            print(f"Hybrid at scale, {title}: {len(argvs)} runs, {sum(events)} events "
                   f"({min(events)}-{max(events)} a run), "
-                  f"{sum(t for _, t in results) * 1e3:.1f} ms")
+                  f"{min(sum(t for _, t in p) for p in passes) * 1e3:.1f} ms "
+                  f"(best of {PASSES} passes)")
     print(f"Hybrid bytes (stdout, -o, --csv-out and --events-csv of every run): "
           f"sha256 {digest.hexdigest()[:16]}")
 
