@@ -21,12 +21,11 @@ from .continuous import fit_from_samples, hybrid_simulate, load_rates, load_samp
 from .dynamics import DEFAULT_STATE_LIMIT, attractor_summary_dot, phase_portrait, \
     portrait_report, transitions_dot
 from .errors import CompatibilityError, ContradictoryDataError, FieldMismatchError, \
-    GsdsError, ModelValidationError
+    GsdsError, ModelValidationError, PolyParseError
 from .files import FORMAT_VERSION, finite
 from .infer import StateSeries, TransitionData, infer_network, load_series, \
     series_to_dict, solution_space
-from .network import global_map, load_model, save_model, \
-    trajectory, validate_model
+from .network import global_map, load_model, orbit, save_model, validate_model
 from .polyring import parse_poly, render_polys
 from .translate import discretize_series, check_translated, load_thresholds
 
@@ -209,18 +208,15 @@ def simulate(model_file, state, steps, as_json, display, schedule):
     model = _with_overrides(load_model(model_file), display, schedule)
     start = _parse_state(model, state)
     global_map(model)  # validates; exit 2 on failure
-    states = trajectory(model, start, steps)
-    if as_json:
-        _report(
-            {
-                "format_version": FORMAT_VERSION,
-                "field": model.field.order,
-                "display": model.display,
-                "states": [model.decode_state(s) for s in states],
-            }
-        )
+    states = orbit(model, start, steps)  # each state written as it is made
+    if as_json:  # the text of json.dumps(report, indent=2)
+        decoded = (_lay(map(str, model.decode_state(s)), 2) for s in states)
+        _report(itertools.chain(
+            [f'{{\n  "format_version": {FORMAT_VERSION},\n  "field": {model.field.order},\n'
+             f'  "display": "{model.display}",\n  "states": [\n    ', next(decoded)],
+            map(",\n    ".__add__, decoded), ["\n  ]\n}"]))
     else:
-        sys.stdout.write("".join(model.format_state(s) + "\n" for s in states))
+        sys.stdout.writelines(model.format_state(s) + "\n" for s in states)
 
 
 @_command(
@@ -296,7 +292,11 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
             )
         verdicts = {}
         for i, text in enumerate(texts):
-            candidate = parse_poly(text, model.n, series.field)
+            try:
+                candidate = parse_poly(text, model.n, series.field)
+            except PolyParseError as exc:
+                exc.args = (f"--member polynomial {i + 1} (gene {model.genes[i]!r}): {exc}",)
+                raise
             verdicts[model.genes[i]] = solution_space(data, i).is_solution(candidate)
         report["membership"] = verdicts
         report["member_of_all"] = all(verdicts.values())

@@ -28,7 +28,7 @@ import itertools
 import math
 import sys
 
-from .errors import FieldMismatchError, ModelValidationError
+from .errors import FieldMismatchError, ModelValidationError, PolyParseError
 from .ffield import Field, check_display, decode_level, encode_level
 from .files import FORMAT_VERSION, document, load, write_json
 from .polyring import (TABLE_MAX_POINTS, Polynomial, parse_poly, poly_tables, probe_variable,
@@ -431,15 +431,17 @@ def global_map(model, validate=True):
     return GlobalMap(model)
 
 
-def trajectory(model, state, steps):
-    """The orbit [state, F(state), ..., F^steps(state)]."""
+def orbit(model, state, steps):
+    """The states state, F(state), ..., F^steps(state), each made when it is read."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     f = GlobalMap(model)
-    out = [model.check_state(state)]
-    for _ in range(steps):
-        out.append(f(out[-1]))
-    return out
+    return itertools.accumulate(range(steps), lambda s, _: f(s), initial=model.check_state(state))
+
+
+def trajectory(model, state, steps):
+    """The orbit [state, F(state), ..., F^steps(state)]."""
+    return list(orbit(model, state, steps))
 
 
 def validate_model(model):
@@ -569,7 +571,11 @@ def model_from_dict(d):
         text = d["locals"].get(g)
         if text is None:
             raise ValueError(f"missing local polynomial for gene {g!r}")
-        locals_.append(parse_poly(text, n, field))
+        try:
+            locals_.append(parse_poly(text, n, field))
+        except PolyParseError as exc:
+            exc.args = (f"local polynomial for gene {g!r}: {exc}",)
+            raise
     for key in ("states", "locals"):  # both were read as objects by gene name above
         for g in d.get(key) or ():
             if g not in index:

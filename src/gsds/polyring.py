@@ -20,7 +20,9 @@ model files and CLI output) is
     var    := 'x' index          (1 <= index <= n_vars)
 
 with whitespace ignored and integer coefficients reduced into the field
-(negatives allowed).  Multiplication is always explicit.
+(negatives allowed).  Multiplication is always explicit.  ``parse_poly``
+reads it as tokens of one pattern (a number, a variable power or one other
+character), one recursive call per parenthesis level.
 """
 
 import array
@@ -28,11 +30,12 @@ import functools
 import itertools
 import math
 import operator
+import re
 import sys
 
 from .errors import FieldMismatchError, PolyParseError
 
-PARSE_MAX_DEPTH = 100  # parentheses nested in one text; three parser frames each
+PARSE_MAX_DEPTH = 100  # parentheses nested in one text; one parser frame each
 TABLE_MAX_POINTS = 1 << 18  # cells of one column of a dense transform (table_polys: q^n)
 
 
@@ -392,112 +395,86 @@ def indicator_poly(field, point):
     return table_poly(field, len(point), {tuple(field.coerce(a) for a in point): 1})
 
 
+# after blanks: a number, a variable power x<i>[^[-]<e>], or one other character ("" at the end)
+_TOKEN = re.compile(r"\s*((\d+)|x\s*(\d*)(?:\s*\^(\s*-?)\s*(\d*))?|.?)")
+
+
 def parse_poly(text, n_vars, field):
     """Parse polynomial text into reduced form.  See the module docstring
-    for the grammar; raises PolyParseError with a character position
-    (also past PARSE_MAX_DEPTH nested parentheses)."""
-    return _Parser(text, n_vars, field).parse()
+    for the grammar; raises PolyParseError with a character position, also
+    past PARSE_MAX_DEPTH nested parentheses and at a parenthesised factor
+    whose product could have more than TABLE_MAX_POINTS terms."""
+    poly, end = _sum(text, _TOKEN.match(text), n_vars, field, 0)
+    if end[1]:
+        raise PolyParseError(f"unexpected character {end[1][0]!r}", end.start(1))
+    return poly
 
 
-class _Parser:
-    def __init__(self, text, n_vars, field):
-        self.text = text
-        self.n = n_vars
-        self.field = field
-        self.pos = 0
-        self.mul = field.mul_rows
-
-    def parse(self):
-        result = self._expr()
-        if self._peek():
-            raise PolyParseError(f"unexpected character {self._peek()!r}", self.pos)
-        return result
-
-    def _peek(self):
-        """The next non-blank character, or "" at the end of the text."""
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos : self.pos + 1]
-
-    def _expr(self, depth=0):
-        """A signed sum of terms, all their pairs reduced in one call."""
-        pairs, ch = [], self._peek()
-        if ch and ch in "+-":
-            self.pos += 1
+def _sum(text, token, n, field, depth):
+    """The signed sum of terms that begins at ``token``, all its (exponents,
+    coefficient) pairs reduced in one call, and the token after it.  A term's
+    numbers multiply on the field's rows and its variable powers add into one
+    exponent list; only a parenthesised factor, read one frame deeper, costs
+    a product."""
+    match, mul, pairs, sign = _TOKEN.match, field.mul_rows, [], token[1]
+    if sign in ("+", "-"):
+        token = match(text, token.end())
+    while True:
+        exps, coeff, poly = [0] * n, field.neg_row[1] if sign == "-" else 1, None
         while True:
-            pairs += self._term(ch == "-", depth)
-            ch = self._peek()
-            if not (ch and ch in "+-"):
-                return _reduced(self.field, self.n, pairs)
-            self.pos += 1
-
-    def _term(self, negative, depth):
-        """A product of factors as (exponents, coefficient) pairs: numbers
-        multiply on the field's rows and variable powers add into one
-        exponent list; only a parenthesised factor costs a product."""
-        exps, coeff, poly = [0] * self.n, self.field.coerce(-1 if negative else 1), None
-        while True:
-            factor = self._factor(exps, depth)
-            if isinstance(factor, Polynomial):
-                poly = factor if poly is None else poly * factor
+            word, number, index, minus, exp = token.groups()
+            if number:
+                value = int(number)
+                if field.kind == "gf4" and value > 3:
+                    raise PolyParseError(f"coefficient {value} is not a canonical GF(4) value",
+                                         token.end(1))
+                coeff = mul[coeff][field.coerce(value)]
+            elif index:
+                if not 0 < (i := int(index)) <= n:
+                    raise PolyParseError(f"variable x{i} outside 1..{n}", token.start(1))
+                if minus is not None:  # x<i>^<e>: an error here is placed just past the '^'
+                    if not exp:
+                        raise PolyParseError("exponent must be an integer", token.start(4))
+                    if minus.endswith("-") and int(exp):
+                        raise PolyParseError("negative exponent", token.start(4))
+                exps[i - 1] += 1 if minus is None else int(exp)
+            elif index is not None:
+                raise PolyParseError("variable needs an index", token.start(1))
+            elif word == "(":
+                at = token.start(1)
+                if depth == PARSE_MAX_DEPTH:
+                    raise PolyParseError(f"parentheses nested deeper than {depth}", at)
+                inner, token = _sum(text, match(text, token.end()), n, field, depth + 1)
+                if token[1] != ")":
+                    raise PolyParseError("unclosed parenthesis", at)
+                if poly is None:
+                    poly, first = inner, at
+                else:  # refused before it is multiplied out
+                    tops = zip(*(map(max, zip(*p.terms)) for p in (poly, inner)))
+                    size = min(len(poly.terms) * len(inner.terms),
+                               math.prod(min(field.order - 1, s + t) + 1 for s, t in tops))
+                    if size > TABLE_MAX_POINTS:
+                        raise PolyParseError(f"a product of up to {size} terms exceeds the limit "
+                                             f"({TABLE_MAX_POINTS})", at)
+                    poly = poly * inner
             else:
-                coeff = self.mul[coeff][factor]
-            if self._peek() != "*":
+                raise PolyParseError(f"unexpected character {word!r}" if word
+                                     else "unexpected end of input", token.start(1))
+            token = match(text, token.end())
+            if token[1] != "*":
                 break
-            self.pos += 1
+            token = match(text, token.end())
         if poly is None:
-            return [(tuple(exps), coeff)]
-        mul = self.mul[coeff]
-        return [(tuple(map(operator.add, e, exps)), mul[c]) for e, c in poly.terms.items()]
-
-    def _factor(self, exps, depth):
-        """A parenthesised factor as a Polynomial, a number as a field
-        value, or a variable power added into ``exps`` (returning 1)."""
-        ch = self._peek()
-        if ch == "(":
-            open_pos = self.pos
-            if depth == PARSE_MAX_DEPTH:
-                raise PolyParseError(f"parentheses nested deeper than {depth}", open_pos)
-            self.pos += 1
-            inner = self._expr(depth + 1)
-            if self._peek() != ")":
-                raise PolyParseError("unclosed parenthesis", open_pos)
-            self.pos += 1
-            return inner
-        if ch.isdigit():
-            value = self._integer()
-            if self.field.kind == "gf4" and value > 3:
-                raise PolyParseError(
-                    f"coefficient {value} is not a canonical GF(4) value", self.pos
-                )
-            return self.field.coerce(value)
-        if ch == "x":
-            var_pos = self.pos
-            self.pos += 1
-            if not self._peek().isdigit():
-                raise PolyParseError("variable needs an index", var_pos)
-            index = self._integer()
-            if not 1 <= index <= self.n:
-                raise PolyParseError(f"variable x{index} outside 1..{self.n}", var_pos)
-            exponent = 1
-            if self._peek() == "^":
-                self.pos += 1
-                exp_pos = self.pos
-                negative = self._peek() == "-"
-                self.pos += negative
-                if not self._peek().isdigit():
-                    raise PolyParseError("exponent must be an integer", exp_pos)
-                exponent = self._integer()
-                if negative and exponent:
-                    raise PolyParseError("negative exponent", exp_pos)
-            exps[index - 1] += exponent
-            return 1
-        if ch == "":
-            raise PolyParseError("unexpected end of input", self.pos)
-        raise PolyParseError(f"unexpected character {ch!r}", self.pos)
-
-    def _integer(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start : self.pos])
+            pairs.append((tuple(exps), coeff))
+        else:
+            row = mul[coeff]
+            pairs += [(tuple(map(operator.add, e, exps)), row[c]) for e, c in poly.terms.items()]
+            if len(pairs) > TABLE_MAX_POINTS:  # a sum of products is reduced before it grows on
+                pairs = [*_reduced(field, n, pairs).terms.items()]
+                if len(pairs) > TABLE_MAX_POINTS:
+                    raise PolyParseError(f"a sum of {len(pairs)} terms exceeds the limit "
+                                         f"({TABLE_MAX_POINTS})", first)
+        sign = token[1]
+        if sign not in ("+", "-"):
+            return _reduced(field, n, pairs), token
+        token = match(text, token.end())

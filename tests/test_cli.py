@@ -1,7 +1,10 @@
+import contextlib
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -209,6 +212,28 @@ def test_simulate_json_output(workspace, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["states"] == [[-1, 1, -1], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("model, state", [("ex1", "0110"), ("ex3", "(-1,1,-1)")])
+def test_simulate_json_is_the_report_dumped(workspace, capsys, model, state):
+    code, out, _ = run(capsys, "simulate", workspace[model], "--state", state, "-T", "5", "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_simulate_writes_each_state_as_it_is_made(workspace, flags):
+    # 30 000 states held as a list, or their text joined, take megabytes
+    argv = ["simulate", str(workspace["ex3"]), "--state", "(-1,1,-1)", "-T", "30000", *flags]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
 
 
 def test_simulate_display_override(workspace, capsys):
@@ -615,6 +640,21 @@ def test_infer_usage_errors(workspace, capsys):
         assert run(capsys, "infer", *args) == (1, "", f"error: {message}\n")
 
 
+def test_parse_errors_name_their_polynomial(workspace, capsys):
+    doc = json.loads(workspace["ex3"].read_text())
+    path = workspace["dir"] / "bad-local.json"
+    path.write_text(json.dumps({**doc, "locals": {**doc["locals"], "g2": "x1 $"}}))
+    assert run(capsys, "validate", path) == (
+        1, "", f"error: malformed model file {path}: local polynomial for gene 'g2': "
+               "unexpected character '$' (at position 3)\n")
+    series = workspace["dir"] / "series.json"
+    run(capsys, "discretize", workspace["csv"], "--thresholds", workspace["thresholds"],
+        "-o", series)
+    assert run(capsys, "infer", series, "--member", "x1; x2 $ 1; x3") == (
+        1, "", "error: --member polynomial 2 (gene 'g2'): unexpected character '$' "
+               "(at position 3)\n")
+
+
 def test_canonical_infer_past_the_solver_limit_exits_1_with_one_line(tmp_path, capsys):
     # GF(2)^15 has 2^15 points, twice the solver limit: refused before the transform
     path = tmp_path / "two-states.json"
@@ -913,6 +953,15 @@ def _replace(key, value):
     return lambda d: {**d, key: value}
 
 
+def _product_model(n):
+    """A GF(2) model of n genes whose first local is (x1 + 1)*...*(xn + 1),
+    2^n terms once expanded."""
+    genes = [f"g{j}" for j in range(1, n + 1)]
+    locals_ = {g: f"x{j}" for j, g in enumerate(genes, 1)}
+    locals_["g1"] = "*".join(f"(x{j} + 1)" for j in range(1, n + 1))
+    return {"format_version": 1, "field": 2, "genes": genes, "locals": locals_, "schedule": None}
+
+
 # (case, file kind, change to a well-formed document or the file's text, command)
 MALFORMED = [
     ("model-field-string", "model", _replace("field", "3"), "validate"),
@@ -933,6 +982,7 @@ MALFORMED = [
     ("model-local-nested-1000", "model",
      lambda d: {**d, "locals": {**d["locals"], "g1": "(" * 1000 + "x1" + ")" * 1000}},
      "validate"),
+    ("model-local-product-24", "model", lambda d: _product_model(24), "validate"),
     ("series-flat-states", "series", _replace("states", [0, 1]), "infer"),
     ("series-genes-string", "series", _replace("genes", "abc"), "infer"),
     ("series-genes-ints", "series", _replace("genes", [1, 2, 3]), "infer"),

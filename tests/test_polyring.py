@@ -107,6 +107,53 @@ def test_parse_nesting_bound():
         assert err.value.position == text.index("(") + PARSE_MAX_DEPTH
 
 
+def test_parse_refuses_a_product_past_the_table_limit_before_it_expands():
+    # 24 factors expand to 2^24 terms (about 10 GB); the product of the first
+    # 18 (2^18 terms) by the 19th could have 2^19, past the limit
+    text = "*".join(f"(x{j} + 1)" for j in range(1, 25))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, 24, GF2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"a product of up to {1 << 19} terms exceeds the limit ({1 << 18})"
+                              f" (at position {text.index('(x19')})")
+    assert peak < 200 << 20
+
+
+def test_parse_bounds_products_and_sums_of_products(monkeypatch):
+    monkeypatch.setattr(polyring, "TABLE_MAX_POINTS", 16)
+    product = lambda k, first=1: "*".join(f"(x{j} + 1)" for j in range(first, first + k))
+    assert len(parse_poly(product(4), 8, GF2).terms) == 16
+    # 16 * 16 possible terms, but over GF(2) each of 4 variables has exponent 0 or 1
+    assert parse_poly(f"({product(4)}) * ({product(4)})", 8, GF2) == parse_poly(product(4), 8, GF2)
+    # 16 terms by 2, in 5 variables: 32 terms could be reached
+    with pytest.raises(PolyParseError, match="a product of up to 32 terms") as err:
+        parse_poly(product(5), 8, GF2)
+    assert err.value.position == product(5).index("(x5")
+    # a sum of products is reduced once it holds more pairs than the limit
+    assert parse_poly(f"{product(4)} + {product(4)}", 8, GF2) == Polynomial.zero(GF2, 8)
+    text = f"{product(4)} + {product(4, 5)}"
+    with pytest.raises(PolyParseError, match="a sum of 30 terms") as err:
+        parse_poly(text, 8, GF2)
+    assert err.value.position == text.index("(x5")
+
+
+def test_parse_refuses_digits_that_are_not_decimal():
+    # str.isdigit accepts a superscript two; int() does not read it
+    for text, message in (("x\u00b2", "variable needs an index (at position 0)"),
+                          ("x1^\u00b2", "exponent must be an integer (at position 3)"),
+                          ("2*\u00b2", "unexpected character '\u00b2' (at position 2)"),
+                          ("x1 + 3\u00b2", "unexpected character '\u00b2' (at position 6)")):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, 2, GF3)
+        assert str(err.value) == message
+    # a decimal digit of another script is read as its value
+    assert parse_poly("x\u0661 + \u0662", 1, GF3) == parse_poly("x1 + 2", 1, GF3)
+
+
 def test_parse_of_a_rendered_sum_reduces_once(monkeypatch):
     rng = random.Random(5)
     monomials = rng.sample(list(itertools.product(range(3), repeat=8)), 500)

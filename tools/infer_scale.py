@@ -9,11 +9,12 @@ renders each model's polynomials with one ``render_polys`` call, as
 every coordinate, alone (best of 5).  Saves each canonical model to a
 temporary file and times reading it back (``load_model``), validating it
 (``validate_model``) and iterating its map 1000 steps from the zero
-state (``trajectory``).  Prints one line: the four inference times, the
-two transform times, the load, validate and trajectory times, and a
-digest of the rendered text, which two checkouts that infer the same
-polynomials share.  Uses the gsds package of this checkout.  Run from
-anywhere:
+state (``trajectory``).  Exits 1 unless each reloaded model is valid and
+its polynomials equal the inferred ones.  Prints one line: the four
+inference times, the two transform times, the load, validate and
+trajectory times, and a digest of the rendered text, which two checkouts
+that infer the same polynomials share.  Uses the gsds package of this
+checkout.  Run from anywhere:
 
     python3 tools/infer_scale.py
 """
@@ -58,6 +59,8 @@ def round_trip(model):
         done = perf_counter()
     if not report.valid:
         sys.exit(f"an inferred model fails validation:\n{report}")
+    if loaded.local_polys != model.local_polys:  # parse after render is the identity
+        sys.exit("a reloaded canonical model's polynomials differ from the inferred ones")
     trajectory(loaded, (0,) * loaded.n, 1000)
     iterated = perf_counter()
     return (f"load {loaded_at - start:.2f} s + validate {done - loaded_at:.2f} s, "
