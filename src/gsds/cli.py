@@ -23,7 +23,7 @@ from .dynamics import DEFAULT_STATE_LIMIT, attractor_summary_dot, phase_portrait
 from .errors import CompatibilityError, ContradictoryDataError, FieldMismatchError, \
     GsdsError, ModelValidationError, PolyParseError
 from .files import FORMAT_VERSION, finite
-from .infer import StateSeries, TransitionData, infer_network, load_series, \
+from .infer import StateSeries, infer_network, load_series, \
     series_to_dict, solution_space
 from .network import global_map, load_model, orbit, save_model, validate_model
 from .polyring import parse_poly, render_polys
@@ -272,7 +272,7 @@ def infer(series_file, csv_file, thresholds_file, preference, member, output):
         series = load_series(series_file)
     else:
         raise ValueError("provide a series file or --csv")
-    data = TransitionData.from_series(series.field, series.states)
+    data = series.transitions()
     model = infer_network(data, preference, genes=series.genes, display=series.display)
     report = {
         "format_version": FORMAT_VERSION,

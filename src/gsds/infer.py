@@ -13,9 +13,13 @@ variable support is found by searching variable subsets by size, then
 lexicographically.  ``infer_network`` fits one ``TransitionData`` and
 returns the inferred parallel ``GsdsModel``.  A subset V admits an
 interpolant iff no two observed inputs agree on V with different outputs
-(over GF(q) every function on the projection is a polynomial), a test of
-one dict pass; the constraints restricted to monomials in V are solved
-only for the first subset that passes it.
+(over GF(q) every function on the projection is a polynomial), that is,
+iff V meets the conflict mask (the variables on which they differ) of
+every two inputs with different outputs.  The search tests each subset
+against the masks found so far with integer ANDs; only a subset that meets
+them all gets a dict pass, which proves it feasible or finds new masks.
+The constraints restricted to monomials in V, one per distinct projection,
+are solved only for the first feasible subset.
 
 Series files are JSON:
 
@@ -52,9 +56,13 @@ class TransitionData:
     @classmethod
     def from_series(cls, field, states):
         """The transitions between consecutive states, each state checked once."""
-        data, states = cls.__new__(cls), list(states)
-        data._keep(field, len(states[0]) if states else 0,
-                   itertools.pairwise(tuple(map(field.check, s)) for s in states))
+        return cls._pairwise(field, list(states), lambda s: tuple(map(field.check, s)))
+
+    @classmethod
+    def _pairwise(cls, field, states, check=tuple):
+        """The transitions between consecutive ``states``, each passed through ``check``."""
+        data = cls.__new__(cls)
+        data._keep(field, len(states[0]) if states else 0, itertools.pairwise(map(check, states)))
         return data
 
     def _keep(self, field, n, pairs):
@@ -161,12 +169,20 @@ def _solve_linear(field, rows, rhs):
     return solution
 
 
-def _feasible(view, subset):
-    """Whether some function of the variables in ``subset`` (1-based)
-    fits ``view``: no two inputs agree on them with different outputs."""
-    project = operator.itemgetter(*(v - 1 for v in subset)) if subset else (lambda s: ())
-    seen = {}
-    return all(seen.setdefault(project(s), value) == value for s, value in view)
+def _conflicts(view, subset, bits):
+    """The conflict masks found by one pass over ``view`` that projects each
+    input onto the variables of ``subset`` (x_j as bit j - 1 of ``bits``):
+    the variables on which an input and the first input of its projection
+    differ, where their outputs differ.  Empty iff some function of those
+    variables fits ``view``."""
+    index = [b.bit_length() - 1 for b in subset]
+    project = operator.itemgetter(*index) if index else (lambda s: ())
+    first, found = {}, set()
+    for s, value in view:
+        t, other = first.setdefault(project(s), (s, value))
+        if other != value:
+            found.add(sum(itertools.compress(bits, map(operator.ne, s, t))))
+    return found
 
 
 def constrained_interpolate(data, coordinate, allowed_vars):
@@ -188,18 +204,20 @@ def constrained_interpolate(data, coordinate, allowed_vars):
             f"({CONSTRAINED_MAX_UNKNOWNS})"
         )
     mul, power = f.mul_rows, f.pow_rows
-    view = data.coordinate_view(coordinate)
+    index, points = [v - 1 for v in allowed], {}  # equal projections, equal equations
+    for state, value in data.coordinate_view(coordinate):
+        if points.setdefault(tuple(map(state.__getitem__, index)), value) != value:
+            return None
     rows = []
-    for state, _ in view:
+    for point in points:
         # the monomials x^e over ``allowed`` in product order, as a
         # Kronecker product of per-variable power rows
         row = [1]
-        for v in allowed:
-            row = [mul[a][b] for a in row for b in power[state[v - 1]]]
+        for x in point:
+            row = [mul[a][b] for a in row for b in power[x]]
         rows.append(row)
-    solution = _solve_linear(f, rows, [value for _, value in view])
-    if solution is None:
-        return None
+    # the rows of distinct points are independent, so the system is consistent
+    solution = _solve_linear(f, rows, list(points.values()))
     terms = {}
     for i, c in enumerate(solution):
         if c:
@@ -216,19 +234,25 @@ def sparsest_interpolate(data, coordinate):
     Searches subsets in order of increasing size, lexicographic within a
     size, and returns the constrained interpolant of the first feasible
     one; by the search order no strict subset of its support is feasible.
+    Only a subset that meets every conflict mask found so far gets a
+    projection pass, which proves it feasible or finds new masks.
     """
     if data.n > SPARSEST_MAX_VARS:
         raise ValueError(
             f"sparsest search supports at most {SPARSEST_MAX_VARS} variables, "
             f"got {data.n}"
         )
-    view = data.coordinate_view(coordinate)
+    view, bits = data.coordinate_view(coordinate), [1 << j for j in range(data.n)]
+    conflicts = []  # variable masks that every feasible subset meets
     for size in range(data.n + 1):
-        too_large = data.field.order**size > CONSTRAINED_MAX_UNKNOWNS
-        for subset in itertools.combinations(range(1, data.n + 1), size):
-            # past the solver limit the first subset raises its error
-            if too_large or _feasible(view, subset):
-                return constrained_interpolate(data, coordinate, subset)
+        if data.field.order**size > CONSTRAINED_MAX_UNKNOWNS:  # the solver's error
+            return constrained_interpolate(data, coordinate, range(1, size + 1))
+        for subset in itertools.combinations(bits, size):
+            if all(map(sum(subset).__and__, conflicts)):
+                if not (found := _conflicts(view, subset, bits)):
+                    return constrained_interpolate(data, coordinate,
+                                                   [b.bit_length() for b in subset])
+                conflicts += found
     raise AssertionError("unreachable: the full variable set always interpolates")
 
 
@@ -272,6 +296,10 @@ class StateSeries:
         self.genes = list(genes) if genes else None
         self.display = check_display(field, display)
 
+    def transitions(self):
+        """The ``TransitionData`` of consecutive states, checked when the series was made."""
+        return TransitionData._pairwise(self.field, self.states)
+
 
 def series_to_dict(series):
     field, display = series.field, series.display
@@ -297,7 +325,9 @@ def series_from_dict(d):
     names = {g for g in genes if isinstance(g, str)} if isinstance(genes, list) else None
     if genes is not None and (names is None or {len(names), *map(len, states)} != {len(genes)}):
         raise ValueError(f"genes must be distinct names, one per coordinate, got {genes!r}")
-    return StateSeries(field, states, genes, display)
+    series = StateSeries(field, (), genes, display)
+    series.states = states  # each level checked once, by ``encode_level``
+    return series
 
 
 def save_series(series, path):

@@ -36,6 +36,7 @@ import sys
 from .errors import FieldMismatchError, PolyParseError
 
 PARSE_MAX_DEPTH = 100  # parentheses nested in one text; one parser frame each
+PARSE_MAX_PAIRS = 1 << 20  # term pairs multiplied by all the products of one text
 TABLE_MAX_POINTS = 1 << 18  # cells of one column of a dense transform (table_polys: q^n)
 
 
@@ -402,20 +403,21 @@ _TOKEN = re.compile(r"\s*((\d+)|x\s*(\d*)(?:\s*\^(\s*-?)\s*(\d*))?|.?)")
 def parse_poly(text, n_vars, field):
     """Parse polynomial text into reduced form.  See the module docstring
     for the grammar; raises PolyParseError with a character position, also
-    past PARSE_MAX_DEPTH nested parentheses and at a parenthesised factor
-    whose product could have more than TABLE_MAX_POINTS terms."""
-    poly, end = _sum(text, _TOKEN.match(text), n_vars, field, 0)
+    past PARSE_MAX_DEPTH nested parentheses, at a parenthesised factor
+    whose product could have more than TABLE_MAX_POINTS terms and at one
+    that takes the text's products past PARSE_MAX_PAIRS pairs of terms."""
+    poly, end = _sum(text, _TOKEN.match(text), n_vars, field, 0, [0])
     if end[1]:
         raise PolyParseError(f"unexpected character {end[1][0]!r}", end.start(1))
     return poly
 
 
-def _sum(text, token, n, field, depth):
+def _sum(text, token, n, field, depth, pairs_done):
     """The signed sum of terms that begins at ``token``, all its (exponents,
     coefficient) pairs reduced in one call, and the token after it.  A term's
     numbers multiply on the field's rows and its variable powers add into one
     exponent list; only a parenthesised factor, read one frame deeper, costs
-    a product."""
+    a product, whose |a|·|b| term pairs add to ``pairs_done[0]``."""
     match, mul, pairs, sign = _TOKEN.match, field.mul_rows, [], token[1]
     if sign in ("+", "-"):
         token = match(text, token.end())
@@ -444,7 +446,8 @@ def _sum(text, token, n, field, depth):
                 at = token.start(1)
                 if depth == PARSE_MAX_DEPTH:
                     raise PolyParseError(f"parentheses nested deeper than {depth}", at)
-                inner, token = _sum(text, match(text, token.end()), n, field, depth + 1)
+                inner, token = _sum(text, match(text, token.end()), n, field, depth + 1,
+                                    pairs_done)
                 if token[1] != ")":
                     raise PolyParseError("unclosed parenthesis", at)
                 if poly is None:
@@ -456,6 +459,10 @@ def _sum(text, token, n, field, depth):
                     if size > TABLE_MAX_POINTS:
                         raise PolyParseError(f"a product of up to {size} terms exceeds the limit "
                                              f"({TABLE_MAX_POINTS})", at)
+                    pairs_done[0] += len(poly.terms) * len(inner.terms)
+                    if pairs_done[0] > PARSE_MAX_PAIRS:
+                        raise PolyParseError(f"products of {pairs_done[0]} term pairs exceed "
+                                             f"the limit ({PARSE_MAX_PAIRS})", at)
                     poly = poly * inner
             else:
                 raise PolyParseError(f"unexpected character {word!r}" if word

@@ -467,6 +467,14 @@ def oracle_constrained_interpolate(data, coordinate, allowed_vars):
     return Polynomial(f, data.n, {e: c for e, c in zip(monomials, solution) if c})
 
 
+def oracle_feasible(view, subset):
+    """Whether some function of the variables in ``subset`` (1-based) fits
+    ``view``: no two inputs agree on them with different outputs."""
+    seen = {}
+    return all(seen.setdefault(tuple(s[v - 1] for v in subset), value) == value
+               for s, value in view)
+
+
 def oracle_probe_variable(poly, j, domain):
     """The first pair in product order of points of ``domain`` that
     differ only in x_(j+1) and give different values, or None: a scan of

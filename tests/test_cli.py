@@ -953,12 +953,12 @@ def _replace(key, value):
     return lambda d: {**d, key: value}
 
 
-def _product_model(n):
-    """A GF(2) model of n genes whose first local is (x1 + 1)*...*(xn + 1),
-    2^n terms once expanded."""
+def _product_model(n, copies=1):
+    """A GF(2) model of n genes whose first local is the sum of ``copies``
+    products (x1 + 1)*...*(xn + 1), each 2^n terms once expanded."""
     genes = [f"g{j}" for j in range(1, n + 1)]
     locals_ = {g: f"x{j}" for j, g in enumerate(genes, 1)}
-    locals_["g1"] = "*".join(f"(x{j} + 1)" for j in range(1, n + 1))
+    locals_["g1"] = " + ".join(["*".join(f"(x{j} + 1)" for j in range(1, n + 1))] * copies)
     return {"format_version": 1, "field": 2, "genes": genes, "locals": locals_, "schedule": None}
 
 
@@ -983,6 +983,8 @@ MALFORMED = [
      lambda d: {**d, "locals": {**d["locals"], "g1": "(" * 1000 + "x1" + ")" * 1000}},
      "validate"),
     ("model-local-product-24", "model", lambda d: _product_model(24), "validate"),
+    # 1035 bytes: no product passes the size bound, and the sum cancels
+    ("model-local-products-6x18", "model", lambda d: _product_model(18, 6), "validate"),
     ("series-flat-states", "series", _replace("states", [0, 1]), "infer"),
     ("series-genes-string", "series", _replace("genes", "abc"), "infer"),
     ("series-genes-ints", "series", _replace("genes", [1, 2, 3]), "infer"),

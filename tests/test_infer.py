@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -24,7 +26,7 @@ from gsds import (
 from gsds.infer import (
     CONSTRAINED_MAX_UNKNOWNS,
     SolutionSpace,
-    _feasible,
+    _conflicts,
     _solve_linear,
     load_series,
     save_series,
@@ -36,6 +38,7 @@ from gsds.polyring import Polynomial, indicator_poly, iter_points, parse_poly, t
 from conftest import build_example1
 from oracles import (
     oracle_constrained_interpolate,
+    oracle_feasible,
     oracle_indicator_poly,
     oracle_interpolate_gf3,
     oracle_member,
@@ -79,6 +82,19 @@ def test_from_series_checks_each_state_once():
         data = TransitionData.from_series(GF3, EX3_SERIES)
     assert checked == [v for s in EX3_SERIES for v in s]
     assert data.pairs == TransitionData(GF3, 3, zip(EX3_SERIES, EX3_SERIES[1:])).pairs
+
+
+def test_a_loaded_series_checks_each_level_once():
+    checked = []
+    check = Field.check
+    d = {"format_version": 1, "field": 3, "states": [list(s) for s in EX3_SERIES]}
+    with mock.patch.object(Field, "check", lambda self, v: checked.append(v) or check(self, v)):
+        data = series_from_dict(d).transitions()
+    assert checked == [v for s in EX3_SERIES for v in s]  # by encode_level
+    assert data.pairs == TransitionData.from_series(GF3, EX3_SERIES).pairs
+    # the states a library caller passes are still checked
+    with pytest.raises(ValueError, match="value 3 outside canonical range"):
+        StateSeries(GF3, [(0, 3, 0)])
 
 
 @pytest.mark.parametrize("series", [
@@ -525,13 +541,85 @@ def test_projection_feasibility_matches_solver(data):
     for size in range(data.n + 1):
         for subset in itertools.combinations(range(1, data.n + 1), size):
             solved = constrained_interpolate(data, 0, subset)
-            assert _feasible(view, subset) == (solved is not None)
+            assert oracle_feasible(view, subset) == (solved is not None)
 
 
 @property_settings
 @given(partial_functions())
 def test_sparsest_matches_exhaustive_elimination(data):
     assert sparsest_interpolate(data, 0) == exhaustive_sparsest(data, 0)
+
+
+def scanned_sparsest(data, coordinate):
+    """The sparsest search as one projection pass per subset, in the search order."""
+    view = data.coordinate_view(coordinate)
+    for size in range(data.n + 1):
+        for subset in itertools.combinations(range(1, data.n + 1), size):
+            if oracle_feasible(view, subset):
+                return constrained_interpolate(data, coordinate, subset)
+    raise AssertionError("the full variable set always interpolates")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_partial_functions())
+def test_sparsest_matches_a_scan_of_every_subset_beyond_three_variables(data):
+    # with up to 8 variables a conflict found for one subset rules out later ones
+    assert sparsest_interpolate(data, 0) == scanned_sparsest(data, 0)
+
+
+def test_sparsest_projects_only_subsets_that_meet_every_conflict():
+    # a series like the benchmark's GF(2)^8 ones: 17 distinct states of a
+    # random map whose coordinates each read three variables
+    rng, n = random.Random(0), 8
+    while True:
+        reads = [sorted(rng.sample(range(n), 3)) for _ in range(n)]
+        tables = [[rng.randrange(2) for _ in range(8)] for _ in range(n)]
+        states = [tuple(rng.randrange(2) for _ in range(n))]
+        while len(states) < 17:
+            s = states[-1]
+            image = tuple(t[4 * s[a] + 2 * s[b] + s[c]] for (a, b, c), t in zip(reads, tables))
+            if image in states:
+                break
+            states.append(image)
+        if len(states) == 17:
+            break
+    data = TransitionData.from_series(GF2, states)
+    total_passes = total_scanned = 0
+    for i in range(n):
+        masks, passes = set(), []
+
+        def counted(view, subset, bits):
+            found = _conflicts(view, subset, bits)
+            assert not found & masks  # the subset met every mask known before
+            masks.update(found)
+            passes.append([b.bit_length() for b in subset])
+            return found
+
+        with mock.patch("gsds.infer._conflicts", counted):
+            poly = sparsest_interpolate(data, i)
+        assert poly == scanned_sparsest(data, i)
+        # the subset chosen is the support; a scan tries every subset up to it
+        support = tuple(sorted(poly.support()))
+        combos = list(itertools.combinations(range(1, n + 1), len(support)))
+        scanned = sum(math.comb(n, k) for k in range(len(support))) + combos.index(support) + 1
+        assert passes[-1] == list(support) and len(passes) <= 1 + len(masks)
+        total_passes += len(passes)
+        total_scanned += scanned
+    assert total_passes < total_scanned
+
+
+def test_sparsest_on_a_full_table_keeps_no_pair_of_inputs():
+    # 1024 inputs, 523 776 pairs of them; coordinate 0 is x2*x5 + x9
+    points = itertools.product(range(2), repeat=10)
+    data = TransitionData(GF2, 10, [(p, (p[1] * p[4] ^ p[8],) + p[1:]) for p in points])
+    tracemalloc.start()
+    try:
+        poly = sparsest_interpolate(data, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poly == parse_poly("x2*x5 + x9", 10, GF2)
+    assert peak < 2 << 20
 
 
 @property_settings

@@ -141,6 +141,23 @@ def test_parse_bounds_products_and_sums_of_products(monkeypatch):
     assert err.value.position == text.index("(x5")
 
 
+def test_parse_bounds_the_term_pairs_of_all_products_of_one_text(monkeypatch):
+    monkeypatch.setattr(polyring, "PARSE_MAX_PAIRS", 40)
+    product = "(x1 + 1)*(x2 + 1)*(x3 + 1)"  # 2*2 + 4*2 = 12 term pairs
+    three = " + ".join([product] * 3)
+    assert parse_poly(three, 4, GF2) == parse_poly(product, 4, GF2)
+    four = f"{three} + {product}"
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(four, 4, GF2)
+    assert str(err.value) == ("products of 48 term pairs exceed the limit (40) "
+                              f"(at position {four.rindex('(x3')})")
+    # products inside parentheses count toward the same total
+    nested = f"({three})*(x4 + 1)"
+    with pytest.raises(PolyParseError, match="products of 52 term pairs") as err:
+        parse_poly(nested, 4, GF2)
+    assert err.value.position == nested.index("(x4")
+
+
 def test_parse_refuses_digits_that_are_not_decimal():
     # str.isdigit accepts a superscript two; int() does not read it
     for text, message in (("x\u00b2", "variable needs an index (at position 0)"),

@@ -10,8 +10,9 @@ every coordinate, alone (best of 5).  Saves each canonical model to a
 temporary file and times reading it back (``load_model``), validating it
 (``validate_model``) and iterating its map 1000 steps from the zero
 state (``trajectory``).  Exits 1 unless each reloaded model is valid and
-its polynomials equal the inferred ones.  Prints one line: the four
-inference times, the two transform times, the load, validate and
+its polynomials equal the inferred ones, and unless each sparsest
+polynomial takes every observed value of its coordinate.  Prints one
+line: the four inference times, the two transform times, the load, validate and
 trajectory times, and a digest of the rendered text, which two checkouts
 that infer the same polynomials share.  Uses the gsds package of this
 checkout.  Run from anywhere:
@@ -92,6 +93,10 @@ def main():
             elapsed = perf_counter() - start
             digest.update("\n".join(texts + [""]).encode())
             parts.append(f"GF({q})^{n} {preference} {elapsed:.2f} s")
+            if preference == "sparsest" and any(
+                    poly.eval(state) != image[i]
+                    for i, poly in enumerate(model.local_polys) for state, image in data.pairs):
+                sys.exit(f"a sparsest polynomial on GF({q})^{n} misses an observed value")
             if preference == "canonical":
                 parts.append(f"GF({q})^{n} table_polys {transform_time(data) * 1e3:.1f} ms")
                 parts.append(f"GF({q})^{n} canonical model {round_trip(model)}")
